@@ -90,10 +90,9 @@ class RepresentationSet:
             raise ShapeError("reps and labels must be 2-d arrays")
         if self.reps.shape[0] != self.labels_onehot.shape[0]:
             raise ShapeError("reps and labels lengths differ")
-        for row in self.labels_onehot:
-            check_label_encoding(row)
-            if not np.isin(row, (0.0, 1.0)).all():
-                raise ValueError("labels must be one-hot")
+        L = self.labels_onehot
+        if not (np.isin(L, (0.0, 1.0)).all() and (L.sum(axis=1) == 1.0).all()):
+            raise ValueError("labels must be one-hot")
 
     def __len__(self):
         return self.reps.shape[0]
@@ -124,20 +123,21 @@ class OpCounter:
 class RMCache:
     kind: str
     m: int = 1
-    argmax: np.ndarray | None = None  # (n, unified_dim) winner offsets for mp
+    argmax: np.ndarray | None = None  # (..., n, unified_dim) winner offsets for mp
     fc_cache: object = None
 
 
 def rm_apply(R, rm, unified_dim):
-    """Map a batch of raw representations to the unified dimension.
+    """Map a batch (or a stack of batches) of raw representations.
 
-    Returns (mapped (n, unified_dim), RMCache) so gradients can be routed
-    back through the mapping.
+    Returns (mapped (..., n, unified_dim), RMCache) so gradients can be
+    routed back through the mapping. Stacks follow nets.forward_pass: each
+    row of a stacked call equals the 2-d call on that row bitwise.
     """
     R = np.asarray(R, dtype=float)
-    if R.ndim != 2:
+    if R.ndim < 2:
         raise ShapeError("rm_apply takes a batch of representation rows")
-    n, raw_dim = R.shape
+    raw_dim = R.shape[-1]
     if rm.kind == FC:
         net = rm.net
         if net.input_dim != raw_dim or net.output_dim != unified_dim:
@@ -153,11 +153,11 @@ def rm_apply(R, rm, unified_dim):
             f"{unified_dim}"
         )
     m = raw_dim // unified_dim
-    blocks = R.reshape(n, unified_dim, m)
+    blocks = R.reshape(R.shape[:-1] + (unified_dim, m))
     if rm.kind == AP:
-        return blocks.mean(axis=2), RMCache(AP, m=m)
-    winners = blocks.argmax(axis=2)
-    mapped = np.take_along_axis(blocks, winners[:, :, None], axis=2)[:, :, 0]
+        return blocks.mean(axis=-1), RMCache(AP, m=m)
+    winners = blocks.argmax(axis=-1)
+    mapped = np.take_along_axis(blocks, winners[..., None], axis=-1)[..., 0]
     return mapped, RMCache(MP, m=m, argmax=winners)
 
 
@@ -167,17 +167,18 @@ def rm_backward(grad_mapped, rm, cache):
     Returns (d(loss)/d(raw), fc GradientSet or None).
     """
     g = np.asarray(grad_mapped, dtype=float)
+    if g.ndim < 2:
+        raise ShapeError("rm_backward takes a batch of gradient rows")
     if cache.kind == FC:
         fc_grads, grad_in = backprop(rm.net, cache.fc_cache, g)
         return grad_in, fc_grads
-    n, unified_dim = g.shape
     m = cache.m
     if cache.kind == AP:
-        grad_blocks = np.repeat(g[:, :, None] / m, m, axis=2)
+        grad_blocks = np.repeat(g[..., None] / m, m, axis=-1)
     else:
-        grad_blocks = np.zeros((n, unified_dim, m))
-        np.put_along_axis(grad_blocks, cache.argmax[:, :, None], g[:, :, None], axis=2)
-    return grad_blocks.reshape(n, unified_dim * m), None
+        grad_blocks = np.zeros(g.shape + (m,))
+        np.put_along_axis(grad_blocks, cache.argmax[..., None], g[..., None], axis=-1)
+    return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,)), None
 
 
 def rm_map(r, rm, unified_dim):

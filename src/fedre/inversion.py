@@ -6,6 +6,12 @@ an entangled packet), and gradient-descends a random input to minimize
 ||rm(g(x)) - target||^2. Scoring is attacker-favorable: the reconstruction
 error is the minimum MSE against every original sample that contributed to
 the target.
+
+All starts of one target descend together as a stack of one-row batches,
+shape (starts, 1, d). By the stack convention of nets.forward_pass, row r
+of every stacked objective and gradient is bitwise equal to the one-start
+call on that row, so a stacked attack returns exactly what the same starts
+run one after another return.
 """
 
 import math
@@ -32,31 +38,77 @@ class InversionResult:
     iterations: int
 
 
-def _objective_and_grad(extractor, rm, x, target):
-    out, ext_cache = forward_pass(extractor, x[None, :])
+def _objective_and_grad(extractor, rm, X, target):
+    """Objectives (R,) and input gradients (R, 1, d) at starts X, (R, 1, d)."""
+    out, ext_cache = forward_pass(extractor, X)
     mapped, rm_cache = rm_apply(out, rm, target.shape[0])
-    resid = mapped[0] - target
-    obj = float(resid @ resid)
-    grad_mapped = (2.0 * resid)[None, :]
-    grad_reps, _ = rm_backward(grad_mapped, rm, rm_cache)
+    resid = mapped - target
+    obj = (resid @ resid.swapaxes(-1, -2))[:, 0, 0]
+    grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache)
     _, grad_x = backprop(extractor, ext_cache, grad_reps)
-    return obj, grad_x[0]
+    return obj, grad_x
 
 
 def attack_objective(extractor, rm, x, target):
     """Squared distance ||rm(g(x)) - target||^2 at a single input."""
-    out, _ = forward_pass(extractor, np.asarray(x, dtype=float)[None, :])
-    mapped, _ = rm_apply(out, rm, np.asarray(target).shape[0])
-    resid = mapped[0] - target
-    return float(resid @ resid)
+    x = np.asarray(x, dtype=float)
+    obj, _ = _objective_and_grad(
+        extractor, rm, x[None, None, :], np.asarray(target, dtype=float)
+    )
+    return float(obj[0])
 
 
-def invert(extractor, rm, target, steps, lr, rng, init_scale=1.0, max_restarts=3):
+def _descend(extractor, rm, X, target, steps, lr):
+    """Gradient descent from every start of the stack X, shape (R, 1, d).
+
+    Returns (best iterate per start (R, 1, d), its objective (R,)), or None
+    as soon as any start's objective or gradient turns non-finite. A start's
+    best iterate is its first visited point of lowest objective; the final
+    iterate counts too.
+    """
+    best_x, best_obj = X.copy(), np.full(X.shape[0], math.inf)
+    for _ in range(steps):
+        obj, grad = _objective_and_grad(extractor, rm, X, target)
+        if not (np.isfinite(obj).all() and np.isfinite(grad).all()):
+            return None
+        better = obj < best_obj
+        np.copyto(best_obj, obj, where=better)
+        np.copyto(best_x, X, where=better[:, None, None])
+        X = X - lr * grad
+    final_obj, _ = _objective_and_grad(extractor, rm, X, target)
+    better = final_obj < best_obj
+    np.copyto(best_obj, final_obj, where=better)
+    np.copyto(best_x, X, where=better[:, None, None])
+    return best_x, best_obj
+
+
+def _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts):
+    """One start, restarted from a fresh init each time it diverges."""
+    for _ in range(max_restarts + 1):
+        X = init_scale * rng.standard_normal((1, 1, extractor.input_dim))
+        found = _descend(extractor, rm, X, target, steps, lr)
+        if found is not None:
+            return found
+    raise InversionFailure(
+        f"objective stayed non-finite after {max_restarts} restarts"
+    )
+
+
+def invert(
+    extractor, rm, target, steps, lr, rng, init_scale=1.0, max_restarts=3, starts=1
+):
     """Reconstruct an input whose mapped representation matches the target.
 
-    Plain gradient descent from a Gaussian-random start; returns the best
-    iterate by objective value. A run that turns non-finite restarts from a
-    fresh init, at most max_restarts times.
+    Plain gradient descent from `starts` Gaussian-random inputs, descended
+    together as one stack of one-row batches. Each start keeps its best
+    iterate by objective value and the lowest-objective start wins, the
+    earliest on a tie. A start that turns non-finite restarts from a fresh
+    init, at most max_restarts times.
+
+    Draws one init per start from rng, in order. If the stacked descent
+    diverges, rng is rewound and the starts replay one at a time, so every
+    restart draws its init right after the start that diverged: the result
+    and the final rng state equal those of `starts` single-start runs.
     """
     target = np.asarray(target, dtype=float)
     if target.ndim != 1:
@@ -67,27 +119,25 @@ def invert(extractor, rm, target, steps, lr, rng, init_scale=1.0, max_restarts=3
         raise ValueError("steps must be nonnegative")
     if lr <= 0:
         raise ValueError("lr must be positive")
-    for _ in range(max_restarts + 1):
-        x = init_scale * rng.standard_normal(extractor.input_dim)
-        best_x, best_obj = x.copy(), math.inf
-        diverged = False
-        for _ in range(steps):
-            obj, grad = _objective_and_grad(extractor, rm, x, target)
-            if not math.isfinite(obj) or not np.isfinite(grad).all():
-                diverged = True
-                break
-            if obj < best_obj:
-                best_obj, best_x = obj, x.copy()
-            x = x - lr * grad
-        if diverged:
-            continue
-        final_obj, _ = _objective_and_grad(extractor, rm, x, target)
-        if math.isfinite(final_obj) and final_obj < best_obj:
-            best_x = x.copy()
-        return best_x
-    raise InversionFailure(
-        f"objective stayed non-finite after {max_restarts} restarts"
-    )
+    if starts < 1:
+        raise ValueError("starts must be positive")
+    state = rng.bit_generator.state
+    X = init_scale * rng.standard_normal((starts, 1, extractor.input_dim))
+    try:
+        found = _descend(extractor, rm, X, target, steps, lr)
+    except ValueError:
+        # an iterate overflowed; replaying the starts one at a time raises
+        # it at the same start and rng position as single-start runs do
+        found = None
+    if found is None:
+        rng.bit_generator.state = state
+        runs = [
+            _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts)
+            for _ in range(starts)
+        ]
+        found = [np.concatenate(parts) for parts in zip(*runs)]
+    best_x, best_obj = found
+    return best_x[int(np.argmin(best_obj)), 0]
 
 
 def invert_multi(extractor, rm, target, steps, lr, rng, init_scale=1.0, restarts=1):
@@ -96,17 +146,11 @@ def invert_multi(extractor, rm, target, steps, lr, rng, init_scale=1.0, restarts
     The descent objective is piecewise quadratic, so a single start can stall
     in a poor basin; launching several and keeping the lowest-objective
     iterate models an attacker who retries. Consumes one init per start from
-    rng, in order.
+    rng, in order; all starts descend together in one invert call.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    best, best_obj = None, math.inf
-    for _ in range(restarts):
-        rec = invert(extractor, rm, target, steps, lr, rng, init_scale=init_scale)
-        obj = attack_objective(extractor, rm, rec, target)
-        if obj < best_obj:
-            best, best_obj = rec, obj
-    return best
+    return invert(
+        extractor, rm, target, steps, lr, rng, init_scale=init_scale, starts=restarts
+    )
 
 
 def score(reconstructed, originals, data_range):

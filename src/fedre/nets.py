@@ -8,6 +8,15 @@ analytic gradients, and vanilla SGD.
 Networks are value-like: training code never mutates parameters in place, it
 builds updated copies via ``sgd_step``. The only mutable slot is the forward
 cache consumed by ``backward``.
+
+Batches and stacks: ``forward_pass`` and ``backprop`` take a batch of rows,
+shape (n, d), or a stack of batches, shape (*lead, n, d); every leading
+dimension is a stack dimension and the last axis holds the features. A
+stack of one-row batches, shape (R, 1, d), makes numpy loop over R one-row
+products, so row r of a stacked call is bitwise equal to a 2-d call on that
+row alone (a 2-d (R, d) batch would go through a different BLAS kernel and
+round differently). Parameter gradients of a stack keep the stack
+dimensions: one gradient per batch, not their sum.
 """
 
 from dataclasses import dataclass, field
@@ -102,8 +111,8 @@ class Layer:
 class BatchCache:
     """Everything forward saw, kept for the matching backward pass."""
 
-    inputs: np.ndarray  # (n, input_dim)
-    pre_activations: list  # z per layer, each (n, fan_out)
+    inputs: np.ndarray  # (..., n, input_dim)
+    pre_activations: list  # z per layer, each (..., n, fan_out)
     layer_inputs: list  # input to each layer; layer_inputs[0] is inputs
 
 
@@ -161,14 +170,15 @@ def _apply_activation(z, activation):
 
 
 def forward_pass(net, X):
-    """Run a batch through the net. Returns (outputs, cache).
+    """Run a batch, or a stack of batches, through the net.
 
-    Pure with respect to the net: does not touch net.cache.
+    Returns (outputs, cache). Pure with respect to the net: does not touch
+    net.cache.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
+    if X.ndim < 2 or X.shape[-1] != net.input_dim:
         raise ShapeError(
-            f"input batch has shape {X.shape}, expected (n, {net.input_dim})"
+            f"input batch has shape {X.shape}, expected (..., n, {net.input_dim})"
         )
     if not np.isfinite(X).all():
         raise ValueError("inputs must be finite")
@@ -205,23 +215,19 @@ class GradientSet:
             for gw, gb, l in zip(self.weight_grads, self.bias_grads, net.layers)
         )
 
-    def all_finite(self):
-        return all(np.isfinite(g).all() for g in self.weight_grads) and all(
-            np.isfinite(g).all() for g in self.bias_grads
-        )
-
 
 def backprop(net, cache, grad_output):
     """Backpropagate d(loss)/d(output) through the net.
 
     Returns (GradientSet, d(loss)/d(input)). grad_output and the returned
-    input gradient are batches, one row per sample in the cached forward.
+    input gradient have the cached forward's shape, one row per sample; for
+    a stack, each parameter gradient carries the stack's leading dimensions.
     """
     delta = np.asarray(grad_output, dtype=float)
-    n = cache.inputs.shape[0]
-    if delta.shape != (n, net.output_dim):
+    expected = cache.inputs.shape[:-1] + (net.output_dim,)
+    if delta.shape != expected:
         raise ShapeError(
-            f"grad_output has shape {delta.shape}, expected ({n}, {net.output_dim})"
+            f"grad_output has shape {delta.shape}, expected {expected}"
         )
     weight_grads = [None] * len(net.layers)
     bias_grads = [None] * len(net.layers)
@@ -229,8 +235,8 @@ def backprop(net, cache, grad_output):
         layer = net.layers[i]
         if layer.activation == RELU:
             delta = delta * (cache.pre_activations[i] > 0)
-        weight_grads[i] = delta.T @ cache.layer_inputs[i]
-        bias_grads[i] = delta.sum(axis=0)
+        weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
+        bias_grads[i] = delta.sum(axis=-2)
         delta = delta @ layer.weight
     return GradientSet(weight_grads, bias_grads), delta
 
@@ -308,10 +314,10 @@ def sgd_step(net, grads, lr):
         raise ValueError("learning rate must be nonnegative")
     if not grads.matches(net):
         raise ShapeError("gradient shapes do not match the net")
-    if not grads.all_finite():
-        raise DivergedError("non-finite gradients; training diverged")
-    layers = [
-        Layer(l.weight - lr * gw, l.bias - lr * gb, l.activation)
+    updated = [
+        (l.weight - lr * gw, l.bias - lr * gb, l.activation)
         for l, gw, gb in zip(net.layers, grads.weight_grads, grads.bias_grads)
     ]
-    return DenseNet(layers)
+    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b, _ in updated):
+        raise DivergedError("non-finite parameters; training diverged")
+    return DenseNet([Layer(w, b, act) for w, b, act in updated])

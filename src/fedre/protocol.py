@@ -113,6 +113,12 @@ def count_round(ledger, num_clients, unified_dim, num_classes, convention=None):
     return ledger
 
 
+def _require_finite(values, what):
+    """Non-finite activations mean the parameters behind them diverged."""
+    if not np.isfinite(values).all():
+        raise DivergedError(f"{what} turned non-finite; training diverged")
+
+
 def make_extractor(input_dim, hidden_sizes, rng):
     sizes = [input_dim] + list(hidden_sizes)
     return nets.init_dense(sizes, [nets.RELU] * (len(sizes) - 1), rng)
@@ -134,6 +140,7 @@ def receive_classifier(client, classifier):
 def client_representation_set(client):
     """Raw representations of the client's training samples, current extractor."""
     reps, _ = nets.forward_pass(client.extractor, client.train.X)
+    _require_finite(reps, "representations")
     onehot = nets.one_hot_matrix(client.train.y, client.classifier.output_dim)
     return RepresentationSet(reps, onehot)
 
@@ -148,7 +155,9 @@ def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None):
     """
     n = Xb.shape[0]
     reps, ext_cache = nets.forward_pass(extractor, Xb)
+    _require_finite(reps, "representations")
     mapped, rm_cache = rm_apply(reps, rm, classifier.input_dim)
+    _require_finite(mapped, "mapped representations")
     logits, cls_cache = nets.forward_pass(classifier, mapped)
     loss = nets.batch_mean_ce(logits, targets)
     cls_grads, grad_mapped = nets.backprop(
@@ -235,6 +244,7 @@ def server_update(server, packets):
         if p.r_tilde.shape != (d,) or p.y_tilde.shape != (num_classes,):
             raise ShapeError("packet dimensions do not match the classifier")
     R = np.stack([p.r_tilde for p in packets])
+    _require_finite(R, "uploaded packets")
     Y = np.stack([p.y_tilde for p in packets])
     classifier = server.classifier
     n = len(packets)
@@ -254,7 +264,9 @@ def evaluate_client(client):
     if len(client.test) == 0:
         return None
     reps, _ = nets.forward_pass(client.extractor, client.test.X)
+    _require_finite(reps, "test representations")
     mapped, _ = rm_apply(reps, client.rm, client.classifier.input_dim)
+    _require_finite(mapped, "mapped test representations")
     logits, _ = nets.forward_pass(client.classifier, mapped)
     pred = logits.argmax(axis=1)  # ties resolve to the lowest class index
     return float((pred == client.test.y).mean())

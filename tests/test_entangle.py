@@ -330,3 +330,35 @@ def test_vap_entangle_equals_mean_of_prototypes():
 def test_representation_set_rejects_soft_labels():
     with pytest.raises(ValueError):
         en.RepresentationSet(np.zeros((1, 4)), np.array([[0.5, 0.5]]))
+
+
+def per_row_label_check(labels):
+    """The row-by-row rule the vectorized check replaced."""
+    for row in labels:
+        nets.check_label_encoding(row)
+        if not np.isin(row, (0.0, 1.0)).all():
+            raise ValueError("labels must be one-hot")
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_representation_set_label_check_matches_per_row_rule(n, k, data):
+    entries = st.sampled_from([0.0, 1.0, 0.0, 1.0, 0.5, -0.0, 2.0, -1.0, 1.0 + 1e-12, np.nan, np.inf])
+    labels = np.array(
+        data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)),
+        dtype=float,
+    ).reshape(n, k)
+    try:
+        per_row_label_check(labels)
+        expected = None
+    except ValueError:
+        expected = ValueError
+    if expected is None:
+        en.RepresentationSet(np.zeros((n, 2)), labels)
+    else:
+        with pytest.raises(expected):
+            en.RepresentationSet(np.zeros((n, 2)), labels)

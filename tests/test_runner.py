@@ -246,3 +246,16 @@ def test_run_inversion_study_is_reproducible():
     b = runner.run_inversion_study(cfg)
     assert a.mean_mse == b.mean_mse
     assert a.mean_psnr == b.mean_psnr
+
+
+@pytest.mark.parametrize("lr_key", ["client_lr", "server_lr"])
+def test_overflowing_learning_rate_marks_seeds_failed(lr_key):
+    from fedre import presets
+
+    cfg = presets.toy_comparison_config(rounds=3, num_seeds=2)
+    setattr(cfg, lr_key, 1e300)
+    with np.errstate(all="ignore"):
+        summary = runner.run_experiment(cfg)
+    assert summary.failed_seeds == list(cfg.seeds)
+    assert all("DivergedError" in t.error for t in summary.traces)
+    assert np.isnan(summary.mean_acc)
