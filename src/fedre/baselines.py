@@ -32,7 +32,6 @@ from .protocol import (
     client_local_update,
     client_make_packet,
     client_representation_set,
-    count_round,
     evaluate_client,
     mean_accuracy,
     participation_sample,
@@ -201,9 +200,10 @@ def strategy_round(
             convention=ledger.convention,
             num_global_prototypes=len(protos) if strategy.kind == FEDPROTO_STYLE else None,
         )
-        ledger.add_round(upload, down)
         new_clients = [updated.get(c.client_id, c) for c in clients]
         accs = [evaluate_client(c) for c in new_clients]
+        # the ledger is committed last, once nothing left can abort the round
+        ledger.add_round(upload, down)
         metrics = RoundMetrics(
             mean_accuracy(accs),
             accs,

@@ -4,7 +4,8 @@ Verbs:
   run       execute a config's seeds and export per-round metrics
   sweep     re-run a config once per value of one (dotted) config key
   invert    train briefly, then score the reconstruction attack
-  validate  parse a config and echo the effective settings
+  validate  parse a config, build its first seed's world, and echo the
+            effective settings
 
 FEDRE_OUTPUT_DIR, when set, re-roots every output file into that directory.
 """
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, config_to_dict, load_config
-from .runner import export_summary, run_experiment, run_inversion_study, run_sweep
+from .runner import build_world, export_summary, run_experiment, run_inversion_study, run_sweep
 
 OUTPUT_DIR_ENV = "FEDRE_OUTPUT_DIR"
 
@@ -91,6 +92,8 @@ def cmd_invert(args):
 
 def cmd_validate(args):
     cfg = load_config(args.config)
+    # checks that need the data (pat dealing, csv contents) run on world build
+    build_world(cfg, cfg.seeds[0])
     print(f"{args.config} is valid; effective settings:")
     print(json.dumps(config_to_dict(cfg), indent=2))
     return 0

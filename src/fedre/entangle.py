@@ -15,7 +15,7 @@ Weight mechanisms, grouped by what the weights attach to:
   rar  random normalized      rap  random normalized over categories
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,7 +155,8 @@ def rm_apply(R, rm, unified_dim):
     m = raw_dim // unified_dim
     blocks = R.reshape(R.shape[:-1] + (unified_dim, m))
     if rm.kind == AP:
-        return blocks.mean(axis=-1), RMCache(AP, m=m)
+        # the arithmetic of blocks.mean(axis=-1), at about half its call cost
+        return blocks.sum(axis=-1) / m, RMCache(AP, m=m)
     winners = blocks.argmax(axis=-1)
     mapped = np.take_along_axis(blocks, winners[..., None], axis=-1)[..., 0]
     return mapped, RMCache(MP, m=m, argmax=winners)

@@ -5,9 +5,21 @@ classifier, and the input-reconstruction attack: fully connected layers with
 relu or identity activations, a max-shifted soft-label cross-entropy, exact
 analytic gradients, and vanilla SGD.
 
-Networks are value-like: training code never mutates parameters in place, it
-builds updated copies via ``sgd_step``. The only mutable slot is the forward
-cache consumed by ``backward``.
+Networks are value-like: ``sgd_step`` builds an updated copy and never
+mutates its input. The only mutable slot is the forward cache consumed by
+``backward``.
+
+The dense-layer math exists once, in private kernels over a list of
+``(weight, bias, activation)`` tuples: ``_forward``, ``_backward`` (parameter
+gradients, the input gradient, or both) and the in-place ``_sgd``.
+``forward_pass``, ``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are
+thin wrappers that validate their inputs and call them.
+
+Validation boundary: the public functions here validate their inputs. The
+update loops in ``protocol`` copy a net's parameters out once, step them in
+place through the kernels, and check finiteness per step on the loss and the
+activations and once per update on the parameters, when ``_net`` rebuilds
+the trained net (``DivergedError`` if any parameter is non-finite).
 
 Batches and stacks: ``forward_pass`` and ``backprop`` take a batch of rows,
 shape (n, d), or a stack of batches, shape (*lead, n, d); every leading
@@ -169,12 +181,57 @@ def _apply_activation(z, activation):
     return z
 
 
-def forward_pass(net, X):
-    """Run a batch, or a stack of batches, through the net.
+def _params(net):
+    """The net's layers as [(weight, bias, activation)], sharing its arrays."""
+    return [(l.weight, l.bias, l.activation) for l in net.layers]
 
-    Returns (outputs, cache). Pure with respect to the net: does not touch
-    net.cache.
-    """
+
+def _net(params):
+    """The net holding trained parameters; DivergedError if any is non-finite."""
+    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b, _ in params):
+        raise DivergedError("non-finite parameters; training diverged")
+    return DenseNet([Layer(w, b, act) for w, b, act in params])
+
+
+def _forward(params, X):
+    """Forward kernel: (outputs, BatchCache) of X, with no checks."""
+    a = X
+    pre, layer_inputs = [], []
+    for w, b, act in params:
+        layer_inputs.append(a)
+        z = a @ w.T + b
+        pre.append(z)
+        a = _apply_activation(z, act)
+    return a, BatchCache(X, pre, layer_inputs)
+
+
+def _backward(params, cache, delta, param_grads=True, input_grad=True):
+    """Backward kernel, with no checks: (GradientSet or None, input gradient
+    or None). Work for an output not asked for is skipped."""
+    n = len(params)
+    weight_grads, bias_grads = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        w, _, act = params[i]
+        if act == RELU:
+            delta = delta * (cache.pre_activations[i] > 0)
+        if param_grads:
+            weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
+            bias_grads[i] = delta.sum(axis=-2)
+        if i or input_grad:
+            delta = delta @ w
+    grads = GradientSet(weight_grads, bias_grads) if param_grads else None
+    return grads, delta if input_grad else None
+
+
+def _sgd(params, grads, lr):
+    """In-place SGD kernel: w -= lr * gw and b -= lr * gb for every layer."""
+    for (w, b, _), gw, gb in zip(params, grads.weight_grads, grads.bias_grads):
+        w -= lr * gw
+        b -= lr * gb
+
+
+def _batch(net, X):
+    """X as a float batch (or stack of batches) the net can take."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != net.input_dim:
         raise ShapeError(
@@ -182,14 +239,16 @@ def forward_pass(net, X):
         )
     if not np.isfinite(X).all():
         raise ValueError("inputs must be finite")
-    a = X
-    pre, layer_inputs = [], []
-    for layer in net.layers:
-        layer_inputs.append(a)
-        z = a @ layer.weight.T + layer.bias
-        pre.append(z)
-        a = _apply_activation(z, layer.activation)
-    return a, BatchCache(X, pre, layer_inputs)
+    return X
+
+
+def forward_pass(net, X):
+    """Run a batch, or a stack of batches, through the net.
+
+    Returns (outputs, cache). Pure with respect to the net: does not touch
+    net.cache.
+    """
+    return _forward(_params(net), _batch(net, X))
 
 
 def forward(net, x):
@@ -229,16 +288,7 @@ def backprop(net, cache, grad_output):
         raise ShapeError(
             f"grad_output has shape {delta.shape}, expected {expected}"
         )
-    weight_grads = [None] * len(net.layers)
-    bias_grads = [None] * len(net.layers)
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        if layer.activation == RELU:
-            delta = delta * (cache.pre_activations[i] > 0)
-        weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
-        bias_grads[i] = delta.sum(axis=-2)
-        delta = delta @ layer.weight
-    return GradientSet(weight_grads, bias_grads), delta
+    return _backward(_params(net), cache, delta)
 
 
 def softmax(logits):
@@ -259,23 +309,25 @@ def soft_cross_entropy(logits, target):
     return max(float(lse - t @ z), 0.0)
 
 
+def _ce(z, t):
+    """Kernel: (mean soft cross-entropy of the logit rows z against the
+    targets t, its gradient with respect to z), with no checks."""
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    losses = m[:, 0] + np.log(s[:, 0]) - (t * z).sum(axis=1)
+    n = z.shape[0]
+    # sum / n is the arithmetic of mean(), at about half its call cost
+    return float(np.maximum(losses, 0.0).sum() / n), (e / s - t) / n
+
+
 def batch_mean_ce(logits, targets):
     """Mean soft cross-entropy over a batch of logits rows."""
     z = np.asarray(logits, dtype=float)
     t = np.asarray(targets, dtype=float)
     if z.shape != t.shape:
         raise ShapeError("logits and targets must have matching shapes")
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    losses = lse - (t * z).sum(axis=1)
-    return float(np.maximum(losses, 0.0).mean())
-
-
-def ce_grad(logits, targets):
-    """Gradient of batch_mean_ce with respect to the logits."""
-    z = np.asarray(logits, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    return (softmax(z) - t) / z.shape[0]
+    return _ce(z, t)[0]
 
 
 def backward(net, x, target):
@@ -300,12 +352,21 @@ def backward(net, x, target):
     return grads
 
 
+def _ce_value_and_grads(params, X, targets):
+    """Kernel of ce_value_and_grads, with no checks."""
+    out, cache = _forward(params, X)
+    loss, grad_out = _ce(out, targets)
+    grads, _ = _backward(params, cache, grad_out, input_grad=False)
+    return loss, grads
+
+
 def ce_value_and_grads(net, X, targets):
     """Mean cross-entropy over a batch plus its parameter gradients."""
-    out, cache = forward_pass(net, X)
-    loss = batch_mean_ce(out, targets)
-    grads, _ = backprop(net, cache, ce_grad(out, targets))
-    return loss, grads
+    X = _batch(net, X)
+    t = np.asarray(targets, dtype=float)
+    if X.ndim != 2 or t.shape != (X.shape[0], net.output_dim):
+        raise ShapeError("need a 2-d batch and one target row per sample")
+    return _ce_value_and_grads(_params(net), X, t)
 
 
 def sgd_step(net, grads, lr):
@@ -314,10 +375,6 @@ def sgd_step(net, grads, lr):
         raise ValueError("learning rate must be nonnegative")
     if not grads.matches(net):
         raise ShapeError("gradient shapes do not match the net")
-    updated = [
-        (l.weight - lr * gw, l.bias - lr * gb, l.activation)
-        for l, gw, gb in zip(net.layers, grads.weight_grads, grads.bias_grads)
-    ]
-    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b, _ in updated):
-        raise DivergedError("non-finite parameters; training diverged")
-    return DenseNet([Layer(w, b, act) for w, b, act in updated])
+    params = _params(clone_net(net))
+    _sgd(params, grads, lr)
+    return _net(params)

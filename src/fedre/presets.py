@@ -15,7 +15,7 @@ a fresh weight draw every round feeds the server new mixtures to average
 over. Frozen draws lose that averaging, which is the re-sampling gap.
 """
 
-from .config import ExperimentConfig, parse_config
+from .config import parse_config
 
 
 def toy_comparison_config(strategy="fedre", rounds=60, num_seeds=10, resample="rs"):

@@ -17,7 +17,6 @@ import numpy as np
 from . import nets
 from .entangle import (
     FC,
-    EntangledPacket,
     RMSpec,
     RepresentationSet,
     entangle,
@@ -148,28 +147,30 @@ def client_representation_set(client):
 def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None):
     """Loss and gradients of the composed net on one minibatch.
 
-    proto_reg, when given, is (lam, prototype_rows, mask): a pull of the
-    mapped representations toward per-category prototypes, added to the
-    cross-entropy. Rows without a prototype carry a zero mask.
+    The client loop's per-step function: it runs on the nets kernels and
+    checks only that the representations it computes are finite (Xb comes
+    from a validated Dataset). proto_reg, when given, is (lam,
+    prototype_rows, mask): a pull of the mapped representations toward
+    per-category prototypes, added to the cross-entropy. Rows without a
+    prototype carry a zero mask.
     Returns (loss, extractor grads, classifier grads, fc grads or None).
     """
     n = Xb.shape[0]
-    reps, ext_cache = nets.forward_pass(extractor, Xb)
+    ext, cls = nets._params(extractor), nets._params(classifier)
+    reps, ext_cache = nets._forward(ext, Xb)
     _require_finite(reps, "representations")
     mapped, rm_cache = rm_apply(reps, rm, classifier.input_dim)
     _require_finite(mapped, "mapped representations")
-    logits, cls_cache = nets.forward_pass(classifier, mapped)
-    loss = nets.batch_mean_ce(logits, targets)
-    cls_grads, grad_mapped = nets.backprop(
-        classifier, cls_cache, nets.ce_grad(logits, targets)
-    )
+    logits, cls_cache = nets._forward(cls, mapped)
+    loss, grad_logits = nets._ce(logits, targets)
+    cls_grads, grad_mapped = nets._backward(cls, cls_cache, grad_logits)
     if proto_reg is not None:
         lam, proto_rows, mask = proto_reg
         diffs = (mapped - proto_rows) * mask[:, None]
         loss += lam * float((diffs**2).sum()) / n
         grad_mapped = grad_mapped + (2.0 * lam / n) * diffs
     grad_reps, fc_grads = rm_backward(grad_mapped, rm, rm_cache)
-    ext_grads, _ = nets.backprop(extractor, ext_cache, grad_reps)
+    ext_grads, _ = nets._backward(ext, ext_cache, grad_reps, input_grad=False)
     return loss, ext_grads, cls_grads, fc_grads
 
 
@@ -178,7 +179,9 @@ def client_local_update(client, global_classifier, proto_reg=None):
 
     proto_reg is (lam, {category: prototype}) for prototype-regularized
     training. Returns a new ClientState; the input state's parameters are
-    untouched (its RNG stream advances).
+    untouched (its RNG stream advances). Every step updates private copies
+    of the parameters in place; the trained nets are checked and built once,
+    at the end.
     """
     c = (
         receive_classifier(client, global_classifier)
@@ -187,7 +190,12 @@ def client_local_update(client, global_classifier, proto_reg=None):
     )
     if len(c.train) == 0:
         raise ValueError(f"client {c.client_id} has no training samples")
-    extractor, classifier, rm = c.extractor, c.classifier, c.rm
+    if c.lr < 0:
+        raise ValueError("learning rate must be nonnegative")
+    extractor, classifier = nets.clone_net(c.extractor), nets.clone_net(c.classifier)
+    rm = RMSpec(FC, nets.clone_net(c.rm.net)) if c.rm.kind == FC else c.rm
+    ext, cls = nets._params(extractor), nets._params(classifier)
+    fc = nets._params(rm.net) if rm.kind == FC else None
     num_classes = classifier.output_dim
     reg = None
     n = len(c.train)
@@ -214,11 +222,13 @@ def client_local_update(client, global_classifier, proto_reg=None):
                 raise DivergedError(
                     f"client {c.client_id} local loss is non-finite"
                 )
-            extractor = nets.sgd_step(extractor, ext_grads, c.lr)
-            classifier = nets.sgd_step(classifier, cls_grads, c.lr)
-            if fc_grads is not None:
-                rm = RMSpec(FC, nets.sgd_step(rm.net, fc_grads, c.lr))
-    return replace(c, extractor=extractor, classifier=classifier, rm=rm)
+            nets._sgd(ext, ext_grads, c.lr)
+            nets._sgd(cls, cls_grads, c.lr)
+            if fc is not None:
+                nets._sgd(fc, fc_grads, c.lr)
+    if fc is not None:
+        rm = RMSpec(FC, nets._net(fc))
+    return replace(c, extractor=nets._net(ext), classifier=nets._net(cls), rm=rm)
 
 
 def client_make_packet(client, mech, unified_dim, weights=None):
@@ -235,9 +245,15 @@ def client_make_packet(client, mech, unified_dim, weights=None):
 
 
 def server_update(server, packets):
-    """Train the shared classifier on the uploaded packets."""
+    """Train the shared classifier on the uploaded packets.
+
+    Steps a private copy of the parameters in place; the trained classifier
+    is checked and built once, at the end.
+    """
     if not packets:
         raise ValueError("server_update needs at least one packet")
+    if server.lr < 0:
+        raise ValueError("learning rate must be nonnegative")
     d = server.classifier.input_dim
     num_classes = server.classifier.output_dim
     for p in packets:
@@ -246,17 +262,17 @@ def server_update(server, packets):
     R = np.stack([p.r_tilde for p in packets])
     _require_finite(R, "uploaded packets")
     Y = np.stack([p.y_tilde for p in packets])
-    classifier = server.classifier
+    params = nets._params(nets.clone_net(server.classifier))
     n = len(packets)
     for _ in range(server.epochs):
         order = server.rng.permutation(n)
         for start in range(0, n, server.batch_size):
             idx = order[start : start + server.batch_size]
-            loss, grads = nets.ce_value_and_grads(classifier, R[idx], Y[idx])
+            loss, grads = nets._ce_value_and_grads(params, R[idx], Y[idx])
             if not math.isfinite(loss):
                 raise DivergedError("server loss is non-finite")
-            classifier = nets.sgd_step(classifier, grads, server.lr)
-    return replace(server, classifier=classifier)
+            nets._sgd(params, grads, server.lr)
+    return replace(server, classifier=nets._net(params))
 
 
 def evaluate_client(client):
@@ -309,7 +325,8 @@ def run_round(clients, server, mech, ledger, participation_rate=1.0, part_rng=No
     """One full round. Returns (clients, server, ledger, RoundMetrics).
 
     Input states are never mutated; on any abort the RNG streams are rolled
-    back so the failed round leaves no trace.
+    back and the ledger is left as it was, so the failed round leaves no
+    trace.
     """
     if not clients:
         raise ValueError("run_round needs at least one client")
@@ -326,9 +343,10 @@ def run_round(clients, server, mech, ledger, participation_rate=1.0, part_rng=No
             packets.append(client_make_packet(trained, mech, d))
             updated[trained.client_id] = trained
         new_server = server_update(server, packets)
-        count_round(ledger, len(participants), d, num_classes)
         new_clients = [updated.get(c.client_id, c) for c in clients]
         accs = [evaluate_client(c) for c in new_clients]
+        # the ledger is committed last, once nothing left can abort the round
+        count_round(ledger, len(participants), d, num_classes)
         metrics = RoundMetrics(
             mean_accuracy(accs),
             accs,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, data, nets, protocol
-from .config import parse_config
+from .config import ConfigError, parse_config
 from .entangle import FC, ReMechanism, RMSpec, compute_prototypes, re_weights, rm_apply
 from .inversion import InversionResult, dataset_range, invert_multi, score
 from .protocol import ClientState, CommLedger, ServerState
@@ -82,14 +82,12 @@ def build_dataset(cfg, seed_seq):
 
 
 def build_world(cfg, seed):
-    """Materialize clients, server, and strategy for one seed."""
+    """Materialize clients, server, and strategy for one seed.
+
+    Raises ConfigError when the dataset cannot be read or cannot be
+    partitioned as configured.
+    """
     streams = _spawn_streams(seed, cfg.num_clients)
-    ds = build_dataset(cfg, streams["dataset"])
-    num_classes = ds.num_classes
-    if cfg.partition.mode == data.PAT and (
-        cfg.partition.categories_per_client > num_classes
-    ):
-        raise ValueError("categories_per_client exceeds dataset categories")
     spec = data.PartitionSpec(
         mode=cfg.partition.mode,
         num_clients=cfg.num_clients,
@@ -98,7 +96,13 @@ def build_world(cfg, seed):
         categories_per_client=cfg.partition.categories_per_client,
         imbalance_factor=cfg.partition.imbalance_factor,
     )
-    parts = data.partition(ds, spec)
+    try:
+        ds = build_dataset(cfg, streams["dataset"])
+        parts = data.partition(ds, spec)
+    except ValueError as e:
+        # the config asks for what its data cannot supply, e.g. a pat deal
+        raise ConfigError(f"dataset and partition do not fit: {e}") from e
+    num_classes = ds.num_classes
     clients = []
     for k in range(cfg.num_clients):
         train, test = data.train_test_split(

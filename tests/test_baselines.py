@@ -272,6 +272,59 @@ def test_strategy_round_rolls_back_fs_cache_on_failure():
         np.testing.assert_array_equal(strategy.fs_cache[k], ref_strategy.fs_cache[k])
 
 
+def failing_evaluation(monkeypatch, module):
+    """Make evaluate_client raise on its last call of the round, after the
+    server has trained and the ledger entry is known."""
+
+    real = protocol.evaluate_client
+
+    def evaluate(client):
+        if client.client_id == 2:
+            raise nets.DivergedError("injected evaluation fault")
+        return real(client)
+
+    monkeypatch.setattr(module, "evaluate_client", evaluate)
+
+
+@pytest.mark.parametrize("kind", baselines.STRATEGIES)
+@pytest.mark.parametrize("resample", baselines.RESAMPLE_MODES)
+def test_strategy_round_aborted_in_evaluation_commits_nothing(monkeypatch, kind, resample):
+    clients, server = fresh_world()
+    strategy = baselines.Strategy(kind=kind, resample=resample)
+    part_rng = np.random.default_rng(9)
+    ledger = protocol.CommLedger()
+    clients, server, ledger, _, protos = baselines.strategy_round(
+        strategy, clients, server, ledger, 0, participation_rate=0.7, part_rng=part_rng
+    )
+    history = (list(ledger.upload_history), list(ledger.broadcast_history))
+    streams = [c.rng for c in clients] + [server.rng, part_rng]
+    states = [g.bit_generator.state for g in streams]
+    cache = {k: v.copy() for k, v in strategy.fs_cache.items()}
+    failing_evaluation(monkeypatch, baselines)
+    with pytest.raises(nets.DivergedError):
+        baselines.strategy_round(
+            strategy, clients, server, ledger, 1, participation_rate=0.7,
+            part_rng=part_rng, global_protos=protos,
+        )
+    assert (ledger.upload_history, ledger.broadcast_history) == history
+    assert [g.bit_generator.state for g in streams] == states
+    assert sorted(strategy.fs_cache) == sorted(cache)
+    for k, v in cache.items():
+        np.testing.assert_array_equal(strategy.fs_cache[k], v)
+
+
+def test_run_round_aborted_in_evaluation_commits_nothing(monkeypatch):
+    clients, server = fresh_world()
+    ledger = protocol.CommLedger()
+    streams = [c.rng for c in clients] + [server.rng]
+    states = [g.bit_generator.state for g in streams]
+    failing_evaluation(monkeypatch, protocol)
+    with pytest.raises(nets.DivergedError):
+        protocol.run_round(clients, server, ReMechanism("rap"), ledger)
+    assert ledger.upload_history == [] and ledger.broadcast_history == []
+    assert [g.bit_generator.state for g in streams] == states
+
+
 def test_strategy_round_skips_trainless_clients():
     clients, server = fresh_world()
     clients[2] = replace(clients[2], train=clients[2].train.subset([]))

@@ -85,3 +85,33 @@ def test_invert_writes_attack_records(cfg_path, tmp_path, capsys):
         assert kind in out
     records = [json.loads(l) for l in target.read_text().splitlines()]
     assert {r["target_kind"] for r in records} == {"raw", "prototype", "entangled"}
+
+
+@pytest.mark.parametrize("verb", ["run", "validate", "invert"])
+@pytest.mark.parametrize(
+    "categories_per_client, num_clients, per_class",
+    [
+        # 3 clients x 3 categories = 9 shards cannot cover 10 classes evenly
+        (3, 3, 20),
+        # 20 clients x 1 category = 2 shards per class, but a class has 1 sample
+        (1, 20, 1),
+    ],
+)
+def test_data_dependent_config_errors_exit_2_on_every_verb(
+    tmp_path, capsys, verb, categories_per_client, num_clients, per_class
+):
+    p = tmp_path / "pat.json"
+    p.write_text(json.dumps({
+        "dataset": {"classes": 10, "per_class": per_class, "dim": 2},
+        "partition": {"mode": "pat", "categories_per_client": categories_per_client},
+        "num_clients": num_clients,
+        "rounds": 1,
+        "seeds": [0],
+        "output_path": str(tmp_path / "out.jsonl"),
+    }))
+    assert cli.main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "out.jsonl").exists()
