@@ -1,6 +1,8 @@
-"""Comparison strategies sharing the round skeleton.
+"""The round engine and the upload strategies it runs.
 
-Five upload policies over the same client/server machinery:
+One round: clients train, upload packets, the server trains on them (or
+averages them), everyone is scored, and the ledger records the traffic.
+Five upload policies share that round:
 
   local          no uploads, no broadcast; clients train alone
   fed_all_rep    one packet per training sample (upper communication bound)
@@ -27,8 +29,6 @@ from .nets import one_hot
 from .protocol import (
     REPRESENTATION_PLUS_LABEL,
     RoundMetrics,
-    _restore_rng_states,
-    _rng_states,
     client_local_update,
     client_make_packet,
     client_representation_set,
@@ -143,6 +143,21 @@ def average_prototypes(packets):
     return {c: np.mean(rows, axis=0) for c, rows in sorted(grouped.items())}
 
 
+def _rng_states(clients, server, part_rng):
+    states = [c.rng.bit_generator.state for c in clients]
+    states.append(server.rng.bit_generator.state)
+    states.append(None if part_rng is None else part_rng.bit_generator.state)
+    return states
+
+
+def _restore_rng_states(clients, server, part_rng, states):
+    for c, st in zip(clients, states):
+        c.rng.bit_generator.state = st
+    server.rng.bit_generator.state = states[len(clients)]
+    if part_rng is not None and states[-1] is not None:
+        part_rng.bit_generator.state = states[-1]
+
+
 def strategy_round(
     strategy,
     clients,
@@ -155,8 +170,9 @@ def strategy_round(
 ):
     """One round under any strategy.
 
-    Returns (clients, server, ledger, RoundMetrics, global_protos). Carries
-    the same atomicity guarantee as protocol.run_round.
+    Returns (clients, server, ledger, RoundMetrics, global_protos). Rounds
+    are atomic: input states are never mutated, and on any abort the RNG
+    streams, the fs weight cache and the ledger are left as they were.
     """
     if not clients:
         raise ValueError("strategy_round needs at least one client")
@@ -187,7 +203,7 @@ def strategy_round(
                 (len(trained.train), int(np.unique(trained.train.y).size))
             )
         new_server = server
-        if strategy.kind in _CLASSIFIER_STRATEGIES:
+        if broadcast:
             new_server = server_update(server, packets)
         elif strategy.kind == FEDPROTO_STYLE:
             protos = average_prototypes(packets)
@@ -204,12 +220,7 @@ def strategy_round(
         accs = [evaluate_client(c) for c in new_clients]
         # the ledger is committed last, once nothing left can abort the round
         ledger.add_round(upload, down)
-        metrics = RoundMetrics(
-            mean_accuracy(accs),
-            accs,
-            ledger.upload_history[-1],
-            ledger.broadcast_history[-1],
-        )
+        metrics = RoundMetrics(mean_accuracy(accs), accs, upload, down)
         return new_clients, new_server, ledger, metrics, protos
     except Exception:
         _restore_rng_states(clients, server, part_rng, snapshot)

@@ -86,7 +86,7 @@ def make_blobs(num_classes, per_class, dim, spread, seed):
 class PartitionSpec:
     mode: str
     num_clients: int
-    seed: object = 0  # int or anything np.random.default_rng accepts
+    seed: object = 0  # int or SeedSequence
     alpha: float = 0.1
     categories_per_client: int = 2
     imbalance_factor: float = 100.0
@@ -212,7 +212,10 @@ def partition(ds, spec):
     if spec.mode == PAT:
         return _partition_pat(ds, spec.num_clients, spec.categories_per_client, rng)
     # longtail: exponential subsample, then Dirichlet proportions
-    sub_ss, pra_ss = np.random.SeedSequence(spec.seed).spawn(2)
+    seq = spec.seed
+    if not isinstance(seq, np.random.SeedSequence):
+        seq = np.random.SeedSequence(seq)
+    sub_ss, pra_ss = seq.spawn(2)
     tailed = apply_longtail(ds, spec.imbalance_factor, sub_ss)
     return _partition_pra(tailed, spec.num_clients, spec.alpha, np.random.default_rng(pra_ss))
 

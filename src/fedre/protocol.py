@@ -1,12 +1,11 @@
-"""One communication round, end to end.
+"""The client and server steps of a FedRE round, and their accounting.
 
-Each round: the server classifier is broadcast and replaces every
-participating client's own copy, clients fine-tune locally (extractor,
-classifier, and learned mapping together), each client collapses its mapped
-training representations into a single entangled packet, the server trains
-the shared classifier on the uploaded packets with soft-label cross-entropy,
-and the communication ledger is incremented. Rounds are atomic: if any step
-aborts, no state (including RNG streams) is committed.
+Client steps: adopt the broadcast classifier, fine-tune locally (extractor,
+classifier, and learned mapping together), and collapse the mapped training
+representations into one entangled packet. Server step: train the shared
+classifier on the uploaded packets with soft-label cross-entropy. Every step
+returns new states and leaves its inputs' parameters untouched; only RNG
+streams advance. baselines.strategy_round runs the steps as one atomic round.
 """
 
 import math
@@ -99,16 +98,21 @@ class RoundMetrics:
 
 
 def count_round(ledger, num_clients, unified_dim, num_classes, convention=None):
-    """Account one round of packet uploads and classifier broadcast."""
+    """Account one fedre round: a packet up and a classifier down per client.
+
+    The counts come from baselines.ledger_for, the one accounting formula.
+    """
+    from . import baselines  # imported here: baselines imports this module
+
     if num_clients < 0:
         raise ValueError("num_clients must be nonnegative")
     conv = ledger.convention if convention is None else convention
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown comm convention {conv!r}")
-    per_packet = unified_dim + (num_classes if conv == REPRESENTATION_PLUS_LABEL else 0)
-    upload = num_clients * per_packet
-    broadcast = num_clients * (unified_dim * num_classes + num_classes)
-    ledger.add_round(upload, broadcast)
+    fedre = baselines.Strategy(baselines.FEDRE)
+    ledger.add_round(
+        *baselines.ledger_for(fedre, num_clients, unified_dim, num_classes, convention=conv)
+    )
     return ledger
 
 
@@ -304,56 +308,3 @@ def participation_sample(clients, rate, rng):
     k = math.ceil(rate * len(clients))
     chosen = rng.choice(len(clients), size=k, replace=False)
     return [clients[i] for i in sorted(chosen)]
-
-
-def _rng_states(clients, server, part_rng):
-    states = [c.rng.bit_generator.state for c in clients]
-    states.append(server.rng.bit_generator.state)
-    states.append(None if part_rng is None else part_rng.bit_generator.state)
-    return states
-
-
-def _restore_rng_states(clients, server, part_rng, states):
-    for c, st in zip(clients, states):
-        c.rng.bit_generator.state = st
-    server.rng.bit_generator.state = states[len(clients)]
-    if part_rng is not None and states[-1] is not None:
-        part_rng.bit_generator.state = states[-1]
-
-
-def run_round(clients, server, mech, ledger, participation_rate=1.0, part_rng=None):
-    """One full round. Returns (clients, server, ledger, RoundMetrics).
-
-    Input states are never mutated; on any abort the RNG streams are rolled
-    back and the ledger is left as it was, so the failed round leaves no
-    trace.
-    """
-    if not clients:
-        raise ValueError("run_round needs at least one client")
-    d = server.classifier.input_dim
-    num_classes = server.classifier.output_dim
-    snapshot = _rng_states(clients, server, part_rng)
-    try:
-        pool = [c for c in clients if len(c.train) > 0]
-        participants = participation_sample(pool, participation_rate, part_rng)
-        updated = {}
-        packets = []
-        for c in participants:
-            trained = client_local_update(c, server.classifier)
-            packets.append(client_make_packet(trained, mech, d))
-            updated[trained.client_id] = trained
-        new_server = server_update(server, packets)
-        new_clients = [updated.get(c.client_id, c) for c in clients]
-        accs = [evaluate_client(c) for c in new_clients]
-        # the ledger is committed last, once nothing left can abort the round
-        count_round(ledger, len(participants), d, num_classes)
-        metrics = RoundMetrics(
-            mean_accuracy(accs),
-            accs,
-            ledger.upload_history[-1],
-            ledger.broadcast_history[-1],
-        )
-        return new_clients, new_server, ledger, metrics
-    except Exception:
-        _restore_rng_states(clients, server, part_rng, snapshot)
-        raise

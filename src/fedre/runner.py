@@ -85,7 +85,7 @@ def build_world(cfg, seed):
     """Materialize clients, server, and strategy for one seed.
 
     Raises ConfigError when the dataset cannot be read or cannot be
-    partitioned as configured.
+    partitioned as configured, or when no client gets a training sample.
     """
     streams = _spawn_streams(seed, cfg.num_clients)
     spec = data.PartitionSpec(
@@ -136,6 +136,10 @@ def build_world(cfg, seed):
                 epochs=cfg.client_epochs,
             )
         )
+    if not any(len(c.train) for c in clients):
+        raise ConfigError(
+            f"no client holds a training sample at train_fraction {cfg.train_fraction}"
+        )
     server_init, server_stream = streams["server"].spawn(2)
     server = ServerState(
         classifier=protocol.make_classifier(
@@ -164,8 +168,12 @@ def build_world(cfg, seed):
     )
 
 
-def run_single_seed(cfg, seed):
-    """All rounds for one seed; returns the trace."""
+def train(cfg, seed):
+    """Build one seed's world and run all its rounds.
+
+    Returns (world, clients, server, ledger, records), with the clients and
+    server as the last round left them and one RoundMetrics per round.
+    """
     world = build_world(cfg, seed)
     ledger = CommLedger(cfg.comm_convention)
     clients, server = world.clients, world.server
@@ -183,6 +191,12 @@ def run_single_seed(cfg, seed):
             global_protos=protos,
         )
         records.append(metrics)
+    return world, clients, server, ledger, records
+
+
+def run_single_seed(cfg, seed):
+    """All rounds for one seed; returns the trace."""
+    _, clients, _, ledger, records = train(cfg, seed)
     if records:
         final = records[-1].mean_acc
     else:
@@ -323,27 +337,18 @@ def run_inversion_study(cfg):
 
     For every seed the attacked client is client 0. Raw targets score
     against their single source sample, prototypes against their category's
-    samples, entangled packets against the whole local training set.
+    samples, entangled packets against the whole local training set. Raises
+    ConfigError when a seed leaves client 0 without training samples.
     """
     inv = cfg.inversion
     results = []
     for seed in cfg.seeds:
-        world = build_world(cfg, seed)
-        clients, server = world.clients, world.server
-        ledger = CommLedger(cfg.comm_convention)
-        protos = {}
-        for rnd in range(cfg.rounds):
-            clients, server, ledger, _, protos = baselines.strategy_round(
-                world.strategy,
-                clients,
-                server,
-                ledger,
-                rnd,
-                participation_rate=cfg.participation_rate,
-                part_rng=world.part_rng,
-                global_protos=protos,
-            )
+        world, clients, _, _, _ = train(cfg, seed)
         client = clients[0]
+        if len(client.train) == 0:
+            raise ConfigError(
+                f"seed {seed}: client 0, the attacked client, has no training samples"
+            )
         rng = np.random.default_rng(world.attack_seed)
         rep_set = protocol.client_representation_set(client)
         mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)

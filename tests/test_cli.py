@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line verbs."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedre import cli
+from fedre import baselines, cli, data, entangle, protocol
 
 
 @pytest.fixture
@@ -115,3 +121,119 @@ def test_data_dependent_config_errors_exit_2_on_every_verb(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def write_config(tmp_path, mapping):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(mapping, output_path=str(tmp_path / "out.jsonl"))))
+    return p
+
+
+def assert_config_error(capsys, verb, path):
+    assert cli.main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert"])
+def test_longtail_config_runs_on_every_verb(tmp_path, capsys, verb):
+    p = write_config(tmp_path, {
+        "dataset": {"kind": "blobs", "classes": 10, "per_class": 50, "dim": 2},
+        "partition": {"mode": "longtail"},
+        "num_clients": 2,
+        "unified_dim": 2,
+        "rounds": 1,
+        "seeds": [0],
+        "inversion": {"steps": 2},
+    })
+    assert cli.main([verb, str(p)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert"])
+def test_config_without_training_data_exits_2_on_every_verb(tmp_path, capsys, verb):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 4, "dim": 2},
+        "num_clients": 2,
+        "rounds": 1,
+        "seeds": [0],
+        "train_fraction": 0.0,
+        "inversion": {"steps": 2},
+    })
+    assert "training sample" in assert_config_error(capsys, verb, p)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_invert_exits_2_when_the_attacked_client_has_no_training_data(tmp_path, capsys):
+    # seed 0 deals all 12 samples to clients other than client 0
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 4, "dim": 2},
+        "partition": {"mode": "pra", "alpha": 0.05},
+        "num_clients": 6,
+        "rounds": 1,
+        "seeds": [0],
+        "inversion": {"steps": 2},
+    })
+    assert cli.main(["validate", str(p)]) == 0  # training itself is fine
+    capsys.readouterr()
+    assert "seed 0" in assert_config_error(capsys, "invert", p)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@st.composite
+def tiny_configs(draw):
+    """Single-seed configs over every strategy, mapping and partition mode."""
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    num_clients = draw(st.integers(1, 4))
+    unified_dim = pick([1, 2])
+    return {
+        "dataset": {
+            "classes": draw(st.integers(1, 4)),
+            "per_class": draw(st.integers(1, 6)),
+            "dim": draw(st.integers(1, 3)),
+        },
+        "partition": {
+            "mode": pick(data.PARTITION_MODES),
+            "alpha": pick([0.05, 1.0]),
+            "categories_per_client": draw(st.integers(1, 3)),
+            "imbalance_factor": pick([1.0, 10.0]),
+        },
+        "num_clients": num_clients,
+        "participation_rate": pick([0.3, 0.5, 1.0]),
+        "rounds": draw(st.integers(0, 2)),
+        "strategy": pick(baselines.STRATEGIES),
+        "mechanism": pick(entangle.MECHANISMS),
+        "weight_distribution": pick(entangle.DISTRIBUTIONS),
+        "resample": pick(baselines.RESAMPLE_MODES),
+        "rm_op": pick(entangle.RM_KINDS),
+        "unified_dim": unified_dim,
+        "architectures": [
+            [unified_dim * draw(st.integers(1, 3))] for _ in range(num_clients)
+        ],
+        "train_fraction": pick([0.0, 0.1, 0.5, 1.0]),
+        "comm_convention": pick(protocol.CONVENTIONS),
+        "seeds": [draw(st.integers(0, 2**32 - 1))],
+        "inversion": {
+            "steps": draw(st.integers(0, 2)),
+            "num_targets": draw(st.integers(1, 2)),
+            "restarts": draw(st.integers(1, 2)),
+        },
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_configs())
+def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(mapping):
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), mapping)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for verb in ("validate", "run", "invert"):
+                codes[verb] = cli.main([verb, str(path)])
+    assert set(codes.values()) <= {0, 2}, codes
+    assert (codes["validate"] == 2) == (codes["run"] == 2), codes

@@ -212,6 +212,19 @@ def test_longtail_partition_mode_subsamples_then_splits():
     assert len(union) < len(ds)
 
 
+@pytest.mark.parametrize("mode", data.PARTITION_MODES)
+def test_partition_takes_a_seed_sequence_as_its_int_entropy(mode):
+    ds = data.make_blobs(4, 20, 2, 1.0, 1)
+
+    def shards(seed):
+        spec = data.PartitionSpec(mode, 4, seed=seed, categories_per_client=2)
+        return data.partition(ds, spec)
+
+    for by_int, by_seq in zip(shards(5), shards(np.random.SeedSequence(5))):
+        np.testing.assert_array_equal(by_int.X, by_seq.X)
+        np.testing.assert_array_equal(by_int.y, by_seq.y)
+
+
 # ---------------------------------------------------------------- split
 
 

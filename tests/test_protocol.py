@@ -1,10 +1,10 @@
 """Tests for the round protocol: sync, local training, packets, server
-updates, accounting, and round atomicity."""
+updates, accounting, and the atomicity of the paper's round."""
 
 import numpy as np
 import pytest
 
-from fedre import nets, protocol
+from fedre import baselines, nets, protocol
 from fedre.entangle import AP, FC, EntangledPacket, ReMechanism, RMSpec, rm_apply
 
 from helpers import make_client, make_server, local_ce_loss, net_params_equal
@@ -382,6 +382,20 @@ def test_participation_rejects_bad_rate():
 # ---------------------------------------------------------------- full round
 
 
+def fedre_round(clients, server, mech, ledger, participation_rate=1.0, part_rng=None):
+    """The paper's round: fedre with fresh weight draws every round."""
+    clients, server, ledger, metrics, _ = baselines.strategy_round(
+        baselines.Strategy(kind="fedre", mech=mech),
+        clients,
+        server,
+        ledger,
+        0,
+        participation_rate=participation_rate,
+        part_rng=part_rng,
+    )
+    return clients, server, ledger, metrics
+
+
 def fresh_world(num_clients=3, seed_base=20):
     clients = [
         make_client(rng_seed=seed_base + i, client_id=i) for i in range(num_clients)
@@ -396,7 +410,7 @@ def test_run_round_is_deterministic():
     for _ in range(2):
         clients, server = fresh_world()
         ledger = protocol.CommLedger()
-        clients, server, ledger, metrics = protocol.run_round(
+        clients, server, ledger, metrics = fedre_round(
             clients, server, mech, ledger
         )
         results.append((metrics, server))
@@ -409,7 +423,7 @@ def test_run_round_is_deterministic():
 def test_run_round_accounts_participants():
     clients, server = fresh_world()
     ledger = protocol.CommLedger()
-    _, _, ledger, metrics = protocol.run_round(
+    _, _, ledger, metrics = fedre_round(
         clients, server, ReMechanism("var"), ledger
     )
     d, C = 4, 3
@@ -431,7 +445,7 @@ def test_run_round_does_not_mutate_inputs():
     clients, server = fresh_world()
     before = [c.extractor.layers[0].weight.copy() for c in clients]
     server_before = server.classifier.layers[0].weight.copy()
-    protocol.run_round(clients, server, ReMechanism("rap"), protocol.CommLedger())
+    fedre_round(clients, server, ReMechanism("rap"), protocol.CommLedger())
     for c, w in zip(clients, before):
         np.testing.assert_array_equal(c.extractor.layers[0].weight, w)
     np.testing.assert_array_equal(server.classifier.layers[0].weight, server_before)
@@ -442,7 +456,7 @@ def test_run_round_skips_trainless_clients_but_still_scores_them():
 
     clients, server = fresh_world()
     clients[1] = replace(clients[1], train=clients[1].train.subset([]))
-    _, _, _, metrics = protocol.run_round(
+    _, _, _, metrics = fedre_round(
         clients, server, ReMechanism("var"), protocol.CommLedger()
     )
     assert metrics.upload_scalars == 2 * 4  # only two uploaders
@@ -456,15 +470,15 @@ def test_run_round_rolls_back_rng_on_failure():
     )
     states = [c.rng.bit_generator.state for c in clients]
     with pytest.raises(ValueError):
-        protocol.run_round(clients, bad_server, ReMechanism("rap"), protocol.CommLedger())
+        fedre_round(clients, bad_server, ReMechanism("rap"), protocol.CommLedger())
     for c, st in zip(clients, states):
         assert c.rng.bit_generator.state == st
     # a rerun with a good server proceeds exactly as if the failure never happened
     reference_clients, reference_server = fresh_world()
-    _, _, _, want = protocol.run_round(
+    _, _, _, want = fedre_round(
         reference_clients, reference_server, ReMechanism("rap"), protocol.CommLedger()
     )
-    _, _, _, got = protocol.run_round(
+    _, _, _, got = fedre_round(
         clients, server, ReMechanism("rap"), protocol.CommLedger()
     )
     assert got.mean_acc == want.mean_acc
@@ -473,7 +487,7 @@ def test_run_round_rolls_back_rng_on_failure():
 def test_run_round_participation_uses_given_rng():
     clients, server = fresh_world(num_clients=4)
     part_rng = np.random.default_rng(5)
-    _, _, _, metrics = protocol.run_round(
+    _, _, _, metrics = fedre_round(
         clients,
         server,
         ReMechanism("var"),
