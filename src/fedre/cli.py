@@ -4,7 +4,7 @@ Verbs:
   run       execute a config's seeds and export per-round metrics
   sweep     re-run a config once per value of one (dotted) config key
   invert    train briefly, then score the reconstruction attack
-  validate  parse a config, build its first seed's world, and echo the
+  validate  parse a config, build every seed's world, and echo the
             effective settings
 
 FEDRE_OUTPUT_DIR, when set, re-roots every output file into that directory.
@@ -86,6 +86,8 @@ def cmd_invert(args):
             f"{kind:>10}: mean mse {study.mean_mse[kind]:.4f}, "
             f"mean psnr {study.mean_psnr[kind]:.2f} dB"
         )
+    if study.failed_seeds:
+        print(f"failed seeds: {study.failed_seeds}")
     print(f"wrote {len(study.results)} attack records to {out}")
     return 0
 
@@ -93,7 +95,8 @@ def cmd_invert(args):
 def cmd_validate(args):
     cfg = load_config(args.config)
     # checks that need the data (pat dealing, csv contents) run on world build
-    build_world(cfg, cfg.seeds[0])
+    for seed in cfg.seeds:
+        build_world(cfg, seed)
     print(f"{args.config} is valid; effective settings:")
     print(json.dumps(config_to_dict(cfg), indent=2))
     return 0

@@ -233,7 +233,8 @@ def rap_weights_from_draws(labels, categories, draws):
     """Spread one normalized draw per category evenly over its samples.
 
     Sample i of category c gets u_c / (n_c * sum_j u_j), so the per-category
-    weight mass is u_c / sum_j u_j.
+    weight mass is u_c / sum_j u_j. categories is sorted, as np.unique
+    returns it.
     """
     labels = np.asarray(labels, dtype=int)
     draws = np.asarray(draws, dtype=float)
@@ -241,12 +242,9 @@ def rap_weights_from_draws(labels, categories, draws):
         raise ShapeError("one draw per category required")
     if draws.sum() <= 0:
         raise ValueError("draws must have positive sum")
-    pos = {c: i for i, c in enumerate(categories)}
     counts = np.bincount(labels)
     total = draws.sum()
-    return np.array(
-        [draws[pos[c]] / (counts[c] * total) for c in labels], dtype=float
-    )
+    return draws[np.searchsorted(categories, labels)] / (counts[labels] * total)
 
 
 def re_weights(rep_set, mech, rng):
@@ -273,9 +271,7 @@ def re_weights(rep_set, mech, rng):
         w = np.where(labels == chosen, 1.0 / counts[chosen], 0.0)
         return w
     if kind == VAP:
-        return np.array(
-            [1.0 / (categories.size * counts[c]) for c in labels], dtype=float
-        )
+        return 1.0 / (categories.size * counts[labels])
     # rap
     u = _positive_draw(mech.weight_distribution, categories.size, rng)
     return rap_weights_from_draws(labels, categories, u)

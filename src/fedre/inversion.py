@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entangle import rm_apply, rm_backward
-from .nets import ShapeError, _backward, _params, forward_pass
+from .nets import ShapeError, _backward, forward_pass
 
 PSNR_CAP = 99.0
 
@@ -45,7 +45,7 @@ def _objective_and_grad(extractor, rm, X, target):
     resid = mapped - target
     obj = (resid @ resid.swapaxes(-1, -2))[:, 0, 0]
     grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache)
-    _, grad_x = _backward(_params(extractor), ext_cache, grad_reps, param_grads=False)
+    _, grad_x = _backward(extractor, ext_cache, grad_reps, param_grads=False)
     return obj, grad_x
 
 

@@ -5,21 +5,22 @@ classifier, and the input-reconstruction attack: fully connected layers with
 relu or identity activations, a max-shifted soft-label cross-entropy, exact
 analytic gradients, and vanilla SGD.
 
-Networks are value-like: ``sgd_step`` builds an updated copy and never
-mutates its input. The only mutable slot is the forward cache consumed by
-``backward``.
+A net has one form, a ``DenseNet`` of validated ``Layer`` objects, and no
+mutable slot: ``forward`` and ``backward`` are pure, and ``sgd_step`` returns
+an updated copy without touching its input.
 
-The dense-layer math exists once, in private kernels over a list of
-``(weight, bias, activation)`` tuples: ``_forward``, ``_backward`` (parameter
-gradients, the input gradient, or both) and the in-place ``_sgd``.
+The dense-layer math exists once, in private kernels that read
+``net.layers``: ``_forward``, ``_backward`` (parameter gradients, the input
+gradient, or both), ``_ce_value_and_grads`` and the in-place ``_sgd``.
 ``forward_pass``, ``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are
 thin wrappers that validate their inputs and call them.
 
-Validation boundary: the public functions here validate their inputs. The
-update loops in ``protocol`` copy a net's parameters out once, step them in
-place through the kernels, and check finiteness per step on the loss and the
-activations and once per update on the parameters, when ``_net`` rebuilds
-the trained net (``DivergedError`` if any parameter is non-finite).
+Validation boundary: ``Layer``/``DenseNet`` validate on construction and the
+public functions here validate their inputs; the kernels check nothing. The
+update loops in ``protocol`` clone each net once, step the clone's layer
+arrays in place through the kernels, check finiteness per step on the loss
+and the activations, and call ``_check_trained`` once per update on the
+parameters (``DivergedError`` if any is non-finite).
 
 Batches and stacks: ``forward_pass`` and ``backprop`` take a batch of rows,
 shape (n, d), or a stack of batches, shape (*lead, n, d); every leading
@@ -31,7 +32,7 @@ round differently). Parameter gradients of a stack keep the stack
 dimensions: one gradient per batch, not their sum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +45,6 @@ SIMPLEX_ATOL = 1e-9
 
 class ShapeError(ValueError):
     """Array dimensions do not line up."""
-
-
-class StaleCacheError(RuntimeError):
-    """backward() was called without a matching forward() cache."""
 
 
 class DivergedError(RuntimeError):
@@ -107,8 +104,11 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
+        if not self.finite():
             raise ValueError("layer parameters must be finite")
+
+    def finite(self):
+        return bool(np.isfinite(self.weight).all() and np.isfinite(self.bias).all())
 
     @property
     def fan_in(self):
@@ -131,7 +131,6 @@ class BatchCache:
 @dataclass(eq=False)
 class DenseNet:
     layers: list
-    cache: BatchCache | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -170,7 +169,7 @@ def init_dense(sizes, activations, rng):
     return DenseNet(layers)
 
 
-def clone_net(net):
+def clone(net):
     layers = [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in net.layers]
     return DenseNet(layers)
 
@@ -181,53 +180,47 @@ def _apply_activation(z, activation):
     return z
 
 
-def _params(net):
-    """The net's layers as [(weight, bias, activation)], sharing its arrays."""
-    return [(l.weight, l.bias, l.activation) for l in net.layers]
-
-
-def _net(params):
-    """The net holding trained parameters; DivergedError if any is non-finite."""
-    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b, _ in params):
+def _check_trained(*trained):
+    """DivergedError unless every parameter of the trained nets is finite."""
+    if not all(l.finite() for net in trained for l in net.layers):
         raise DivergedError("non-finite parameters; training diverged")
-    return DenseNet([Layer(w, b, act) for w, b, act in params])
 
 
-def _forward(params, X):
+def _forward(net, X):
     """Forward kernel: (outputs, BatchCache) of X, with no checks."""
     a = X
     pre, layer_inputs = [], []
-    for w, b, act in params:
+    for l in net.layers:
         layer_inputs.append(a)
-        z = a @ w.T + b
+        z = a @ l.weight.T + l.bias
         pre.append(z)
-        a = _apply_activation(z, act)
+        a = _apply_activation(z, l.activation)
     return a, BatchCache(X, pre, layer_inputs)
 
 
-def _backward(params, cache, delta, param_grads=True, input_grad=True):
+def _backward(net, cache, delta, param_grads=True, input_grad=True):
     """Backward kernel, with no checks: (GradientSet or None, input gradient
     or None). Work for an output not asked for is skipped."""
-    n = len(params)
+    n = len(net.layers)
     weight_grads, bias_grads = [None] * n, [None] * n
     for i in reversed(range(n)):
-        w, _, act = params[i]
-        if act == RELU:
+        l = net.layers[i]
+        if l.activation == RELU:
             delta = delta * (cache.pre_activations[i] > 0)
         if param_grads:
             weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
             bias_grads[i] = delta.sum(axis=-2)
         if i or input_grad:
-            delta = delta @ w
+            delta = delta @ l.weight
     grads = GradientSet(weight_grads, bias_grads) if param_grads else None
     return grads, delta if input_grad else None
 
 
-def _sgd(params, grads, lr):
+def _sgd(net, grads, lr):
     """In-place SGD kernel: w -= lr * gw and b -= lr * gb for every layer."""
-    for (w, b, _), gw, gb in zip(params, grads.weight_grads, grads.bias_grads):
-        w -= lr * gw
-        b -= lr * gb
+    for l, gw, gb in zip(net.layers, grads.weight_grads, grads.bias_grads):
+        l.weight -= lr * gw
+        l.bias -= lr * gb
 
 
 def _batch(net, X):
@@ -245,20 +238,21 @@ def _batch(net, X):
 def forward_pass(net, X):
     """Run a batch, or a stack of batches, through the net.
 
-    Returns (outputs, cache). Pure with respect to the net: does not touch
-    net.cache.
+    Returns (outputs, cache); the cache feeds backprop.
     """
-    return _forward(_params(net), _batch(net, X))
+    return _forward(net, _batch(net, X))
 
 
-def forward(net, x):
-    """Single-sample forward pass; caches pre-activations on the net."""
+def _row(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError("forward takes a 1-d input vector")
-    out, cache = forward_pass(net, x[None, :])
-    net.cache = cache
-    return out[0]
+    return x[None, :]
+
+
+def forward(net, x):
+    """Single-sample forward pass: the net's output at x."""
+    return forward_pass(net, _row(x))[0][0]
 
 
 @dataclass(eq=False)
@@ -288,7 +282,7 @@ def backprop(net, cache, grad_output):
         raise ShapeError(
             f"grad_output has shape {delta.shape}, expected {expected}"
         )
-    return _backward(_params(net), cache, delta)
+    return _backward(net, cache, delta)
 
 
 def softmax(logits):
@@ -333,30 +327,19 @@ def batch_mean_ce(logits, targets):
 def backward(net, x, target):
     """Gradients of soft_cross_entropy(net(x), target) for all parameters.
 
-    Requires the cache left by the immediately preceding forward(net, x).
+    Runs its own forward pass at x.
     """
-    x = np.asarray(x, dtype=float)
-    cache = net.cache
-    if (
-        cache is None
-        or cache.inputs.shape != (1, net.input_dim)
-        or not np.array_equal(cache.inputs[0], x)
-    ):
-        raise StaleCacheError("backward needs a fresh forward cache for this input")
-    logits = _apply_activation(
-        cache.pre_activations[-1], net.layers[-1].activation
-    )[0]
+    out, cache = forward_pass(net, _row(x))
     t = check_label_encoding(target, num_classes=net.output_dim)
-    grad_out = (softmax(logits) - t)[None, :]
-    grads, _ = backprop(net, cache, grad_out)
+    grads, _ = backprop(net, cache, (softmax(out[0]) - t)[None, :])
     return grads
 
 
-def _ce_value_and_grads(params, X, targets):
+def _ce_value_and_grads(net, X, targets):
     """Kernel of ce_value_and_grads, with no checks."""
-    out, cache = _forward(params, X)
+    out, cache = _forward(net, X)
     loss, grad_out = _ce(out, targets)
-    grads, _ = _backward(params, cache, grad_out, input_grad=False)
+    grads, _ = _backward(net, cache, grad_out, input_grad=False)
     return loss, grads
 
 
@@ -366,7 +349,7 @@ def ce_value_and_grads(net, X, targets):
     t = np.asarray(targets, dtype=float)
     if X.ndim != 2 or t.shape != (X.shape[0], net.output_dim):
         raise ShapeError("need a 2-d batch and one target row per sample")
-    return _ce_value_and_grads(_params(net), X, t)
+    return _ce_value_and_grads(net, X, t)
 
 
 def sgd_step(net, grads, lr):
@@ -375,6 +358,7 @@ def sgd_step(net, grads, lr):
         raise ValueError("learning rate must be nonnegative")
     if not grads.matches(net):
         raise ShapeError("gradient shapes do not match the net")
-    params = _params(clone_net(net))
-    _sgd(params, grads, lr)
-    return _net(params)
+    stepped = clone(net)
+    _sgd(stepped, grads, lr)
+    _check_trained(stepped)
+    return stepped

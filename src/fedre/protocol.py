@@ -137,7 +137,7 @@ def receive_classifier(client, classifier):
         classifier.output_dim != client.classifier.output_dim
     ):
         raise ShapeError("broadcast classifier dimensions do not match")
-    return replace(client, classifier=nets.clone_net(classifier))
+    return replace(client, classifier=nets.clone(classifier))
 
 
 def client_representation_set(client):
@@ -160,21 +160,20 @@ def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None):
     Returns (loss, extractor grads, classifier grads, fc grads or None).
     """
     n = Xb.shape[0]
-    ext, cls = nets._params(extractor), nets._params(classifier)
-    reps, ext_cache = nets._forward(ext, Xb)
+    reps, ext_cache = nets._forward(extractor, Xb)
     _require_finite(reps, "representations")
     mapped, rm_cache = rm_apply(reps, rm, classifier.input_dim)
     _require_finite(mapped, "mapped representations")
-    logits, cls_cache = nets._forward(cls, mapped)
+    logits, cls_cache = nets._forward(classifier, mapped)
     loss, grad_logits = nets._ce(logits, targets)
-    cls_grads, grad_mapped = nets._backward(cls, cls_cache, grad_logits)
+    cls_grads, grad_mapped = nets._backward(classifier, cls_cache, grad_logits)
     if proto_reg is not None:
         lam, proto_rows, mask = proto_reg
         diffs = (mapped - proto_rows) * mask[:, None]
         loss += lam * float((diffs**2).sum()) / n
         grad_mapped = grad_mapped + (2.0 * lam / n) * diffs
     grad_reps, fc_grads = rm_backward(grad_mapped, rm, rm_cache)
-    ext_grads, _ = nets._backward(ext, ext_cache, grad_reps, input_grad=False)
+    ext_grads, _ = nets._backward(extractor, ext_cache, grad_reps, input_grad=False)
     return loss, ext_grads, cls_grads, fc_grads
 
 
@@ -183,9 +182,8 @@ def client_local_update(client, global_classifier, proto_reg=None):
 
     proto_reg is (lam, {category: prototype}) for prototype-regularized
     training. Returns a new ClientState; the input state's parameters are
-    untouched (its RNG stream advances). Every step updates private copies
-    of the parameters in place; the trained nets are checked and built once,
-    at the end.
+    untouched (its RNG stream advances). Every step updates private clones
+    of the nets in place; their parameters are checked once, at the end.
     """
     c = (
         receive_classifier(client, global_classifier)
@@ -196,10 +194,8 @@ def client_local_update(client, global_classifier, proto_reg=None):
         raise ValueError(f"client {c.client_id} has no training samples")
     if c.lr < 0:
         raise ValueError("learning rate must be nonnegative")
-    extractor, classifier = nets.clone_net(c.extractor), nets.clone_net(c.classifier)
-    rm = RMSpec(FC, nets.clone_net(c.rm.net)) if c.rm.kind == FC else c.rm
-    ext, cls = nets._params(extractor), nets._params(classifier)
-    fc = nets._params(rm.net) if rm.kind == FC else None
+    extractor, classifier = nets.clone(c.extractor), nets.clone(c.classifier)
+    rm = RMSpec(FC, nets.clone(c.rm.net)) if c.rm.kind == FC else c.rm
     num_classes = classifier.output_dim
     reg = None
     n = len(c.train)
@@ -226,13 +222,13 @@ def client_local_update(client, global_classifier, proto_reg=None):
                 raise DivergedError(
                     f"client {c.client_id} local loss is non-finite"
                 )
-            nets._sgd(ext, ext_grads, c.lr)
-            nets._sgd(cls, cls_grads, c.lr)
-            if fc is not None:
-                nets._sgd(fc, fc_grads, c.lr)
-    if fc is not None:
-        rm = RMSpec(FC, nets._net(fc))
-    return replace(c, extractor=nets._net(ext), classifier=nets._net(cls), rm=rm)
+            nets._sgd(extractor, ext_grads, c.lr)
+            nets._sgd(classifier, cls_grads, c.lr)
+            if fc_grads is not None:
+                nets._sgd(rm.net, fc_grads, c.lr)
+    trained = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
+    nets._check_trained(*trained)
+    return replace(c, extractor=extractor, classifier=classifier, rm=rm)
 
 
 def client_make_packet(client, mech, unified_dim, weights=None):
@@ -251,8 +247,8 @@ def client_make_packet(client, mech, unified_dim, weights=None):
 def server_update(server, packets):
     """Train the shared classifier on the uploaded packets.
 
-    Steps a private copy of the parameters in place; the trained classifier
-    is checked and built once, at the end.
+    Steps a private clone of the classifier in place; its parameters are
+    checked once, at the end.
     """
     if not packets:
         raise ValueError("server_update needs at least one packet")
@@ -266,17 +262,18 @@ def server_update(server, packets):
     R = np.stack([p.r_tilde for p in packets])
     _require_finite(R, "uploaded packets")
     Y = np.stack([p.y_tilde for p in packets])
-    params = nets._params(nets.clone_net(server.classifier))
+    classifier = nets.clone(server.classifier)
     n = len(packets)
     for _ in range(server.epochs):
         order = server.rng.permutation(n)
         for start in range(0, n, server.batch_size):
             idx = order[start : start + server.batch_size]
-            loss, grads = nets._ce_value_and_grads(params, R[idx], Y[idx])
+            loss, grads = nets._ce_value_and_grads(classifier, R[idx], Y[idx])
             if not math.isfinite(loss):
                 raise DivergedError("server loss is non-finite")
-            nets._sgd(params, grads, server.lr)
-    return replace(server, classifier=nets._net(params))
+            nets._sgd(classifier, grads, server.lr)
+    nets._check_trained(classifier)
+    return replace(server, classifier=classifier)
 
 
 def evaluate_client(client):

@@ -168,13 +168,12 @@ def build_world(cfg, seed):
     )
 
 
-def train(cfg, seed):
-    """Build one seed's world and run all its rounds.
+def train(cfg, world):
+    """Run all of cfg's rounds on a freshly built world.
 
-    Returns (world, clients, server, ledger, records), with the clients and
-    server as the last round left them and one RoundMetrics per round.
+    Returns (clients, server, ledger, records), with the clients and server
+    as the last round left them and one RoundMetrics per round.
     """
-    world = build_world(cfg, seed)
     ledger = CommLedger(cfg.comm_convention)
     clients, server = world.clients, world.server
     records = []
@@ -191,12 +190,12 @@ def train(cfg, seed):
             global_protos=protos,
         )
         records.append(metrics)
-    return world, clients, server, ledger, records
+    return clients, server, ledger, records
 
 
 def run_single_seed(cfg, seed):
     """All rounds for one seed; returns the trace."""
-    _, clients, _, ledger, records = train(cfg, seed)
+    clients, _, ledger, records = train(cfg, build_world(cfg, seed))
     if records:
         final = records[-1].mean_acc
     else:
@@ -236,14 +235,12 @@ def run_experiment(cfg):
 
 
 def summary_records(summary):
-    """One dict per (seed, round), in run order."""
-    out = []
-    for trace in summary.traces:
-        for rnd, metrics in enumerate(trace.records):
-            record = metrics.to_record(rnd)
-            record["seed"] = int(trace.seed)
-            out.append(record)
-    return out
+    """One dict per (seed, round), in run order, seed first."""
+    return [
+        {"seed": int(trace.seed), **metrics.to_record(rnd)}
+        for trace in summary.traces
+        for rnd, metrics in enumerate(trace.records)
+    ]
 
 
 def export_summary(summary, fmt, path):
@@ -254,18 +251,7 @@ def export_summary(summary, fmt, path):
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for record in records:
-                ordered = {"seed": record["seed"]}
-                ordered.update(
-                    (k, record[k])
-                    for k in (
-                        "round",
-                        "mean_acc",
-                        "per_client_acc",
-                        "upload_scalars",
-                        "broadcast_scalars",
-                    )
-                )
-                fh.write(json.dumps(ordered) + "\n")
+                fh.write(json.dumps(record) + "\n")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -317,8 +303,9 @@ TARGET_KINDS = ("raw", "prototype", "entangled")
 @dataclass
 class InversionStudy:
     results: list  # InversionResult
-    mean_mse: dict
+    mean_mse: dict  # nan for a kind with no attacks
     mean_psnr: dict
+    failed_seeds: list
 
     def records(self):
         return [
@@ -332,65 +319,76 @@ class InversionStudy:
         ]
 
 
+def _attack_client(inv, world, client):
+    """Attack the client's raw, prototype and entangled targets."""
+    results = []
+    rng = np.random.default_rng(world.attack_seed)
+    rep_set = protocol.client_representation_set(client)
+    mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
+    peak = (
+        inv.data_range
+        if inv.data_range is not None
+        else dataset_range(client.train.X)
+    )
+
+    def attack(target, kind, originals):
+        protocol._require_finite(target, f"{kind} target")
+        rec = invert_multi(
+            client.extractor,
+            client.rm,
+            target,
+            inv.steps,
+            inv.lr,
+            rng,
+            init_scale=inv.init_scale,
+            restarts=inv.restarts,
+        )
+        mse, psnr = score(rec, originals, peak)
+        results.append(InversionResult(rec, kind, mse, psnr, inv.steps))
+
+    n = len(client.train)
+    picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
+    for i in picks:
+        attack(mapped[i], "raw", client.train.X[i])
+    protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
+    cats = rng.permutation(len(protos_list))[: inv.num_targets]
+    for ci in cats:
+        c, proto = protos_list[ci]
+        attack(proto, "prototype", client.train.X[client.train.y == c])
+    for _ in range(inv.num_targets):
+        w = re_weights(rep_set, world.strategy.mech, rng)
+        packet = np.asarray(w @ mapped, dtype=float)
+        attack(packet, "entangled", client.train.X)
+    return results
+
+
 def run_inversion_study(cfg):
     """Train briefly, then attack raw, prototype, and entangled targets.
 
     For every seed the attacked client is client 0. Raw targets score
     against their single source sample, prototypes against their category's
     samples, entangled packets against the whole local training set. Raises
-    ConfigError when a seed leaves client 0 without training samples.
+    ConfigError, before the seed trains, when a seed leaves client 0 without
+    training samples. A seed whose training or attack aborts is recorded in
+    failed_seeds and contributes no results.
     """
-    inv = cfg.inversion
-    results = []
+    results, failed_seeds = [], []
     for seed in cfg.seeds:
-        world, clients, _, _, _ = train(cfg, seed)
-        client = clients[0]
-        if len(client.train) == 0:
+        world = build_world(cfg, seed)
+        if len(world.clients[0].train) == 0:
             raise ConfigError(
                 f"seed {seed}: client 0, the attacked client, has no training samples"
             )
-        rng = np.random.default_rng(world.attack_seed)
-        rep_set = protocol.client_representation_set(client)
-        mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
-        peak = (
-            inv.data_range
-            if inv.data_range is not None
-            else dataset_range(client.train.X)
-        )
+        try:
+            clients, _, _, _ = train(cfg, world)
+            results += _attack_client(cfg.inversion, world, clients[0])
+        except RuntimeError:
+            failed_seeds.append(seed)
 
-        def attack(target, kind, originals):
-            rec = invert_multi(
-                client.extractor,
-                client.rm,
-                target,
-                inv.steps,
-                inv.lr,
-                rng,
-                init_scale=inv.init_scale,
-                restarts=inv.restarts,
-            )
-            mse, psnr = score(rec, originals, peak)
-            results.append(InversionResult(rec, kind, mse, psnr, inv.steps))
+    def mean_of(attr, kind):
+        values = [getattr(r, attr) for r in results if r.target_kind == kind]
+        return float(np.mean(values)) if values else float("nan")
 
-        n = len(client.train)
-        picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
-        for i in picks:
-            attack(mapped[i], "raw", client.train.X[i])
-        protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
-        cats = rng.permutation(len(protos_list))[: inv.num_targets]
-        for ci in cats:
-            c, proto = protos_list[ci]
-            attack(proto, "prototype", client.train.X[client.train.y == c])
-        for _ in range(inv.num_targets):
-            w = re_weights(rep_set, world.strategy.mech, rng)
-            packet = np.asarray(w @ mapped, dtype=float)
-            attack(packet, "entangled", client.train.X)
-    mean_mse = {
-        kind: float(np.mean([r.mse for r in results if r.target_kind == kind]))
-        for kind in TARGET_KINDS
-    }
-    mean_psnr = {
-        kind: float(np.mean([r.psnr for r in results if r.target_kind == kind]))
-        for kind in TARGET_KINDS
-    }
-    return InversionStudy(results, mean_mse, mean_psnr)
+    mean_mse = {kind: mean_of("mse", kind) for kind in TARGET_KINDS}
+    mean_psnr = {kind: mean_of("psnr", kind) for kind in TARGET_KINDS}
+    return InversionStudy(results, mean_mse, mean_psnr, failed_seeds)

@@ -19,7 +19,7 @@ def numeric_gradients(net, x, target, eps=1e-5):
         gw = np.zeros_like(layer.weight)
         for idx in np.ndindex(*layer.weight.shape):
             for sign, store in ((1.0, "hi"), (-1.0, "lo")):
-                candidate = nets.clone_net(net)
+                candidate = nets.clone(net)
                 candidate.layers[li].weight[idx] += sign * eps
                 if store == "hi":
                     hi = loss_at(candidate)
@@ -29,7 +29,7 @@ def numeric_gradients(net, x, target, eps=1e-5):
         gb = np.zeros_like(layer.bias)
         for idx in np.ndindex(*layer.bias.shape):
             for sign, store in ((1.0, "hi"), (-1.0, "lo")):
-                candidate = nets.clone_net(net)
+                candidate = nets.clone(net)
                 candidate.layers[li].bias[idx] += sign * eps
                 if store == "hi":
                     hi = loss_at(candidate)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedre import baselines, cli, data, entangle, protocol
+from fedre import baselines, cli, data, entangle, protocol, runner
 
 
 @pytest.fixture
@@ -166,6 +166,24 @@ def test_config_without_training_data_exits_2_on_every_verb(tmp_path, capsys, ve
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_validate_checks_every_seed(tmp_path, capsys):
+    # seed 2 leaves every client without a training sample, seed 0 does not
+    mapping = {
+        "dataset": {"classes": 1, "per_class": 6, "dim": 1},
+        "partition": {"mode": "pra", "alpha": 0.05},
+        "num_clients": 4,
+        "unified_dim": 1,
+        "architectures": [[1]] * 4,
+        "train_fraction": 0.1,
+        "rounds": 1,
+    }
+    assert cli.main(["validate", str(write_config(tmp_path, dict(mapping, seeds=[0])))]) == 0
+    capsys.readouterr()
+    p = write_config(tmp_path, dict(mapping, seeds=[0, 2]))
+    for verb in ("validate", "run"):
+        assert "training sample" in assert_config_error(capsys, verb, p)
+
+
 def test_invert_exits_2_when_the_attacked_client_has_no_training_data(tmp_path, capsys):
     # seed 0 deals all 12 samples to clients other than client 0
     p = write_config(tmp_path, {
@@ -182,9 +200,53 @@ def test_invert_exits_2_when_the_attacked_client_has_no_training_data(tmp_path, 
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_invert_rejects_an_untrained_attacked_client_before_any_round(
+    tmp_path, capsys, monkeypatch
+):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 4, "dim": 2},
+        "partition": {"mode": "pra", "alpha": 0.05},
+        "num_clients": 6,
+        "rounds": 3,
+        "seeds": [0],
+        "inversion": {"steps": 2},
+    })
+    rounds = []
+    strategy_round = baselines.strategy_round
+
+    def counting_round(*args, **kwargs):
+        rounds.append(args[4])
+        return strategy_round(*args, **kwargs)
+
+    monkeypatch.setattr(runner.baselines, "strategy_round", counting_round)
+    assert cli.main(["run", str(p)]) == 0  # the counter sees rounds that run
+    capsys.readouterr()
+    assert rounds == [0, 1, 2]
+    rounds.clear()
+    assert "seed 0" in assert_config_error(capsys, "invert", p)
+    assert rounds == []
+
+
+def test_invert_marks_a_diverging_seed_failed(tmp_path, capsys):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 2,
+        "seeds": [0, 1],
+        "client_lr": 1e300,
+        "inversion": {"steps": 2},
+    })
+    assert cli.main(["invert", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "failed seeds: [0, 1]" in out
+    assert "mean mse nan" in out
+    assert "wrote 0 attack records" in out
+
+
 @st.composite
 def tiny_configs(draw):
-    """Single-seed configs over every strategy, mapping and partition mode."""
+    """One- or two-seed configs over every strategy, mapping, partition mode
+    and a sane or diverging learning rate."""
 
     def pick(options):
         return draw(st.sampled_from(options))
@@ -216,8 +278,10 @@ def tiny_configs(draw):
             [unified_dim * draw(st.integers(1, 3))] for _ in range(num_clients)
         ],
         "train_fraction": pick([0.0, 0.1, 0.5, 1.0]),
+        "client_lr": pick([0.05, 1e300]),
+        "server_lr": pick([0.05, 1e300]),
         "comm_convention": pick(protocol.CONVENTIONS),
-        "seeds": [draw(st.integers(0, 2**32 - 1))],
+        "seeds": draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2)),
         "inversion": {
             "steps": draw(st.integers(0, 2)),
             "num_targets": draw(st.integers(1, 2)),

@@ -208,6 +208,26 @@ def test_rap_category_mass_is_normalized_draw():
     assert np.ptp(w[:3]) == 0.0
 
 
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_rap_and_vap_weights_equal_the_per_sample_loop(labels, scale, seed):
+    labels = np.array(labels)
+    cats = np.unique(labels)
+    counts = np.bincount(labels)
+    draws = scale * np.random.default_rng(seed).random(cats.size) + 1e-9
+    pos = {c: i for i, c in enumerate(cats)}
+    rap_loop = [draws[pos[c]] / (counts[c] * draws.sum()) for c in labels]
+    vap_loop = [1.0 / (cats.size * counts[c]) for c in labels]
+    rep = make_rep_set(np.random.default_rng(seed), n=labels.size, labels=labels, num_classes=6)
+    vap = en.re_weights(rep, en.ReMechanism(en.VAP), np.random.default_rng(seed))
+    np.testing.assert_array_equal(en.rap_weights_from_draws(labels, cats, draws), rap_loop)
+    np.testing.assert_array_equal(vap, vap_loop)
+
+
 def test_weight_draws_are_deterministic_per_rng_state():
     rep = make_rep_set(np.random.default_rng(10), n=7)
     a = en.re_weights(rep, en.ReMechanism(en.RAP, en.GAUSSIAN), np.random.default_rng(3))

@@ -106,13 +106,12 @@ def test_softmax_is_simplex_point(dim, seed):
     assert abs(p.sum() - 1.0) < 1e-9
 
 
-def test_forward_sets_cache_and_backward_accepts_it():
+def test_backward_output_bias_gradient_is_softmax_minus_target():
     rng = np.random.default_rng(5)
     net = random_net(rng, [3, 6, 2])
     x = rng.normal(size=3)
     target = np.array([0.3, 0.7])
     out = nets.forward(net, x)
-    assert net.cache is not None
     grads = nets.backward(net, x, target)
     assert grads.matches(net)
     # gradient of CE wrt logits at the output layer is softmax - target
@@ -121,21 +120,17 @@ def test_forward_sets_cache_and_backward_accepts_it():
     )
 
 
-def test_backward_rejects_stale_cache():
-    rng = np.random.default_rng(6)
-    net = random_net(rng, [3, 4, 2])
-    x = rng.normal(size=3)
-    nets.forward(net, x)
-    other = rng.normal(size=3)
-    with pytest.raises(nets.StaleCacheError):
-        nets.backward(net, other, np.array([1.0, 0.0]))
-
-
-def test_backward_without_forward_raises():
+def test_backward_without_forward_equals_forward_then_backward():
     rng = np.random.default_rng(7)
     net = random_net(rng, [3, 4, 2])
-    with pytest.raises(nets.StaleCacheError):
-        nets.backward(net, rng.normal(size=3), np.array([1.0, 0.0]))
+    x, other = rng.normal(size=3), rng.normal(size=3)
+    target = np.array([1.0, 0.0])
+    alone = nets.backward(net, x, target)
+    nets.forward(net, other)
+    nets.forward(net, x)
+    after = nets.backward(net, x, target)
+    for a, b in zip(alone.weight_grads + alone.bias_grads, after.weight_grads + after.bias_grads):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_gradients_match_finite_differences():

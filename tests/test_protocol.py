@@ -105,9 +105,9 @@ def fd_check_net(loss_of_net, net, analytic, eps=1e-5, floor=1e-6):
         ):
             arr = arrs(net.layers[li])
             for idx in np.ndindex(*arr.shape):
-                hi = nets.clone_net(net)
+                hi = nets.clone(net)
                 arrs(hi.layers[li])[idx] += eps
-                lo = nets.clone_net(net)
+                lo = nets.clone(net)
                 arrs(lo.layers[li])[idx] -= eps
                 num = (loss_of_net(hi) - loss_of_net(lo)) / (2 * eps)
                 ana = grads[li][idx]

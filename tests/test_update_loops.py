@@ -201,7 +201,7 @@ def test_client_local_update_equals_the_per_step_loop(world):
 @given(server_worlds())
 def test_server_update_equals_the_per_step_loop(world):
     server, packets = world
-    before = nets.clone_net(server.classifier)
+    before = nets.clone(server.classifier)
     rng_a, rng_b = twin_rngs(server)
     got = outcome(protocol.server_update, replace(server, rng=rng_a), packets)
     want = outcome(reference_server_update, replace(server, rng=rng_b), packets)
