@@ -7,11 +7,14 @@ an entangled packet), and gradient-descends a random input to minimize
 error is the minimum MSE against every original sample that contributed to
 the target.
 
-All starts of one target descend together as a stack of one-row batches,
-shape (starts, 1, d). By the stack convention of nets.forward_pass, row r
-of every stacked objective and gradient is bitwise equal to the one-start
-call on that row, so a stacked attack returns exactly what the same starts
-run one after another return.
+All starts descend together as a stack of one-row batches, shape
+(rows, 1, d), each row against its own target. By the stack convention of
+nets.forward_pass, row r of every stacked objective and gradient is bitwise
+equal to the one-start call on that row, so a stacked attack returns exactly
+what the same starts run one after another return. `invert` stacks the
+starts of one target, drawn from its rng; given `inits`, it stacks the
+starts of several targets, drawn beforehand with draw_starts (the runner
+descends every target of a seed this way).
 """
 
 import math
@@ -39,12 +42,13 @@ class InversionResult:
 
 
 def _objective_and_grad(extractor, rm, X, target):
-    """Objectives (R,) and input gradients (R, 1, d) at starts X, (R, 1, d)."""
+    """Objectives (R,) and input gradients (R, 1, d) at starts X, (R, 1, d),
+    against one target (u,) or per-row targets (R, 1, u)."""
     out, ext_cache = forward_pass(extractor, X)
-    mapped, rm_cache = rm_apply(out, rm, target.shape[0])
+    mapped, rm_cache = rm_apply(out, rm, target.shape[-1])
     resid = mapped - target
     obj = (resid @ resid.swapaxes(-1, -2))[:, 0, 0]
-    grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache)
+    grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache, param_grads=False)
     _, grad_x = _backward(extractor, ext_cache, grad_reps, param_grads=False)
     return obj, grad_x
 
@@ -59,7 +63,8 @@ def attack_objective(extractor, rm, x, target):
 
 
 def _descend(extractor, rm, X, target, steps, lr):
-    """Gradient descent from every start of the stack X, shape (R, 1, d).
+    """Gradient descent from every start of the stack X, shape (R, 1, d),
+    against one target (u,) or per-row targets (R, 1, u).
 
     Returns (best iterate per start (R, 1, d), its objective (R,)), or None
     as soon as any start's objective or gradient turns non-finite. A start's
@@ -82,10 +87,15 @@ def _descend(extractor, rm, X, target, steps, lr):
     return best_x, best_obj
 
 
+def draw_starts(extractor, rng, starts, init_scale=1.0):
+    """`starts` Gaussian attack inits, shape (starts, 1, d), as one draw."""
+    return init_scale * rng.standard_normal((starts, 1, extractor.input_dim))
+
+
 def _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts):
     """One start, restarted from a fresh init each time it diverges."""
     for _ in range(max_restarts + 1):
-        X = init_scale * rng.standard_normal((1, 1, extractor.input_dim))
+        X = draw_starts(extractor, rng, 1, init_scale)
         found = _descend(extractor, rm, X, target, steps, lr)
         if found is not None:
             return found
@@ -95,7 +105,16 @@ def _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restart
 
 
 def invert(
-    extractor, rm, target, steps, lr, rng, init_scale=1.0, max_restarts=3, starts=1
+    extractor,
+    rm,
+    target,
+    steps,
+    lr,
+    rng,
+    init_scale=1.0,
+    max_restarts=3,
+    starts=1,
+    inits=None,
 ):
     """Reconstruct an input whose mapped representation matches the target.
 
@@ -109,10 +128,20 @@ def invert(
     diverges, rng is rewound and the starts replay one at a time, so every
     restart draws its init right after the start that diverged: the result
     and the final rng state equal those of `starts` single-start runs.
+
+    With `inits`, target is a stack (T, u) of T targets and inits holds
+    their starts, drawn beforehand with draw_starts and concatenated in
+    target order, shape (T * starts, 1, d); rng is not used. All rows
+    descend as one stack, each against its own target, and the result is
+    the (T, d) reconstructions, each bitwise what the one-target call on
+    the same starts returns. If any row turns non-finite or an iterate
+    overflows, the result is None: the starts cannot be redrawn here, so
+    the caller replays the targets one at a time from its own rng.
     """
     target = np.asarray(target, dtype=float)
-    if target.ndim != 1:
-        raise ShapeError("target must be a 1-d vector")
+    stacked = inits is not None
+    if target.ndim != 1 + stacked:
+        raise ShapeError(f"target must be {'a (T, u) stack' if stacked else 'a 1-d vector'}")
     if not np.isfinite(target).all():
         raise ValueError("target must be finite")
     if steps < 0:
@@ -121,15 +150,28 @@ def invert(
         raise ValueError("lr must be positive")
     if starts < 1:
         raise ValueError("starts must be positive")
-    state = rng.bit_generator.state
-    X = init_scale * rng.standard_normal((starts, 1, extractor.input_dim))
+    if stacked:
+        X = np.asarray(inits, dtype=float)
+        if X.shape != (len(target) * starts, 1, extractor.input_dim):
+            raise ShapeError(
+                f"inits have shape {X.shape}, expected "
+                f"({len(target) * starts}, 1, {extractor.input_dim})"
+            )
+        rows = np.repeat(target, starts, axis=0)[:, None, :]
+    else:
+        state = rng.bit_generator.state
+        X = draw_starts(extractor, rng, starts, init_scale)
+        rows = target
     try:
-        found = _descend(extractor, rm, X, target, steps, lr)
+        found = _descend(extractor, rm, X, rows, steps, lr)
     except ValueError:
-        # an iterate overflowed; replaying the starts one at a time raises
-        # it at the same start and rng position as single-start runs do
+        # an iterate overflowed; replaying the starts one at a time (here,
+        # or in the caller for a stack) raises it at the same start and rng
+        # position as single-start runs do
         found = None
     if found is None:
+        if stacked:
+            return None
         rng.bit_generator.state = state
         runs = [
             _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts)
@@ -137,19 +179,25 @@ def invert(
         ]
         found = [np.concatenate(parts) for parts in zip(*runs)]
     best_x, best_obj = found
-    return best_x[int(np.argmin(best_obj)), 0]
+    winners = best_obj.reshape(-1, starts).argmin(axis=1)
+    recs = best_x.reshape(-1, starts, X.shape[-1])[np.arange(len(winners)), winners]
+    return recs if stacked else recs[0]
 
 
-def invert_multi(extractor, rm, target, steps, lr, rng, init_scale=1.0, restarts=1):
+def invert_multi(
+    extractor, rm, target, steps, lr, rng, init_scale=1.0, restarts=1, inits=None
+):
     """Best reconstruction over independent attack runs.
 
     The descent objective is piecewise quadratic, so a single start can stall
     in a poor basin; launching several and keeping the lowest-objective
     iterate models an attacker who retries. Consumes one init per start from
-    rng, in order; all starts descend together in one invert call.
+    rng, in order; all starts descend together in one invert call. With
+    `inits`, attacks a (T, u) stack of targets from starts drawn beforehand,
+    as `invert` does.
     """
     return invert(
-        extractor, rm, target, steps, lr, rng, init_scale=init_scale, starts=restarts
+        extractor, rm, target, steps, lr, rng, init_scale, starts=restarts, inits=inits
     )
 
 

@@ -4,12 +4,15 @@ Every random choice in a run flows from one master seed through a fixed
 SeedSequence spawn order (dataset, partition, per-client splits, server,
 participation, attack, per-client init+stream), so replaying a config and
 seed reproduces traces bit for bit. Seeds run sequentially and in isolation;
-a seed that aborts is marked failed without touching the others.
+a seed that aborts is marked failed without touching the others. A seed runs
+under np.errstate(all="ignore"): a diverging seed reports its failure through
+failed_seeds and SeedTrace.error, not through numpy warnings.
 """
 
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,13 @@ import numpy as np
 from . import baselines, data, nets, protocol
 from .config import ConfigError, parse_config
 from .entangle import FC, ReMechanism, RMSpec, compute_prototypes, re_weights, rm_apply
-from .inversion import InversionResult, dataset_range, invert_multi, score
+from .inversion import (
+    InversionResult,
+    dataset_range,
+    draw_starts,
+    invert_multi,
+    score,
+)
 from .protocol import ClientState, CommLedger, ServerState
 
 
@@ -210,7 +219,8 @@ def run_experiment(cfg):
     traces = []
     for seed in cfg.seeds:
         try:
-            traces.append(run_single_seed(cfg, seed))
+            with np.errstate(all="ignore"):
+                traces.append(run_single_seed(cfg, seed))
         except RuntimeError as e:
             traces.append(
                 SeedTrace(
@@ -319,47 +329,67 @@ class InversionStudy:
         ]
 
 
-def _attack_client(inv, world, client):
-    """Attack the client's raw, prototype and entangled targets."""
-    results = []
-    rng = np.random.default_rng(world.attack_seed)
+def _attack_targets(inv, world, client, rng):
+    """Yield the client's (kind, target, originals) in attack order.
+
+    Draws from rng as it goes: the raw picks before the first raw target,
+    the category permutation before the first prototype, and each
+    entangled target's re_weights right before that target. The caller
+    makes a target's own draws before it asks for the next one.
+    """
     rep_set = protocol.client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
+    n = len(client.train)
+    for i in rng.choice(n, size=min(inv.num_targets, n), replace=False):
+        yield "raw", mapped[i], client.train.X[i]
+    protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
+    for ci in rng.permutation(len(protos_list))[: inv.num_targets]:
+        c, proto = protos_list[ci]
+        yield "prototype", proto, client.train.X[client.train.y == c]
+    for _ in range(inv.num_targets):
+        w = re_weights(rep_set, world.strategy.mech, rng)
+        yield "entangled", np.asarray(w @ mapped, dtype=float), client.train.X
+
+
+def _attack_client(inv, world, client):
+    """Attack the client's raw, prototype and entangled targets.
+
+    Every draw comes first, in the order of the one-target-at-a-time
+    attack: the raw picks, then each raw target's starts; the permutation,
+    then each prototype's starts; each entangled target's re_weights, then
+    its starts. Descent draws nothing, so the starts are the ones that
+    attack draws, and all targets' starts descend as one stack in one
+    invert_multi call, which returns what the targets attacked one at a
+    time return. If any start diverges, the targets are attacked one at a
+    time from a fresh attack rng, so restarts draw as they always have.
+    """
+    attack = partial(
+        invert_multi, client.extractor, client.rm, steps=inv.steps, lr=inv.lr,
+        restarts=inv.restarts,
+    )
+    rng = np.random.default_rng(world.attack_seed)
+    targets, inits = [], []
+    for kind, target, originals in _attack_targets(inv, world, client, rng):
+        protocol._require_finite(target, f"{kind} target")
+        targets.append((kind, target, originals))
+        inits.append(draw_starts(client.extractor, rng, inv.restarts, inv.init_scale))
+    stack = np.stack([t for _, t, _ in targets])
+    recs = attack(stack, rng=None, inits=np.concatenate(inits))
+    if recs is None:
+        rng = np.random.default_rng(world.attack_seed)
+        recs = [
+            attack(t, rng=rng, init_scale=inv.init_scale)
+            for _, t, _ in _attack_targets(inv, world, client, rng)
+        ]
     peak = (
         inv.data_range
         if inv.data_range is not None
         else dataset_range(client.train.X)
     )
-
-    def attack(target, kind, originals):
-        protocol._require_finite(target, f"{kind} target")
-        rec = invert_multi(
-            client.extractor,
-            client.rm,
-            target,
-            inv.steps,
-            inv.lr,
-            rng,
-            init_scale=inv.init_scale,
-            restarts=inv.restarts,
-        )
-        mse, psnr = score(rec, originals, peak)
-        results.append(InversionResult(rec, kind, mse, psnr, inv.steps))
-
-    n = len(client.train)
-    picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
-    for i in picks:
-        attack(mapped[i], "raw", client.train.X[i])
-    protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
-    cats = rng.permutation(len(protos_list))[: inv.num_targets]
-    for ci in cats:
-        c, proto = protos_list[ci]
-        attack(proto, "prototype", client.train.X[client.train.y == c])
-    for _ in range(inv.num_targets):
-        w = re_weights(rep_set, world.strategy.mech, rng)
-        packet = np.asarray(w @ mapped, dtype=float)
-        attack(packet, "entangled", client.train.X)
-    return results
+    return [
+        InversionResult(rec, kind, *score(rec, originals, peak), inv.steps)
+        for rec, (kind, _, originals) in zip(recs, targets)
+    ]
 
 
 def run_inversion_study(cfg):
@@ -370,7 +400,8 @@ def run_inversion_study(cfg):
     samples, entangled packets against the whole local training set. Raises
     ConfigError, before the seed trains, when a seed leaves client 0 without
     training samples. A seed whose training or attack aborts is recorded in
-    failed_seeds and contributes no results.
+    failed_seeds and contributes no results. The attack descends every
+    target of a seed as one stack (see _attack_client).
     """
     results, failed_seeds = [], []
     for seed in cfg.seeds:
@@ -380,8 +411,9 @@ def run_inversion_study(cfg):
                 f"seed {seed}: client 0, the attacked client, has no training samples"
             )
         try:
-            clients, _, _, _ = train(cfg, world)
-            results += _attack_client(cfg.inversion, world, clients[0])
+            with np.errstate(all="ignore"):
+                clients, _, _, _ = train(cfg, world)
+                results += _attack_client(cfg.inversion, world, clients[0])
         except RuntimeError:
             failed_seeds.append(seed)
 

@@ -135,3 +135,50 @@ def net_params_equal(a, b):
         and la.activation == lb.activation
         for la, lb in zip(a.layers, b.layers)
     )
+
+
+def per_target_attack(inv, world, client):
+    """The client attack one target at a time: the oracle for the seed stack.
+
+    Each target's invert_multi call draws that target's starts from the
+    attack rng right after the draws that chose the target: the picks, the
+    category permutation, or the target's re_weights.
+    """
+    from fedre.entangle import compute_prototypes, re_weights, rm_apply
+    from fedre.inversion import InversionResult, dataset_range, invert_multi, score
+
+    results = []
+    rng = np.random.default_rng(world.attack_seed)
+    rep_set = protocol.client_representation_set(client)
+    mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
+    peak = inv.data_range if inv.data_range is not None else dataset_range(client.train.X)
+
+    def attack(target, kind, originals):
+        protocol._require_finite(target, f"{kind} target")
+        rec = invert_multi(
+            client.extractor,
+            client.rm,
+            target,
+            inv.steps,
+            inv.lr,
+            rng,
+            init_scale=inv.init_scale,
+            restarts=inv.restarts,
+        )
+        mse, psnr = score(rec, originals, peak)
+        results.append(InversionResult(rec, kind, mse, psnr, inv.steps))
+
+    n = len(client.train)
+    picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
+    for i in picks:
+        attack(mapped[i], "raw", client.train.X[i])
+    protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
+    cats = rng.permutation(len(protos_list))[: inv.num_targets]
+    for ci in cats:
+        c, proto = protos_list[ci]
+        attack(proto, "prototype", client.train.X[client.train.y == c])
+    for _ in range(inv.num_targets):
+        w = re_weights(rep_set, world.strategy.mech, rng)
+        packet = np.asarray(w @ mapped, dtype=float)
+        attack(packet, "entangled", client.train.X)
+    return results

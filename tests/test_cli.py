@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -243,10 +244,30 @@ def test_invert_marks_a_diverging_seed_failed(tmp_path, capsys):
     assert "wrote 0 attack records" in out
 
 
+@pytest.mark.parametrize("verb", ["run", "invert"])
+def test_a_diverging_seed_fails_without_numpy_warnings(tmp_path, capsys, verb):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 2,
+        "seeds": [0, 1],
+        "client_lr": 1e300,
+        "inversion": {"steps": 2},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([verb, str(p)]) == 0
+    captured = capsys.readouterr()
+    assert "failed seeds: [0, 1]" in captured.out
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in captured.err
+
+
 @st.composite
 def tiny_configs(draw):
-    """One- or two-seed configs over every strategy, mapping, partition mode
-    and a sane or diverging learning rate."""
+    """One- or two-seed configs over every strategy, mapping, partition mode,
+    batch sizes and epoch counts (out-of-range ones included) and a sane or
+    diverging learning rate."""
 
     def pick(options):
         return draw(st.sampled_from(options))
@@ -280,6 +301,10 @@ def tiny_configs(draw):
         "train_fraction": pick([0.0, 0.1, 0.5, 1.0]),
         "client_lr": pick([0.05, 1e300]),
         "server_lr": pick([0.05, 1e300]),
+        "client_batch_size": pick([0, 1, 3, 64]),
+        "client_epochs": pick([-1, 0, 1, 2]),
+        "server_batch_size": pick([0, 1, 3, 64]),
+        "server_epochs": pick([-1, 0, 1, 3]),
         "comm_convention": pick(protocol.CONVENTIONS),
         "seeds": draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2)),
         "inversion": {
