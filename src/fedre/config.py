@@ -3,13 +3,14 @@
 Configs are plain JSON objects. Every field has a default except the ones a
 run cannot invent (nothing, currently: a minimal ``{}`` runs the default
 blob experiment). Unknown keys are rejected by name so typos never silently
-fall back to defaults.
+fall back to defaults, and every value is checked against its field's type
+before validation compares it with anything.
 """
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import baselines, data, entangle, protocol
 
@@ -140,10 +141,10 @@ class ExperimentConfig:
                 f"num_clients is {self.num_clients}"
             )
         for k, hidden in enumerate(self.architectures):
-            if not hidden or any(int(h) < 1 for h in hidden):
+            if not hidden or min(hidden) < 1:
                 raise ConfigError(f"architectures[{k}] must be positive sizes")
             if self.rm_op in (entangle.AP, entangle.MP) and (
-                int(hidden[-1]) % self.unified_dim != 0
+                hidden[-1] % self.unified_dim != 0
             ):
                 raise ConfigError(
                     f"architectures[{k}] ends in {hidden[-1]}, which is not "
@@ -169,8 +170,8 @@ class ExperimentConfig:
             )
         if self.lambda_proto < 0:
             raise ConfigError("lambda_proto must be nonnegative")
-        if not self.seeds:
-            raise ConfigError("seeds must list at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must list at least one seed, none negative")
         if self.dataset.kind == "blobs" and self.partition.mode == data.PAT:
             if self.partition.categories_per_client > self.dataset.classes:
                 raise ConfigError(
@@ -178,39 +179,67 @@ class ExperimentConfig:
                 )
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _as_int(value):
+    """value as an int if it is one, an integral float or an integer
+    string (a bool is none of these); None otherwise."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    try:
+        return int(value) if isinstance(value, (int, str)) else None
+    except ValueError:
+        return None
+
+
+def _int_list(name, value):
+    ints = [_as_int(v) for v in value] if isinstance(value, list) else [None]
+    if None in ints:
+        raise ConfigError(f"{name} must be a list of integers, not {json.dumps(value)}")
+    return ints
+
+
+def _checked(name, value, kind):
+    """value, checked against its field's type annotation kind: a bool is
+    not an integer and an integer is a number. seeds and architectures
+    entries may also be integral floats or integer strings, made ints."""
+    if dataclasses.is_dataclass(kind):
+        return _from_mapping(kind, value, prefix=name + ".")
+    if name == "seeds":
+        return _int_list(name, value)
+    if name == "architectures":
+        if value is None:
+            return None
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of lists of integers")
+        return [_int_list(f"{name}[{k}]", hidden) for k, hidden in enumerate(value)]
+    kinds = typing.get_args(kind) or (kind,)
+    accepted = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = " or ".join(_KINDS[k] for k in kinds)
+        raise ConfigError(f"{name} must be {expected}, not {json.dumps(value)}")
+    return value
+
+
 def _from_mapping(cls, mapping, prefix=""):
     if not isinstance(mapping, dict):
-        raise ConfigError(f"{prefix or 'config'} must be a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - names
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a JSON object")
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown config key {prefix + key!r}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in mapping:
-            continue
-        value = mapping[f.name]
-        nested = {
-            "dataset": DatasetConfig,
-            "partition": PartitionConfig,
-            "inversion": InversionConfig,
-        }.get(f.name)
-        kwargs[f.name] = (
-            _from_mapping(nested, value, prefix=f.name + ".")
-            if nested and prefix == ""
-            else value
-        )
-    return cls(**kwargs)
+        raise ConfigError(f"unknown config key {prefix + sorted(unknown)[0]!r}")
+    return cls(**{
+        f.name: _checked(prefix + f.name, mapping[f.name], f.type)
+        for f in dataclasses.fields(cls)
+        if f.name in mapping
+    })
 
 
 def parse_config(mapping):
     """Build and validate an ExperimentConfig from a plain dict."""
     cfg = _from_mapping(ExperimentConfig, mapping)
-    if cfg.architectures is None:
-        cfg.architectures = [[2 * cfg.unified_dim]] * cfg.num_clients
-    cfg.architectures = [[int(h) for h in hidden] for hidden in cfg.architectures]
-    cfg.seeds = [int(s) for s in cfg.seeds]
     cfg.validate()
     return cfg
 
@@ -226,9 +255,3 @@ def load_config(path):
 
 def config_to_dict(cfg):
     return dataclasses.asdict(cfg)
-
-
-def save_config(cfg, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Synthetic datasets, heterogeneity partitioners, and CSV import/export.
+"""Synthetic datasets, heterogeneity partitioners, and CSV import.
 
 Partitioning happens on the full dataset; each client then splits its own
 shard into train/test. Two heterogeneity modes are provided: Dirichlet
@@ -8,7 +8,6 @@ proportions per category (pra) and fixed categories-per-client shard dealing
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -242,19 +241,8 @@ def train_test_split(ds, train_fraction, seed):
     )
 
 
-def save_csv(ds, path):
-    """Write a dataset as x0,...,x{dim-1},label rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(ds.dim)] + ["label"])
-        for row, label in zip(ds.X, ds.y):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
-
-
 def load_csv(path, num_classes=None):
-    """Read a dataset written by save_csv; num_classes defaults to max+1."""
+    """Read x0,...,x{dim-1},label rows; num_classes defaults to max+1."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -277,15 +265,3 @@ def load_csv(path, num_classes=None):
     if num_classes is None:
         num_classes = int(y.max()) + 1 if y.size else 1
     return Dataset(X, y, num_classes)
-
-
-def save_partition_csvs(parts, out_dir):
-    """One CSV per client shard; returns the written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k, part in enumerate(parts):
-        p = out_dir / f"client_{k:03d}.csv"
-        save_csv(part, p)
-        paths.append(p)
-    return paths

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import (
-    DenseNet,
-    ShapeError,
-    _backward,
-    backprop,
-    check_label_encoding,
-    forward_pass,
-)
+from .nets import DenseNet, ShapeError, _backward, backprop, forward_pass
 
 AP = "ap"
 MP = "mp"
@@ -113,13 +106,6 @@ class EntangledPacket:
     y_tilde: np.ndarray  # (num_classes,)
 
 
-@dataclass
-class OpCounter:
-    """Multiply counter for the entangle combination step."""
-
-    multiplies: int = 0
-
-
 @dataclass(eq=False)
 class RMCache:
     kind: str
@@ -185,14 +171,6 @@ def rm_backward(grad_mapped, rm, cache, param_grads=True):
         grad_blocks = np.zeros(g.shape + (m,))
         np.put_along_axis(grad_blocks, cache.argmax[..., None], g[..., None], axis=-1)
     return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,)), None
-
-
-def rm_map(r, rm, unified_dim):
-    """Map a single raw representation vector."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 1:
-        raise ShapeError("rm_map takes a 1-d representation")
-    return rm_apply(r[None, :], rm, unified_dim)[0][0]
 
 
 def check_weight_vector(w, n=None):
@@ -282,36 +260,14 @@ def re_weights(rep_set, mech, rng):
     return rap_weights_from_draws(labels, categories, u)
 
 
-def entangle(rep_set, w, rm, unified_dim, counter=None):
+def entangle(rep_set, w, rm, unified_dim):
     """Collapse a representation set into one entangled packet.
 
-    r_tilde = sum_i w_i * rm(rep_i), y_tilde = sum_i w_i * onehot_i. The
-    optional counter tallies the multiplies of the two weighted sums, which
-    is n*(unified_dim + num_classes).
+    r_tilde = sum_i w_i * rm(rep_i), y_tilde = sum_i w_i * onehot_i.
     """
-    n = len(rep_set)
-    w = check_weight_vector(w, n)
+    w = check_weight_vector(w, len(rep_set))
     mapped, _ = rm_apply(rep_set.reps, rm, unified_dim)
-    r_tilde = w @ mapped
-    y_tilde = w @ rep_set.labels_onehot
-    if counter is not None:
-        counter.multiplies += n * unified_dim + n * rep_set.num_classes
-    return EntangledPacket(r_tilde, y_tilde)
-
-
-def mixup_pair(r_i, y_i, r_j, y_j, lam):
-    """Two-sample convex interpolation of mapped representations and labels."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda {lam} outside [0, 1]")
-    r_i = np.asarray(r_i, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    if r_i.shape != r_j.shape:
-        raise ShapeError("representation dimensions differ")
-    y_i = check_label_encoding(y_i)
-    y_j = check_label_encoding(y_j, num_classes=y_i.shape[0])
-    return EntangledPacket(
-        lam * r_i + (1.0 - lam) * r_j, lam * y_i + (1.0 - lam) * y_j
-    )
+    return EntangledPacket(w @ mapped, w @ rep_set.labels_onehot)
 
 
 def compute_prototypes(rep_set, rm, unified_dim):

@@ -7,14 +7,14 @@ an entangled packet), and gradient-descends a random input to minimize
 error is the minimum MSE against every original sample that contributed to
 the target.
 
-All starts descend together as a stack of one-row batches, shape
-(rows, 1, d), each row against its own target. By the stack convention of
-nets.forward_pass, row r of every stacked objective and gradient is bitwise
-equal to the one-start call on that row, so a stacked attack returns exactly
-what the same starts run one after another return. `invert` stacks the
-starts of one target, drawn from its rng; given `inits`, it stacks the
-starts of several targets, drawn beforehand with draw_starts (the runner
-descends every target of a seed this way).
+Starts descend as a stack of one-row batches, shape (rows, 1, d), each row
+against its own target. By the stack convention of nets.forward_pass, row r
+of every stacked objective and gradient is bitwise equal to the one-start
+call on that row, so a stacked attack returns exactly what the same starts
+run one after another return. Given `inits`, `invert` stacks the starts of
+several targets, drawn beforehand with draw_starts (the runner descends
+every target of a seed this way); without them it runs the starts of one
+target one at a time, drawing each from its rng.
 """
 
 import math
@@ -51,15 +51,6 @@ def _objective_and_grad(extractor, rm, X, target):
     grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache, param_grads=False)
     _, grad_x = _backward(extractor, ext_cache, grad_reps, param_grads=False)
     return obj, grad_x
-
-
-def attack_objective(extractor, rm, x, target):
-    """Squared distance ||rm(g(x)) - target||^2 at a single input."""
-    x = np.asarray(x, dtype=float)
-    obj, _ = _objective_and_grad(
-        extractor, rm, x[None, None, :], np.asarray(target, dtype=float)
-    )
-    return float(obj[0])
 
 
 def _descend(extractor, rm, X, target, steps, lr):
@@ -118,16 +109,13 @@ def invert(
 ):
     """Reconstruct an input whose mapped representation matches the target.
 
-    Plain gradient descent from `starts` Gaussian-random inputs, descended
-    together as one stack of one-row batches. Each start keeps its best
-    iterate by objective value and the lowest-objective start wins, the
-    earliest on a tie. A start that turns non-finite restarts from a fresh
-    init, at most max_restarts times.
+    Plain gradient descent from `starts` Gaussian-random inputs. Each start
+    keeps its best iterate by objective value and the lowest-objective start
+    wins, the earliest on a tie.
 
-    Draws one init per start from rng, in order. If the stacked descent
-    diverges, rng is rewound and the starts replay one at a time, so every
-    restart draws its init right after the start that diverged: the result
-    and the final rng state equal those of `starts` single-start runs.
+    Without `inits`, the starts run one at a time, each from an init drawn
+    from rng right before it descends. A start that turns non-finite
+    restarts from a fresh init, at most max_restarts times.
 
     With `inits`, target is a stack (T, u) of T targets and inits holds
     their starts, drawn beforehand with draw_starts and concatenated in
@@ -158,21 +146,15 @@ def invert(
                 f"({len(target) * starts}, 1, {extractor.input_dim})"
             )
         rows = np.repeat(target, starts, axis=0)[:, None, :]
-    else:
-        state = rng.bit_generator.state
-        X = draw_starts(extractor, rng, starts, init_scale)
-        rows = target
-    try:
-        found = _descend(extractor, rm, X, rows, steps, lr)
-    except ValueError:
-        # an iterate overflowed; replaying the starts one at a time (here,
-        # or in the caller for a stack) raises it at the same start and rng
-        # position as single-start runs do
-        found = None
-    if found is None:
-        if stacked:
+        try:
+            found = _descend(extractor, rm, X, rows, steps, lr)
+        except ValueError:
+            # an iterate overflowed; the caller's one-target replay raises it
+            # at the same start and rng position
+            found = None
+        if found is None:
             return None
-        rng.bit_generator.state = state
+    else:
         runs = [
             _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts)
             for _ in range(starts)
@@ -180,7 +162,7 @@ def invert(
         found = [np.concatenate(parts) for parts in zip(*runs)]
     best_x, best_obj = found
     winners = best_obj.reshape(-1, starts).argmin(axis=1)
-    recs = best_x.reshape(-1, starts, X.shape[-1])[np.arange(len(winners)), winners]
+    recs = best_x.reshape(-1, starts, extractor.input_dim)[np.arange(len(winners)), winners]
     return recs if stacked else recs[0]
 
 
@@ -192,9 +174,8 @@ def invert_multi(
     The descent objective is piecewise quadratic, so a single start can stall
     in a poor basin; launching several and keeping the lowest-objective
     iterate models an attacker who retries. Consumes one init per start from
-    rng, in order; all starts descend together in one invert call. With
-    `inits`, attacks a (T, u) stack of targets from starts drawn beforehand,
-    as `invert` does.
+    rng, in order, plus one per divergence restart. With `inits`, attacks a
+    (T, u) stack of targets from starts drawn beforehand, as `invert` does.
     """
     return invert(
         extractor, rm, target, steps, lr, rng, init_scale, starts=restarts, inits=inits

@@ -6,8 +6,9 @@ relu or identity activations, a max-shifted soft-label cross-entropy, exact
 analytic gradients, and vanilla SGD.
 
 A net has one form, a ``DenseNet`` of validated ``Layer`` objects, and no
-mutable slot: ``forward`` and ``backward`` are pure, and ``sgd_step`` returns
-an updated copy without touching its input.
+mutable slot: ``forward_pass``, ``backprop`` and ``ce_value_and_grads`` are
+pure, and ``sgd_step`` returns an updated copy without touching its input.
+There is one loss, the mean soft-label cross-entropy of a batch.
 
 The dense-layer math exists once, in private kernels that read
 ``net.layers``: ``_forward``, ``_backward`` (parameter gradients, the input
@@ -40,8 +41,6 @@ RELU = "relu"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, IDENTITY)
 
-SIMPLEX_ATOL = 1e-9
-
 
 class ShapeError(ValueError):
     """Array dimensions do not line up."""
@@ -66,24 +65,6 @@ def one_hot_matrix(labels, num_classes):
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def check_label_encoding(probs, num_classes=None):
-    """Validate a probability vector over categories; returns it as float64."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise ShapeError("label encoding must be a 1-d vector")
-    if num_classes is not None and p.shape[0] != num_classes:
-        raise ShapeError(
-            f"label encoding has {p.shape[0]} entries, expected {num_classes}"
-        )
-    if not np.isfinite(p).all():
-        raise ValueError("label encoding must be finite")
-    if p.min() < -SIMPLEX_ATOL or p.max() > 1.0 + SIMPLEX_ATOL:
-        raise ValueError("label encoding entries must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > SIMPLEX_ATOL:
-        raise ValueError(f"label encoding sums to {p.sum()!r}, expected 1.0")
-    return p
 
 
 @dataclass(eq=False)
@@ -243,18 +224,6 @@ def forward_pass(net, X):
     return _forward(net, _batch(net, X))
 
 
-def _row(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError("forward takes a 1-d input vector")
-    return x[None, :]
-
-
-def forward(net, x):
-    """Single-sample forward pass: the net's output at x."""
-    return forward_pass(net, _row(x))[0][0]
-
-
 @dataclass(eq=False)
 class GradientSet:
     weight_grads: list
@@ -285,24 +254,6 @@ def backprop(net, cache, grad_output):
     return _backward(net, cache, delta)
 
 
-def softmax(logits):
-    z = np.asarray(logits, dtype=float)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def soft_cross_entropy(logits, target):
-    """Cross-entropy -sum(target * log softmax(logits)), max-shifted."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1:
-        raise ShapeError("logits must be a 1-d vector")
-    t = check_label_encoding(target, num_classes=z.shape[0])
-    m = float(z.max())
-    lse = m + np.log(np.exp(z - m).sum())
-    return max(float(lse - t @ z), 0.0)
-
-
 def _ce(z, t):
     """Kernel: (mean soft cross-entropy of the logit rows z against the
     targets t, its gradient with respect to z), with no checks."""
@@ -313,26 +264,6 @@ def _ce(z, t):
     n = z.shape[0]
     # sum / n is the arithmetic of mean(), at about half its call cost
     return float(np.maximum(losses, 0.0).sum() / n), (e / s - t) / n
-
-
-def batch_mean_ce(logits, targets):
-    """Mean soft cross-entropy over a batch of logits rows."""
-    z = np.asarray(logits, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if z.shape != t.shape:
-        raise ShapeError("logits and targets must have matching shapes")
-    return _ce(z, t)[0]
-
-
-def backward(net, x, target):
-    """Gradients of soft_cross_entropy(net(x), target) for all parameters.
-
-    Runs its own forward pass at x.
-    """
-    out, cache = forward_pass(net, _row(x))
-    t = check_label_encoding(target, num_classes=net.output_dim)
-    grads, _ = backprop(net, cache, (softmax(out[0]) - t)[None, :])
-    return grads
 
 
 def _ce_value_and_grads(net, X, targets):

@@ -108,6 +108,8 @@ def build_world(cfg, seed):
     try:
         ds = build_dataset(cfg, streams["dataset"])
         parts = data.partition(ds, spec)
+    except OSError as e:
+        raise ConfigError(f"cannot read dataset.path: {e}") from e
     except ValueError as e:
         # the config asks for what its data cannot supply, e.g. a pat deal
         raise ConfigError(f"dataset and partition do not fit: {e}") from e

@@ -1,17 +1,65 @@
 """Shared test utilities: oracles and small world builders."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
 from fedre import data, nets, protocol
-from fedre.entangle import RMSpec
+from fedre.entangle import EntangledPacket, RMSpec
+
+# ------------------------------------------------------- reference math
+
+
+def softmax(logits):
+    z = np.asarray(logits, dtype=float)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def batch_mean_ce(logits, targets):
+    """Mean soft cross-entropy -sum(t * log softmax(z)) over logit rows,
+    max-shifted and clamped at zero per row."""
+    z, t = np.asarray(logits, dtype=float), np.asarray(targets, dtype=float)
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    return float(np.maximum(lse - (t * z).sum(axis=1), 0.0).mean())
+
+
+def check_label_encoding(p, atol=1e-9):
+    """ValueError unless p is a finite probability vector."""
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("label encoding must be finite")
+    if p.min(initial=0.0) < -atol or p.max(initial=0.0) > 1.0 + atol:
+        raise ValueError("label encoding entries must lie in [0, 1]")
+    if abs(float(p.sum()) - 1.0) > atol:
+        raise ValueError("label encoding must sum to 1")
+
+
+def mixup_pair(r_i, y_i, r_j, y_j, lam):
+    """Two-sample convex interpolation of mapped representations and labels."""
+    return EntangledPacket(lam * r_i + (1.0 - lam) * r_j, lam * y_i + (1.0 - lam) * y_j)
+
+
+def save_csv(ds, path):
+    """Write a dataset as the x0,...,x{dim-1},label rows load_csv reads."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(ds.dim)] + ["label"])
+        for row, label in zip(ds.X, ds.y):
+            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
 
 
 def numeric_gradients(net, x, target, eps=1e-5):
-    """Central finite differences of soft_cross_entropy(net(x), target)."""
+    """Central finite differences of the cross-entropy of net(x) against
+    target."""
 
     def loss_at(candidate):
         out, _ = nets.forward_pass(candidate, np.asarray(x, float)[None, :])
-        return nets.soft_cross_entropy(out[0], target)
+        return batch_mean_ce(out, np.asarray(target, float)[None, :])
 
     weight_grads, bias_grads = [], []
     for li in range(len(net.layers)):
@@ -125,7 +173,7 @@ def local_ce_loss(client):
     mapped, _ = rm_apply(reps, client.rm, client.classifier.input_dim)
     logits, _ = nets.forward_pass(client.classifier, mapped)
     targets = nets.one_hot_matrix(client.train.y, client.classifier.output_dim)
-    return nets.batch_mean_ce(logits, targets)
+    return batch_mean_ce(logits, targets)
 
 
 def net_params_equal(a, b):

@@ -148,7 +148,7 @@ def test_4_entanglement_property_suite():
         pair = RepresentationSet(reps[:2], np.eye(num_classes)[labels[:2]])
         packet = entangle.entangle(pair, np.array([lam, 1 - lam]), rm, unified_dim)
         mapped, _ = entangle.rm_apply(reps[:2], rm, unified_dim)
-        mixed = entangle.mixup_pair(
+        mixed = helpers.mixup_pair(
             mapped[0], np.eye(num_classes)[labels[0]],
             mapped[1], np.eye(num_classes)[labels[1]], lam,
         )
@@ -200,8 +200,8 @@ def test_5_gradient_correctness_hundred_triples():
         # any preactivation within the probe radius of it
         if min(float(np.abs(z).min()) for z in cache.pre_activations) < 1e-3:
             continue
-        nets.forward(net, x)
-        analytic = nets.backward(net, x, target)
+        # the path the server runs: ce_value_and_grads on a one-row batch
+        _, analytic = nets.ce_value_and_grads(net, x[None, :], target[None, :])
         numeric = helpers.numeric_gradients(net, x, target)
         worst = max(worst, helpers.max_rel_error(analytic, numeric))
         checked += 1

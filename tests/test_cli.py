@@ -70,6 +70,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+    assert cli.main(["validate", str(tmp_path)]) == 2  # a directory
     capsys.readouterr()
 
 
@@ -136,6 +137,34 @@ def assert_config_error(capsys, verb, path):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     return lines[0]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seeds": ["x"]},
+        {"seeds": 5},
+        {"seeds": [-1]},
+        {"seeds": [True]},
+        {"rounds": "ten"},
+        {"rounds": 1.5},
+        {"unified_dim": "8"},
+        {"train_fraction": "0.5"},
+        {"partition": {"alpha": None}},
+        {"num_clients": 2.0},
+        {"client_batch_size": 1.5},
+        {"dataset": {"classes": 2.5}},
+        {"architectures": [["a"]], "num_clients": 1},
+        {"dataset": {"kind": "csv", "path": 5}},
+        {"dataset": {"kind": "csv", "path": "."}},  # a directory
+    ],
+    ids=repr,
+)
+def test_ill_typed_configs_exit_2_on_every_verb(tmp_path, capsys, verb, overrides):
+    p = write_config(tmp_path, dict({"rounds": 1, "seeds": [0]}, **overrides))
+    assert_config_error(capsys, verb, p)
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("verb", ["validate", "run", "invert"])
@@ -263,18 +292,23 @@ def test_a_diverging_seed_fails_without_numpy_warnings(tmp_path, capsys, verb):
     assert "RuntimeWarning" not in captured.err
 
 
+# JSON values of the wrong type for most fields (and of the right type for some)
+ODD_VALUES = [None, True, "x", "8", 1.5, 2.0, -1, [], [True], ["a"], [[1.5]], {}, {"a": 1}]
+
+
 @st.composite
 def tiny_configs(draw):
     """One- or two-seed configs over every strategy, mapping, partition mode,
     batch sizes and epoch counts (out-of-range ones included) and a sane or
-    diverging learning rate."""
+    diverging learning rate; some have one field, top-level or nested,
+    swapped for a value from ODD_VALUES."""
 
     def pick(options):
         return draw(st.sampled_from(options))
 
     num_clients = draw(st.integers(1, 4))
     unified_dim = pick([1, 2])
-    return {
+    mapping = {
         "dataset": {
             "classes": draw(st.integers(1, 4)),
             "per_class": draw(st.integers(1, 6)),
@@ -313,6 +347,13 @@ def tiny_configs(draw):
             "restarts": draw(st.integers(1, 2)),
         },
     }
+    if draw(st.booleans()):
+        key = pick(sorted(mapping))
+        node = mapping
+        if isinstance(mapping[key], dict) and draw(st.booleans()):
+            node, key = mapping[key], pick(sorted(mapping[key]))
+        node[key] = pick(ODD_VALUES)
+    return mapping
 
 
 @settings(max_examples=150, deadline=None)

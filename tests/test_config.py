@@ -44,6 +44,46 @@ def test_unknown_keys_are_named():
         config.parse_config({"dataset": {"clases": 3}})
 
 
+ILL_TYPED = [
+    ({"seeds": ["x"]}, "seeds must be a list of integers"),
+    ({"seeds": 5}, "seeds must be a list of integers"),
+    ({"seeds": [True]}, "seeds must be a list of integers"),
+    ({"seeds": [-1]}, "none negative"),
+    ({"rounds": "ten"}, "rounds must be an integer"),
+    ({"rounds": 1.5}, "rounds must be an integer"),
+    ({"rounds": True}, "rounds must be an integer"),
+    ({"num_clients": 2.0}, "num_clients must be an integer"),
+    ({"client_batch_size": 1.5}, "client_batch_size must be an integer"),
+    ({"unified_dim": "8"}, "unified_dim must be an integer"),
+    ({"train_fraction": "0.5"}, "train_fraction must be a number"),
+    ({"client_lr": False}, "client_lr must be a number"),
+    ({"strategy": 3}, "strategy must be a string"),
+    ({"partition": {"alpha": None}}, "partition.alpha must be a number"),
+    ({"dataset": {"classes": 2.5}}, "dataset.classes must be an integer"),
+    ({"dataset": {"kind": "csv", "path": 5}}, "dataset.path must be a string or null"),
+    ({"inversion": {"data_range": "1"}}, "inversion.data_range must be a number or null"),
+    ({"architectures": [["a"]], "num_clients": 1}, r"architectures\[0\] must be a list"),
+    ({"architectures": [8], "num_clients": 1}, r"architectures\[0\] must be a list"),
+    ({"architectures": 8, "num_clients": 1}, "architectures must be a list"),
+    ({"dataset": "blobs"}, "^dataset must be a JSON object$"),
+]
+
+
+@pytest.mark.parametrize("mapping, message", ILL_TYPED)
+def test_ill_typed_values_are_config_errors(mapping, message):
+    with pytest.raises(config.ConfigError, match=message):
+        config.parse_config(mapping)
+
+
+def test_well_typed_values_pass():
+    cfg = config.parse_config({
+        "client_lr": 1,  # an integer is a number
+        "inversion": {"data_range": None},
+        "dataset": {"path": None},
+    })
+    assert cfg.client_lr == 1 and cfg.inversion.data_range is None
+
+
 def test_seed_and_architecture_coercion():
     cfg = config.parse_config(
         {"num_clients": 2, "seeds": ["3", 4.0], "architectures": [["8"], [16.0]]}
@@ -106,7 +146,7 @@ def test_load_and_save_round_trip(tmp_path):
     cfg = config.load_config(p)
     assert cfg.rounds == 7
     out = tmp_path / "echo.json"
-    config.save_config(cfg, out)
+    out.write_text(json.dumps(config.config_to_dict(cfg)))
     again = config.load_config(out)
     assert config.config_to_dict(again) == config.config_to_dict(cfg)
 

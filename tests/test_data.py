@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fedre import data
 
+from helpers import save_csv
+
 
 def rows_multiset(ds):
     """Canonical sortable view of (features, label) rows for multiset checks."""
@@ -278,7 +280,7 @@ def test_train_test_split_property(num_classes, per_class, frac, seed):
 def test_csv_round_trip_is_bitwise(tmp_path):
     ds = data.make_blobs(3, 7, 4, 1.3, 11)
     p = tmp_path / "ds.csv"
-    data.save_csv(ds, p)
+    save_csv(ds, p)
     back = data.load_csv(p)
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.y, ds.y)
@@ -288,7 +290,7 @@ def test_csv_round_trip_is_bitwise(tmp_path):
 def test_csv_num_classes_override(tmp_path):
     ds = data.Dataset(np.zeros((2, 2)), np.array([0, 1]), 5)
     p = tmp_path / "ds.csv"
-    data.save_csv(ds, p)
+    save_csv(ds, p)
     assert data.load_csv(p).num_classes == 2
     assert data.load_csv(p, num_classes=5).num_classes == 5
 
@@ -301,13 +303,3 @@ def test_csv_header_is_validated(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError):
         data.load_csv(p)
-
-
-def test_save_partition_csvs_names_files_by_client(tmp_path):
-    ds = data.make_blobs(3, 12, 2, 1.0, 0)
-    parts = data.partition(ds, data.PartitionSpec(data.PRA, 3, seed=0, alpha=1.0))
-    paths = data.save_partition_csvs(parts, tmp_path)
-    assert [p.name for p in paths] == ["client_000.csv", "client_001.csv", "client_002.csv"]
-    for p, part in zip(paths, parts):
-        back = data.load_csv(p, num_classes=3)
-        np.testing.assert_array_equal(back.X, part.X)

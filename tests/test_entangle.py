@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from fedre import entangle as en
 from fedre import nets
 
-from helpers import random_simplex
+from helpers import check_label_encoding, mixup_pair, random_simplex
+
+
+def rm_row(r, rm, unified_dim):
+    """rm_apply on the one-row batch r."""
+    return en.rm_apply(np.asarray(r, dtype=float)[None, :], rm, unified_dim)[0][0]
 
 
 def make_rep_set(rng, n=6, raw_dim=8, num_classes=3, labels=None):
@@ -28,16 +33,16 @@ def make_rep_set(rng, n=6, raw_dim=8, num_classes=3, labels=None):
 
 def test_block_average_and_max_on_known_vector():
     r = np.array([1.0, 3.0, 2.0, 4.0])
-    ap = en.rm_map(r, en.RMSpec(en.AP), 2)
-    mp = en.rm_map(r, en.RMSpec(en.MP), 2)
+    ap = rm_row(r, en.RMSpec(en.AP), 2)
+    mp = rm_row(r, en.RMSpec(en.MP), 2)
     np.testing.assert_array_equal(ap, [2.0, 3.0])
     np.testing.assert_array_equal(mp, [3.0, 4.0])
 
 
 def test_rm_identity_when_dims_match():
     r = np.array([5.0, -1.0, 0.5])
-    np.testing.assert_array_equal(en.rm_map(r, en.RMSpec(en.AP), 3), r)
-    np.testing.assert_array_equal(en.rm_map(r, en.RMSpec(en.MP), 3), r)
+    np.testing.assert_array_equal(rm_row(r, en.RMSpec(en.AP), 3), r)
+    np.testing.assert_array_equal(rm_row(r, en.RMSpec(en.MP), 3), r)
 
 
 def test_rm_apply_matches_per_row_loop():
@@ -46,13 +51,13 @@ def test_rm_apply_matches_per_row_loop():
     for kind in (en.AP, en.MP):
         rm = en.RMSpec(kind)
         batch, _ = en.rm_apply(R, rm, 4)
-        rows = np.stack([en.rm_map(R[i], rm, 4) for i in range(7)])
+        rows = np.stack([rm_row(R[i], rm, 4) for i in range(7)])
         np.testing.assert_array_equal(batch, rows)
 
 
 def test_rm_rejects_indivisible_dimensions():
     with pytest.raises(nets.ShapeError):
-        en.rm_map(np.zeros(7), en.RMSpec(en.AP), 2)
+        rm_row(np.zeros(7), en.RMSpec(en.AP), 2)
 
 
 def test_rm_fc_is_the_net_forward():
@@ -268,7 +273,7 @@ def test_entangle_matches_per_sample_loop():
     r_expect = np.zeros(4)
     y_expect = np.zeros(3)
     for i in range(6):
-        r_expect += w[i] * en.rm_map(rep.reps[i], rm, 4)
+        r_expect += w[i] * rm_row(rep.reps[i], rm, 4)
         y_expect += w[i] * rep.labels_onehot[i]
     np.testing.assert_allclose(packet.r_tilde, r_expect, atol=1e-12)
     np.testing.assert_allclose(packet.y_tilde, y_expect, atol=1e-12)
@@ -284,14 +289,6 @@ def test_entangle_y_tilde_stays_on_simplex():
         assert abs(packet.y_tilde.sum() - 1.0) < 1e-9
 
 
-def test_entangle_counts_multiplies():
-    rng = np.random.default_rng(14)
-    rep = make_rep_set(rng, n=6, raw_dim=8, num_classes=3)
-    counter = en.OpCounter()
-    en.entangle(rep, random_simplex(rng, 6), en.RMSpec(en.AP), 4, counter)
-    assert counter.multiplies == 6 * 4 + 6 * 3
-
-
 def test_entangle_rejects_bad_weights():
     rng = np.random.default_rng(15)
     rep = make_rep_set(rng, n=4)
@@ -305,10 +302,10 @@ def test_two_sample_entangle_is_mixup():
         rep = make_rep_set(rng, n=2, raw_dim=8, num_classes=3)
         rm = en.RMSpec(en.AP)
         packet = en.entangle(rep, np.array([lam, 1.0 - lam]), rm, 4)
-        mixed = en.mixup_pair(
-            en.rm_map(rep.reps[0], rm, 4),
+        mixed = mixup_pair(
+            rm_row(rep.reps[0], rm, 4),
             rep.labels_onehot[0],
-            en.rm_map(rep.reps[1], rm, 4),
+            rm_row(rep.reps[1], rm, 4),
             rep.labels_onehot[1],
             lam,
         )
@@ -317,8 +314,11 @@ def test_two_sample_entangle_is_mixup():
 
 
 def test_mixup_rejects_lambda_outside_unit_interval():
-    with pytest.raises(ValueError):
-        en.mixup_pair(np.zeros(2), np.array([1.0, 0.0]), np.ones(2), np.array([0.0, 1.0]), 1.5)
+    # a two-sample packet is a mixup; its weights (lam, 1 - lam) must lie in [0, 1]
+    rep = make_rep_set(np.random.default_rng(19), n=2, raw_dim=8, num_classes=3)
+    for lam in (1.5, -0.5):
+        with pytest.raises(ValueError):
+            en.entangle(rep, np.array([lam, 1.0 - lam]), en.RMSpec(en.AP), 4)
 
 
 # ---------------------------------------------------------------- prototypes
@@ -355,7 +355,7 @@ def test_representation_set_rejects_soft_labels():
 def per_row_label_check(labels):
     """The row-by-row rule the vectorized check replaced."""
     for row in labels:
-        nets.check_label_encoding(row)
+        check_label_encoding(row)
         if not np.isin(row, (0.0, 1.0)).all():
             raise ValueError("labels must be one-hot")
 

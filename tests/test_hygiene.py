@@ -1,7 +1,10 @@
 """Source hygiene checks that need no linter.
 
 Every name a fedre module imports must be used in that module, or be
-re-exported through its ``__all__``.
+re-exported through its ``__all__``. Every public function and class of
+``src/fedre`` must have a caller outside the tests: in ``src/``,
+``scripts/`` or perfbench's non-test files, in perfbench's ``TRACED`` list,
+or in ``fedre.__all__``.
 """
 
 import ast
@@ -55,3 +58,92 @@ def test_the_check_finds_an_unused_import():
     tree = ast.parse("import os\nfrom x import y, z as w\n__all__ = ['y']\n")
     names = imported_names(tree)
     assert set(names) - used_names(tree) == {"os", "w"}
+
+
+# ------------------------------------------------- public names nothing uses
+
+ROOT = SRC.parent.parent
+CALLERS = (
+    sorted((ROOT / "scripts").glob("*.py"))
+    + [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+)
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced(node):
+    """Names a node refers to, as a bare name or an attribute; strings and
+    docstrings are not references."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def assigned_strings(tree, target):
+    """The strings of a module-level `target = (...)` literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_public_names(package, callers, roots=()):
+    """Public top-level functions and classes of the package that no live
+    code references, sorted.
+
+    Live code is every caller tree, the package's module-level statements
+    outside function and class definitions, and, transitively, every
+    definition that live code names; roots are names live from elsewhere.
+    A definition only dead code names is dead too.
+    """
+    bodies, live = {}, set(roots)
+    for tree in package:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+            else:
+                live |= referenced(node)
+    for tree in callers:
+        live |= referenced(tree)
+    todo = list(live)
+    while todo:
+        for node in bodies.get(todo.pop(), ()):
+            todo += referenced(node) - live
+            live |= referenced(node)
+    return sorted(name for name in bodies if not name.startswith("_") and name not in live)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    tracing = parse(ROOT / "perfbench" / "tracing.py")
+    roots = {dotted.split(".")[-1] for dotted in assigned_strings(tracing, "TRACED")}
+    roots |= assigned_strings(parse(SRC / "__init__.py"), "__all__")
+    unused = unused_public_names(
+        [parse(p) for p in MODULES], [parse(p) for p in CALLERS], roots
+    )
+    assert not unused, f"public names only the tests call: {unused}"
+
+
+def test_the_check_finds_an_unused_public_name():
+    package = [
+        ast.parse(
+            "import m\n"
+            "def used(): return helper()\n"
+            "def helper(): '''calls dead()'''; return m.attr\n"
+            "def dead(): return only_dead_calls_me()\n"
+            "def only_dead_calls_me(): pass\n"
+            "def traced(): pass\n"
+            "class Unused: pass\n"
+            "def _private(): pass\n"
+            "TABLE = (used,)\n"
+        )
+    ]
+    callers = [ast.parse("import pkg\npkg.m.attr\n")]
+    assert unused_public_names(package, callers, roots={"traced"}) == [
+        "Unused", "dead", "only_dead_calls_me"
+    ]

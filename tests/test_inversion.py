@@ -118,9 +118,8 @@ def test_attack_objective_matches_manual_computation():
     rm = RMSpec(AP)
     x = np.array([0.4, -0.9])
     target = np.array([1.0, -1.0])
-    assert inversion.attack_objective(extractor, rm, x, target) == pytest.approx(
-        objective(extractor, rm, x, target), abs=1e-15
-    )
+    obj, _ = inversion._objective_and_grad(extractor, rm, x[None, None, :], target)
+    assert obj[0] == pytest.approx(objective(extractor, rm, x, target), abs=1e-15)
 
 
 def test_invert_multi_single_restart_equals_invert():

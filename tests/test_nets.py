@@ -9,7 +9,27 @@ from hypothesis import strategies as st
 
 from fedre import nets
 
-from helpers import max_rel_error, numeric_gradients, random_net
+from helpers import max_rel_error, numeric_gradients, random_net, softmax
+
+
+def ce_at_logits(z, t):
+    """(loss, gradient with respect to the logits) of ce_value_and_grads on
+    one row whose logits are z: a net with zero weights and bias z."""
+    z = np.asarray(z, dtype=float)
+    net = nets.DenseNet([nets.Layer(np.zeros((z.size, 1)), z, nets.IDENTITY)])
+    loss, grads = nets.ce_value_and_grads(net, np.zeros((1, 1)), np.asarray(t, float)[None, :])
+    return loss, grads.bias_grads[0]
+
+
+def softmax_at(z):
+    """The softmax inside ce_value_and_grads: its logit gradient at a zero
+    target."""
+    return ce_at_logits(z, np.zeros(len(z)))[1]
+
+
+def row_grads(net, x, target):
+    """ce_value_and_grads on the one-row batch x, the path the server runs."""
+    return nets.ce_value_and_grads(net, x[None, :], np.asarray(target, float)[None, :])[1]
 
 
 def test_one_hot_basic():
@@ -63,12 +83,12 @@ def test_glorot_init_bounds_and_zero_bias():
 
 
 def test_softmax_uniform_on_equal_logits():
-    p = nets.softmax(np.zeros(5))
+    p = softmax_at(np.zeros(5))
     np.testing.assert_allclose(p, np.full(5, 0.2), atol=1e-15)
 
 
 def test_softmax_handles_large_logits():
-    p = nets.softmax(np.array([1000.0, 0.0]))
+    p = softmax_at(np.array([1000.0, 0.0]))
     assert np.isfinite(p).all()
     np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
     assert p[0] > 0.999
@@ -76,15 +96,15 @@ def test_softmax_handles_large_logits():
 
 def test_cross_entropy_two_way_tie_is_ln2():
     # equal logits with a hard label: -log(1/2)
-    loss = nets.soft_cross_entropy(np.zeros(2), np.array([1.0, 0.0]))
+    loss, _ = ce_at_logits(np.zeros(2), np.array([1.0, 0.0]))
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_cross_entropy_extreme_logits_stay_finite():
-    loss = nets.soft_cross_entropy(np.array([1000.0, 0.0]), np.array([1.0, 0.0]))
+    loss, _ = ce_at_logits(np.array([1000.0, 0.0]), np.array([1.0, 0.0]))
     assert np.isfinite(loss)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    wrong = nets.soft_cross_entropy(np.array([1000.0, 0.0]), np.array([0.0, 1.0]))
+    wrong, _ = ce_at_logits(np.array([1000.0, 0.0]), np.array([0.0, 1.0]))
     assert wrong == pytest.approx(1000.0, rel=1e-9)
 
 
@@ -94,14 +114,14 @@ def test_cross_entropy_never_negative():
         z = rng.normal(size=4) * 10
         t = rng.random(4)
         t /= t.sum()
-        assert nets.soft_cross_entropy(z, t) >= 0.0
+        assert ce_at_logits(z, t)[0] >= 0.0
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_softmax_is_simplex_point(dim, seed):
     z = np.random.default_rng(seed).normal(size=dim) * 5
-    p = nets.softmax(z)
+    p = softmax_at(z)
     assert np.all(p >= 0)
     assert abs(p.sum() - 1.0) < 1e-9
 
@@ -111,12 +131,12 @@ def test_backward_output_bias_gradient_is_softmax_minus_target():
     net = random_net(rng, [3, 6, 2])
     x = rng.normal(size=3)
     target = np.array([0.3, 0.7])
-    out = nets.forward(net, x)
-    grads = nets.backward(net, x, target)
+    out, _ = nets.forward_pass(net, x[None, :])
+    grads = row_grads(net, x, target)
     assert grads.matches(net)
     # gradient of CE wrt logits at the output layer is softmax - target
     np.testing.assert_allclose(
-        grads.bias_grads[-1], nets.softmax(out) - target, atol=1e-12
+        grads.bias_grads[-1], softmax(out[0]) - target, atol=1e-12
     )
 
 
@@ -125,10 +145,10 @@ def test_backward_without_forward_equals_forward_then_backward():
     net = random_net(rng, [3, 4, 2])
     x, other = rng.normal(size=3), rng.normal(size=3)
     target = np.array([1.0, 0.0])
-    alone = nets.backward(net, x, target)
-    nets.forward(net, other)
-    nets.forward(net, x)
-    after = nets.backward(net, x, target)
+    alone = row_grads(net, x, target)
+    nets.forward_pass(net, other[None, :])
+    nets.forward_pass(net, x[None, :])
+    after = row_grads(net, x, target)
     for a, b in zip(alone.weight_grads + alone.bias_grads, after.weight_grads + after.bias_grads):
         np.testing.assert_array_equal(a, b)
 
@@ -142,8 +162,7 @@ def test_gradients_match_finite_differences():
         x = rng.normal(size=2)
         t = rng.random(3)
         t /= t.sum()
-        nets.forward(net, x)
-        analytic = nets.backward(net, x, t)
+        analytic = row_grads(net, x, t)
         numeric = numeric_gradients(net, x, t)
         worst = max(worst, max_rel_error(analytic, numeric))
     assert worst < 1e-4
@@ -177,7 +196,7 @@ def test_batch_gradients_equal_mean_of_per_sample():
     acc = None
     for i in range(X.shape[0]):
         out, cache = nets.forward_pass(net, X[i : i + 1])
-        g = nets.softmax(out) - T[i : i + 1]
+        g = softmax(out) - T[i : i + 1]
         gi, _ = nets.backprop(net, cache, g)
         if acc is None:
             acc = gi
@@ -197,8 +216,7 @@ def test_sgd_step_zero_lr_is_identity():
     rng = np.random.default_rng(8)
     net = random_net(rng, [3, 5, 2])
     x = rng.normal(size=3)
-    nets.forward(net, x)
-    grads = nets.backward(net, x, np.array([1.0, 0.0]))
+    grads = row_grads(net, x, np.array([1.0, 0.0]))
     stepped = nets.sgd_step(net, grads, 0.0)
     for la, lb in zip(net.layers, stepped.layers):
         np.testing.assert_array_equal(la.weight, lb.weight)

@@ -7,7 +7,7 @@ import pytest
 from fedre import baselines, nets, protocol
 from fedre.entangle import AP, FC, EntangledPacket, ReMechanism, RMSpec, rm_apply
 
-from helpers import make_client, make_server, local_ce_loss, net_params_equal
+from helpers import batch_mean_ce, make_client, make_server, local_ce_loss, net_params_equal
 
 
 # ---------------------------------------------------------------- accounting
@@ -88,7 +88,7 @@ def composed_loss(extractor, rm, classifier, Xb, targets, reg=None):
     reps, _ = nets.forward_pass(extractor, Xb)
     mapped, _ = rm_apply(reps, rm, classifier.input_dim)
     logits, _ = nets.forward_pass(classifier, mapped)
-    loss = nets.batch_mean_ce(logits, targets)
+    loss = batch_mean_ce(logits, targets)
     if reg is not None:
         lam, rows, mask = reg
         diffs = (mapped - rows) * mask[:, None]
@@ -279,7 +279,7 @@ def server_packet_loss(server, packets):
     R = np.stack([p.r_tilde for p in packets])
     Y = np.stack([p.y_tilde for p in packets])
     logits, _ = nets.forward_pass(server.classifier, R)
-    return nets.batch_mean_ce(logits, Y)
+    return batch_mean_ce(logits, Y)
 
 
 def test_server_update_reduces_packet_loss():

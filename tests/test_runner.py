@@ -7,7 +7,7 @@ import pytest
 
 from fedre import config, runner
 
-from helpers import net_params_equal
+from helpers import net_params_equal, save_csv
 
 
 def tiny_mapping(**overrides):
@@ -78,11 +78,17 @@ def test_build_world_csv_dataset(tmp_path):
 
     ds = data.make_blobs(3, 10, 2, 1.0, 0)
     path = tmp_path / "ds.csv"
-    data.save_csv(ds, path)
+    save_csv(ds, path)
     cfg = tiny_config(dataset={"kind": "csv", "path": str(path)})
     world = runner.build_world(cfg, seed=0)
     assert len(world.dataset) == 30
     assert world.num_classes == 3
+
+
+def test_build_world_rejects_an_unreadable_csv_path(tmp_path):
+    cfg = tiny_config(dataset={"kind": "csv", "path": str(tmp_path)})
+    with pytest.raises(config.ConfigError, match="cannot read dataset.path"):
+        runner.build_world(cfg, seed=0)
 
 
 # ---------------------------------------------------------------- runs

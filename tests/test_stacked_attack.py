@@ -1,10 +1,12 @@
 """Stacks of one-row batches: bitwise equal to one-row calls, row by row.
 
-The attack descends all starts of a target as one (R, 1, d) stack. These
-tests hold it to the one-start path it replaced: every layer, the attack
-objective and its gradient match the 2-d one-row calls bit for bit, and a
-multi-start attack returns the same reconstruction and leaves the rng in the
-same state as the starts run one after another, divergence restarts included.
+The seed attack descends the starts of all its targets as one stack of
+one-row batches (see test_seed_attack.py). These tests hold the stack to
+the one-start path: every layer, the attack objective and its gradient
+match the 2-d one-row calls bit for bit. A multi-start attack without
+`inits`, whose starts run one at a time, returns the same reconstruction
+and leaves the rng in the same state as the unstacked reference,
+divergence restarts included.
 """
 
 import math
@@ -141,7 +143,6 @@ def test_stacked_objective_and_gradient_equal_one_row_calls(world):
         obj_r, grad_r = one_row_objective_and_grad(extractor, rm, X[r, 0], target)
         assert obj[r] == obj_r
         np.testing.assert_array_equal(grad[r, 0], grad_r)
-    assert inversion.attack_objective(extractor, rm, X[0, 0], target) == obj[0]
 
 
 @pytest.mark.parametrize("kind", RM_KINDS)
@@ -235,8 +236,8 @@ def test_one_diverging_start_replays_like_starts_run_one_by_one(monkeypatch, fau
     monkeypatch.setattr(inversion, "forward_pass", faulty_forward(bad_row, fault, hits))
     args = (extractor, rm, target, 30, 0.05)
     got = outcome(inversion.invert_multi, *args, rng=np.random.default_rng(8), restarts=restarts)
-    # the stacked descent hit the fault, then the one-start replay did
-    assert hits[:2] == [(restarts, 1, 3), (1, 1, 3)]
+    # the starts run one at a time
+    assert hits and all(shape == (1, 1, 3) for shape in hits)
     want = outcome(sequential_invert_multi, *args, rng=np.random.default_rng(8), restarts=restarts)
     assert_same_outcome(got, want)
     if fault == "nan":

@@ -3,7 +3,8 @@
 client_local_update and server_update step private copies of the parameters
 in place through the nets kernels and check the parameters once, at the end.
 The reference loops below are the per-step form they replaced, built only
-from the public forward_pass, backprop, softmax and sgd_step: every step
+from the public forward_pass, backprop and sgd_step and the reference
+cross-entropy and softmax in helpers: every step
 builds a new net and checks it. Over small random worlds both must end with
 bitwise equal parameters and the same RNG state, or both must fail with
 DivergedError.
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from fedre import data, nets, protocol
 from fedre.entangle import FC, RM_KINDS, EntangledPacket, RMSpec, rm_apply, rm_backward
 
-from helpers import net_params_equal
+from helpers import batch_mean_ce, net_params_equal, softmax
 
 # ------------------------------------------------------------ the reference
 
@@ -31,8 +32,8 @@ def reference_local_gradients(extractor, rm, classifier, Xb, targets, proto_reg)
     mapped, rm_cache = rm_apply(reps, rm, classifier.input_dim)
     protocol._require_finite(mapped, "mapped representations")
     logits, cls_cache = nets.forward_pass(classifier, mapped)
-    loss = nets.batch_mean_ce(logits, targets)
-    grad_logits = (nets.softmax(logits) - targets) / n
+    loss = batch_mean_ce(logits, targets)
+    grad_logits = (softmax(logits) - targets) / n
     cls_grads, grad_mapped = nets.backprop(classifier, cls_cache, grad_logits)
     if proto_reg is not None:
         lam, proto_rows, mask = proto_reg
@@ -88,10 +89,10 @@ def reference_server_update(server, packets):
         for start in range(0, n, server.batch_size):
             idx = order[start : start + server.batch_size]
             out, cache = nets.forward_pass(classifier, R[idx])
-            loss = nets.batch_mean_ce(out, Y[idx])
+            loss = batch_mean_ce(out, Y[idx])
             if not math.isfinite(loss):
                 raise nets.DivergedError("server loss is non-finite")
-            grad_out = (nets.softmax(out) - Y[idx]) / idx.size
+            grad_out = (softmax(out) - Y[idx]) / idx.size
             grads, _ = nets.backprop(classifier, cache, grad_out)
             classifier = nets.sgd_step(classifier, grads, server.lr)
     return classifier
