@@ -60,7 +60,10 @@ def cmd_sweep(args):
     cfg = load_config(args.config)  # validate before sweeping
     with open(args.config, encoding="utf-8") as fh:
         base = json.load(fh)
-    values = [json.loads(v) for v in args.values]
+    try:
+        values = [json.loads(v) for v in args.values]
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"--values must be JSON literals: {e}") from e
     out_base = resolve_output_path(args.output or cfg.output_path)
     for value, sweep_cfg, summary in run_sweep(base, args.key, values):
         tag = str(value).replace("/", "_").replace(" ", "")

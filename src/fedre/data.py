@@ -242,7 +242,11 @@ def train_test_split(ds, train_fraction, seed):
 
 
 def load_csv(path, num_classes=None):
-    """Read x0,...,x{dim-1},label rows; num_classes defaults to max+1."""
+    """Read x0,...,x{dim-1},label rows; num_classes defaults to max+1.
+
+    A malformed header or row, a non-numeric or non-finite value and a
+    negative label raise ValueError naming the file and the line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -252,14 +256,21 @@ def load_csv(path, num_classes=None):
         expected = [f"x{j}" for j in range(dim)] + ["label"]
         if header != expected:
             raise ValueError(
-                f"{path} header {header!r} does not match x0..x{dim - 1},label"
+                f"{path}:1 header {header!r} does not match x0..x{dim - 1},label"
             )
         feats, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != dim + 1:
-                raise ValueError(f"{path}:{line_no} has {len(row)} fields")
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
+                raise ValueError(f"{path}:{line_no} has {len(row)} fields, not {dim + 1}")
+            try:
+                feats.append([float(v) for v in row[:dim]])
+                labels.append(int(row[dim]))
+            except ValueError as e:
+                raise ValueError(f"{path}:{line_no}: {e}") from None
+            if not np.isfinite(feats[-1]).all():
+                raise ValueError(f"{path}:{line_no}: features must be finite")
+            if labels[-1] < 0:
+                raise ValueError(f"{path}:{line_no}: label {labels[-1]} is negative")
     X = np.asarray(feats, dtype=float).reshape(len(labels), dim)
     y = np.asarray(labels, dtype=int)
     if num_classes is None:

@@ -7,14 +7,12 @@ an entangled packet), and gradient-descends a random input to minimize
 error is the minimum MSE against every original sample that contributed to
 the target.
 
-Starts descend as a stack of one-row batches, shape (rows, 1, d), each row
-against its own target. By the stack convention of nets.forward_pass, row r
-of every stacked objective and gradient is bitwise equal to the one-start
-call on that row, so a stacked attack returns exactly what the same starts
-run one after another return. Given `inits`, `invert` stacks the starts of
-several targets, drawn beforehand with draw_starts (the runner descends
-every target of a seed this way); without them it runs the starts of one
-target one at a time, drawing each from its rng.
+Every start of every target descends as one stack of one-row batches, shape
+(rows, 1, d), each row against its own target. By the stack convention of
+nets.forward_pass, row r of every stacked objective and gradient is bitwise
+equal to the one-start call on that row, so the stack returns exactly what
+the same starts run one after another return. A start that turns
+non-finite is dropped in place and leaves the other rows untouched.
 """
 
 import math
@@ -22,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangle import rm_apply, rm_backward
+from .entangle import FC, rm_apply, rm_backward
 from .nets import ShapeError, _backward, forward_pass
 
 PSNR_CAP = 99.0
 
 
 class InversionFailure(RuntimeError):
-    """The attack objective stayed non-finite across all restarts."""
+    """Every start of some attack target diverged."""
 
 
 @dataclass(eq=False)
@@ -43,11 +41,18 @@ class InversionResult:
 
 def _objective_and_grad(extractor, rm, X, target):
     """Objectives (R,) and input gradients (R, 1, d) at starts X, (R, 1, d),
-    against one target (u,) or per-row targets (R, 1, u)."""
+    against one target (u,) or per-row targets (R, 1, u). A row whose
+    representation overflowed gets objective nan: an fc mapping's
+    forward_pass rejects non-finite input, so the row is zeroed first."""
     out, ext_cache = forward_pass(extractor, X)
+    overflowed = ~np.isfinite(out).all(axis=(1, 2)) if rm.kind == FC else None
+    if overflowed is not None:
+        out[overflowed] = 0.0
     mapped, rm_cache = rm_apply(out, rm, target.shape[-1])
     resid = mapped - target
     obj = (resid @ resid.swapaxes(-1, -2))[:, 0, 0]
+    if overflowed is not None:
+        obj[overflowed] = np.nan
     grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache, param_grads=False)
     _, grad_x = _backward(extractor, ext_cache, grad_reps, param_grads=False)
     return obj, grad_x
@@ -55,26 +60,34 @@ def _objective_and_grad(extractor, rm, X, target):
 
 def _descend(extractor, rm, X, target, steps, lr):
     """Gradient descent from every start of the stack X, shape (R, 1, d),
-    against one target (u,) or per-row targets (R, 1, u).
+    against per-row targets (R, 1, u).
 
-    Returns (best iterate per start (R, 1, d), its objective (R,)), or None
-    as soon as any start's objective or gradient turns non-finite. A start's
+    Returns (best iterate per start (R, 1, d), its objective (R,)). A start's
     best iterate is its first visited point of lowest objective; the final
-    iterate counts too.
+    iterate counts too. A start whose objective or next iterate turns
+    non-finite is dropped: it stops moving, so forward_pass never sees a
+    non-finite input, and its objective reads inf.
     """
     best_x, best_obj = X.copy(), np.full(X.shape[0], math.inf)
+    live = np.ones(X.shape[0], dtype=bool)
     for _ in range(steps):
         obj, grad = _objective_and_grad(extractor, rm, X, target)
-        if not (np.isfinite(obj).all() and np.isfinite(grad).all()):
-            return None
         better = obj < best_obj
         np.copyto(best_obj, obj, where=better)
         np.copyto(best_x, X, where=better[:, None, None])
-        X = X - lr * grad
+        X_next = X - lr * grad
+        # the per-row masks cost about 5% of a toy attack step: skip them
+        # until some start is dropped
+        if not (live.all() and np.isfinite(obj).all() and np.isfinite(X_next).all()):
+            live &= np.isfinite(obj) & np.isfinite(X_next).all(axis=(1, 2))
+            X_next = np.where(live[:, None, None], X_next, X)
+        X = X_next
     final_obj, _ = _objective_and_grad(extractor, rm, X, target)
+    live &= np.isfinite(final_obj)
     better = final_obj < best_obj
     np.copyto(best_obj, final_obj, where=better)
     np.copyto(best_x, X, where=better[:, None, None])
+    best_obj[~live] = math.inf
     return best_x, best_obj
 
 
@@ -83,103 +96,50 @@ def draw_starts(extractor, rng, starts, init_scale=1.0):
     return init_scale * rng.standard_normal((starts, 1, extractor.input_dim))
 
 
-def _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts):
-    """One start, restarted from a fresh init each time it diverges."""
-    for _ in range(max_restarts + 1):
-        X = draw_starts(extractor, rng, 1, init_scale)
-        found = _descend(extractor, rm, X, target, steps, lr)
-        if found is not None:
-            return found
-    raise InversionFailure(
-        f"objective stayed non-finite after {max_restarts} restarts"
-    )
+def invert(extractor, rm, targets, steps, lr, inits):
+    """Reconstruct, per target, an input whose mapped representation
+    matches it.
 
-
-def invert(
-    extractor,
-    rm,
-    target,
-    steps,
-    lr,
-    rng,
-    init_scale=1.0,
-    max_restarts=3,
-    starts=1,
-    inits=None,
-):
-    """Reconstruct an input whose mapped representation matches the target.
-
-    Plain gradient descent from `starts` Gaussian-random inputs. Each start
-    keeps its best iterate by objective value and the lowest-objective start
-    wins, the earliest on a tie.
-
-    Without `inits`, the starts run one at a time, each from an init drawn
-    from rng right before it descends. A start that turns non-finite
-    restarts from a fresh init, at most max_restarts times.
-
-    With `inits`, target is a stack (T, u) of T targets and inits holds
-    their starts, drawn beforehand with draw_starts and concatenated in
-    target order, shape (T * starts, 1, d); rng is not used. All rows
-    descend as one stack, each against its own target, and the result is
-    the (T, d) reconstructions, each bitwise what the one-target call on
-    the same starts returns. If any row turns non-finite or an iterate
-    overflows, the result is None: the starts cannot be redrawn here, so
-    the caller replays the targets one at a time from its own rng.
+    targets is a (T, u) stack and inits holds R starts per target, drawn
+    beforehand with draw_starts and concatenated in target order, shape
+    (T * R, 1, d). All rows descend as one stack, each against its own
+    target, by plain gradient descent. Each start keeps its best iterate by
+    objective value, a start that diverges is dropped, and the
+    lowest-objective start of a target wins, the earliest on a tie. Returns
+    the (T, d) reconstructions; raises InversionFailure when every start of
+    some target diverged.
     """
-    target = np.asarray(target, dtype=float)
-    stacked = inits is not None
-    if target.ndim != 1 + stacked:
-        raise ShapeError(f"target must be {'a (T, u) stack' if stacked else 'a 1-d vector'}")
-    if not np.isfinite(target).all():
-        raise ValueError("target must be finite")
+    targets = np.asarray(targets, dtype=float)
+    X = np.asarray(inits, dtype=float)
+    if targets.ndim != 2 or len(targets) == 0:
+        raise ShapeError("targets must be a nonempty (T, u) stack")
+    if not np.isfinite(targets).all():
+        raise ValueError("targets must be finite")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if starts < 1:
-        raise ValueError("starts must be positive")
-    if stacked:
-        X = np.asarray(inits, dtype=float)
-        if X.shape != (len(target) * starts, 1, extractor.input_dim):
-            raise ShapeError(
-                f"inits have shape {X.shape}, expected "
-                f"({len(target) * starts}, 1, {extractor.input_dim})"
-            )
-        rows = np.repeat(target, starts, axis=0)[:, None, :]
-        try:
-            found = _descend(extractor, rm, X, rows, steps, lr)
-        except ValueError:
-            # an iterate overflowed; the caller's one-target replay raises it
-            # at the same start and rng position
-            found = None
-        if found is None:
-            return None
-    else:
-        runs = [
-            _single_start(extractor, rm, target, steps, lr, rng, init_scale, max_restarts)
-            for _ in range(starts)
-        ]
-        found = [np.concatenate(parts) for parts in zip(*runs)]
-    best_x, best_obj = found
-    winners = best_obj.reshape(-1, starts).argmin(axis=1)
-    recs = best_x.reshape(-1, starts, extractor.input_dim)[np.arange(len(winners)), winners]
-    return recs if stacked else recs[0]
+    starts = len(X) // len(targets)
+    if starts < 1 or X.shape != (len(targets) * starts, 1, extractor.input_dim):
+        raise ShapeError(f"inits have shape {X.shape}, need (T * R, 1, d) with R >= 1")
+    rows = np.repeat(targets, starts, axis=0)[:, None, :]
+    best_x, best_obj = _descend(extractor, rm, X, rows, steps, lr)
+    best_obj = best_obj.reshape(-1, starts)
+    if np.isinf(best_obj).all(axis=1).any():
+        raise InversionFailure("every start of an attack target diverged")
+    winners = best_obj.argmin(axis=1)
+    return best_x.reshape(-1, starts, extractor.input_dim)[np.arange(len(winners)), winners]
 
 
-def invert_multi(
-    extractor, rm, target, steps, lr, rng, init_scale=1.0, restarts=1, inits=None
-):
-    """Best reconstruction over independent attack runs.
+def invert_multi(extractor, rm, targets, steps, lr, inits):
+    """Best reconstruction of each target over its independent starts: the
+    attack's entry point, one call per attacked client.
 
     The descent objective is piecewise quadratic, so a single start can stall
     in a poor basin; launching several and keeping the lowest-objective
-    iterate models an attacker who retries. Consumes one init per start from
-    rng, in order, plus one per divergence restart. With `inits`, attacks a
-    (T, u) stack of targets from starts drawn beforehand, as `invert` does.
+    iterate models an attacker who retries.
     """
-    return invert(
-        extractor, rm, target, steps, lr, rng, init_scale, starts=restarts, inits=inits
-    )
+    return invert(extractor, rm, targets, steps, lr, inits)
 
 
 def score(reconstructed, originals, data_range):

@@ -12,7 +12,6 @@ failed_seeds and SeedTrace.error, not through numpy warnings.
 import csv
 import json
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,9 +106,12 @@ def build_world(cfg, seed):
     )
     try:
         ds = build_dataset(cfg, streams["dataset"])
-        parts = data.partition(ds, spec)
     except OSError as e:
         raise ConfigError(f"cannot read dataset.path: {e}") from e
+    except ValueError as e:
+        raise ConfigError(f"bad dataset: {e}") from e
+    try:
+        parts = data.partition(ds, spec)
     except ValueError as e:
         # the config asks for what its data cannot supply, e.g. a pat deal
         raise ConfigError(f"dataset and partition do not fit: {e}") from e
@@ -290,7 +292,7 @@ def apply_override(mapping, dotted_key, value):
     for p in parts[:-1]:
         node = node.setdefault(p, {})
         if not isinstance(node, dict):
-            raise ValueError(f"cannot descend into {p!r} in {dotted_key!r}")
+            raise ConfigError(f"cannot descend into {p!r} in {dotted_key!r}")
     node[parts[-1]] = value
     return mapping
 
@@ -331,63 +333,41 @@ class InversionStudy:
         ]
 
 
-def _attack_targets(inv, world, client, rng):
-    """Yield the client's (kind, target, originals) in attack order.
-
-    Draws from rng as it goes: the raw picks before the first raw target,
-    the category permutation before the first prototype, and each
-    entangled target's re_weights right before that target. The caller
-    makes a target's own draws before it asks for the next one.
-    """
-    rep_set = protocol.client_representation_set(client)
-    mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
-    n = len(client.train)
-    for i in rng.choice(n, size=min(inv.num_targets, n), replace=False):
-        yield "raw", mapped[i], client.train.X[i]
-    protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
-    for ci in rng.permutation(len(protos_list))[: inv.num_targets]:
-        c, proto = protos_list[ci]
-        yield "prototype", proto, client.train.X[client.train.y == c]
-    for _ in range(inv.num_targets):
-        w = re_weights(rep_set, world.strategy.mech, rng)
-        yield "entangled", np.asarray(w @ mapped, dtype=float), client.train.X
-
-
 def _attack_client(inv, world, client):
     """Attack the client's raw, prototype and entangled targets.
 
-    Every draw comes first, in the order of the one-target-at-a-time
-    attack: the raw picks, then each raw target's starts; the permutation,
-    then each prototype's starts; each entangled target's re_weights, then
-    its starts. Descent draws nothing, so the starts are the ones that
-    attack draws, and all targets' starts descend as one stack in one
-    invert_multi call, which returns what the targets attacked one at a
-    time return. If any start diverges, the targets are attacked one at a
-    time from a fresh attack rng, so restarts draw as they always have.
+    Every draw comes first, in a fixed order: the raw picks, then each raw
+    target's starts; the permutation, then each prototype's starts; each
+    entangled target's re_weights, then its starts. All starts then descend
+    as one stack in one invert_multi call, which returns what each start
+    descending alone returns. A diverging start is dropped; a target whose
+    starts all diverge raises InversionFailure.
     """
-    attack = partial(
-        invert_multi, client.extractor, client.rm, steps=inv.steps, lr=inv.lr,
-        restarts=inv.restarts,
-    )
     rng = np.random.default_rng(world.attack_seed)
+    rep_set = protocol.client_representation_set(client)
+    mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
+    X, y = client.train.X, client.train.y
     targets, inits = [], []
-    for kind, target, originals in _attack_targets(inv, world, client, rng):
+
+    def add(kind, target, originals):
         protocol._require_finite(target, f"{kind} target")
         targets.append((kind, target, originals))
         inits.append(draw_starts(client.extractor, rng, inv.restarts, inv.init_scale))
+
+    for i in rng.choice(len(X), size=min(inv.num_targets, len(X)), replace=False):
+        add("raw", mapped[i], X[i])
+    protos = compute_prototypes(rep_set, client.rm, world.unified_dim)
+    for ci in rng.permutation(len(protos))[: inv.num_targets]:
+        c, proto = protos[ci]
+        add("prototype", proto, X[y == c])
+    for _ in range(inv.num_targets):
+        w = re_weights(rep_set, world.strategy.mech, rng)
+        add("entangled", np.asarray(w @ mapped, dtype=float), X)
     stack = np.stack([t for _, t, _ in targets])
-    recs = attack(stack, rng=None, inits=np.concatenate(inits))
-    if recs is None:
-        rng = np.random.default_rng(world.attack_seed)
-        recs = [
-            attack(t, rng=rng, init_scale=inv.init_scale)
-            for _, t, _ in _attack_targets(inv, world, client, rng)
-        ]
-    peak = (
-        inv.data_range
-        if inv.data_range is not None
-        else dataset_range(client.train.X)
+    recs = invert_multi(
+        client.extractor, client.rm, stack, inv.steps, inv.lr, np.concatenate(inits)
     )
+    peak = inv.data_range if inv.data_range is not None else dataset_range(X)
     return [
         InversionResult(rec, kind, *score(rec, originals, peak), inv.steps)
         for rec, (kind, _, originals) in zip(recs, targets)

@@ -1,6 +1,7 @@
 """Shared test utilities: oracles and small world builders."""
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -185,15 +186,72 @@ def net_params_equal(a, b):
     )
 
 
-def per_target_attack(inv, world, client):
-    """The client attack one target at a time: the oracle for the seed stack.
+def one_row_objective_and_grad(extractor, rm, x, target):
+    """Attack objective and input gradient at one start x (d,) against one
+    target (u,), through 2-d one-row calls and the forward_pass binding
+    the attack uses. An overflowed representation gives objective nan."""
+    from fedre import inversion
+    from fedre.entangle import rm_apply, rm_backward
 
-    Each target's invert_multi call draws that target's starts from the
-    attack rng right after the draws that chose the target: the picks, the
-    category permutation, or the target's re_weights.
+    out, ext_cache = inversion.forward_pass(extractor, x[None, :])
+    if not np.isfinite(out).all():
+        return math.nan, None
+    mapped, rm_cache = rm_apply(out, rm, target.shape[0])
+    resid = mapped[0] - target
+    obj = float(resid @ resid)
+    grad_reps, _ = rm_backward((2.0 * resid)[None, :], rm, rm_cache)
+    _, grad_x = nets.backprop(extractor, ext_cache, grad_reps)
+    return obj, grad_x[0]
+
+
+def one_row_descent(extractor, rm, target, steps, lr, x):
+    """One start descending alone: (best iterate, its objective), the first
+    visited point of lowest objective, or (None, inf) once its objective or
+    next iterate turns non-finite."""
+    best_x, best_obj = None, math.inf
+    for step in range(steps + 1):
+        obj, grad = one_row_objective_and_grad(extractor, rm, x, target)
+        if not math.isfinite(obj):
+            return None, math.inf
+        if obj < best_obj:
+            best_x, best_obj = x, obj
+        if step < steps:
+            x = x - lr * grad
+            if not np.isfinite(x).all():
+                return None, math.inf
+    return best_x, best_obj
+
+
+def one_row_attack(extractor, rm, targets, steps, lr, inits):
+    """The attack one target and one start at a time: the oracle for the
+    stacked one. Each target's starts are the next len(inits) // len(targets)
+    rows of inits; the lowest objective wins, the earliest on a tie."""
+    from fedre.inversion import InversionFailure
+
+    starts = len(inits) // len(targets)
+    recs = []
+    for t, target in enumerate(targets):
+        runs = [
+            one_row_descent(extractor, rm, target, steps, lr, x[0])
+            for x in inits[t * starts : (t + 1) * starts]
+        ]
+        best_x, best_obj = min(runs, key=lambda run: run[1])
+        if best_x is None:
+            raise InversionFailure("every start diverged")
+        recs.append(best_x)
+    return np.array(recs)
+
+
+def one_row_client_attack(inv, world, client):
+    """The client attack one target at a time, each start descending alone:
+    the oracle for the seed stack.
+
+    Each target's starts are drawn from the attack rng one by one, right
+    after the draws that chose the target: the picks, the category
+    permutation, or the target's re_weights.
     """
     from fedre.entangle import compute_prototypes, re_weights, rm_apply
-    from fedre.inversion import InversionResult, dataset_range, invert_multi, score
+    from fedre.inversion import InversionResult, dataset_range, score
 
     results = []
     rng = np.random.default_rng(world.attack_seed)
@@ -203,15 +261,11 @@ def per_target_attack(inv, world, client):
 
     def attack(target, kind, originals):
         protocol._require_finite(target, f"{kind} target")
-        rec = invert_multi(
-            client.extractor,
-            client.rm,
-            target,
-            inv.steps,
-            inv.lr,
-            rng,
-            init_scale=inv.init_scale,
-            restarts=inv.restarts,
+        d = client.extractor.input_dim
+        inits = [inv.init_scale * rng.standard_normal(d) for _ in range(inv.restarts)]
+        [rec] = one_row_attack(
+            client.extractor, client.rm, target[None, :], inv.steps, inv.lr,
+            np.array(inits)[:, None, :],
         )
         mse, psnr = score(rec, originals, peak)
         results.append(InversionResult(rec, kind, mse, psnr, inv.steps))

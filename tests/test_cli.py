@@ -85,6 +85,20 @@ def test_sweep_writes_one_file_per_value(cfg_path, tmp_path, capsys):
     assert "mechanism=var" in out and "mechanism=rap" in out
 
 
+@pytest.mark.parametrize(
+    "key, values",
+    [("rounds.x", ["1"]), ("rounds", ["notjson"])],
+    ids=["key descends into a number", "value is not JSON"],
+)
+def test_sweep_with_a_bad_key_or_value_exits_2(cfg_path, tmp_path, capsys, key, values):
+    assert cli.main(["sweep", str(cfg_path), "--key", key, "--values", *values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not list(tmp_path.glob("metrics*"))
+
+
 def test_invert_writes_attack_records(cfg_path, tmp_path, capsys):
     target = tmp_path / "attack.jsonl"
     assert cli.main(["invert", str(cfg_path), "--output", str(target)]) == 0
@@ -292,16 +306,63 @@ def test_a_diverging_seed_fails_without_numpy_warnings(tmp_path, capsys, verb):
     assert "RuntimeWarning" not in captured.err
 
 
+CSV_FAULTS = {
+    "bad header": ("x0,x1,lbl\n0,0,0\n", ":1 header"),
+    "wrong field count": ("x0,x1,label\n0,0,0\n1,2\n", ":3 has 2 fields"),
+    "non-numeric value": ("x0,x1,label\n0,0,0\n0,abc,1\n", ":3: could not convert"),
+    "non-finite value": ("x0,x1,label\n0,nan,0\n", ":2: features must be finite"),
+    "fractional label": ("x0,x1,label\n0,0,1.5\n", ":2: invalid literal"),
+    "negative label": ("x0,x1,label\n0,0,0\n0,1,-1\n", ":3: label -1 is negative"),
+}
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert"])
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_malformed_csv_dataset_exits_2_naming_the_file(tmp_path, capsys, verb, fault):
+    text, where = CSV_FAULTS[fault]
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(text)
+    p = write_config(tmp_path, {
+        "dataset": {"kind": "csv", "path": str(csv_path)},
+        "num_clients": 1,
+        "rounds": 1,
+        "seeds": [0],
+    })
+    line = assert_config_error(capsys, verb, p)
+    assert f"{csv_path}{where}" in line
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_invert_fails_the_seeds_whose_attack_diverges(tmp_path, capsys):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 2,
+        "seeds": [0, 1],
+        "inversion": {"restarts": 2, "steps": 20, "lr": 1e30},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["invert", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert "failed seeds: [0, 1]" in captured.out
+    assert "wrote 0 attack records" in captured.out
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert captured.err == ""
+
+
 # JSON values of the wrong type for most fields (and of the right type for some)
 ODD_VALUES = [None, True, "x", "8", 1.5, 2.0, -1, [], [True], ["a"], [[1.5]], {}, {"a": 1}]
 
 
 @st.composite
 def tiny_configs(draw):
-    """One- or two-seed configs over every strategy, mapping, partition mode,
-    batch sizes and epoch counts (out-of-range ones included) and a sane or
-    diverging learning rate; some have one field, top-level or nested,
-    swapped for a value from ODD_VALUES."""
+    """One- or two-seed configs over blob or csv data, every strategy,
+    mapping, partition mode, batch sizes and epoch counts (out-of-range ones
+    included) and sane or diverging learning rates, the attack's included;
+    some have one field, top-level or nested, swapped for a value from
+    ODD_VALUES. Returns (mapping, csv text or None, whether the csv has a
+    malformed row)."""
 
     def pick(options):
         return draw(st.sampled_from(options))
@@ -343,27 +404,71 @@ def tiny_configs(draw):
         "seeds": draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2)),
         "inversion": {
             "steps": draw(st.integers(0, 2)),
+            "lr": pick([0.05, 1e8, 1e30]),
             "num_targets": draw(st.integers(1, 2)),
             "restarts": draw(st.integers(1, 2)),
         },
     }
+    text, malformed = None, False
+    if draw(st.booleans()):
+        text, malformed = draw(csv_texts())
+        mapping["dataset"] = {"kind": "csv", "path": CSV_PLACEHOLDER}
     if draw(st.booleans()):
         key = pick(sorted(mapping))
         node = mapping
         if isinstance(mapping[key], dict) and draw(st.booleans()):
             node, key = mapping[key], pick(sorted(mapping[key]))
         node[key] = pick(ODD_VALUES)
-    return mapping
+    return mapping, text, malformed
+
+
+CSV_PLACEHOLDER = "data.csv"
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, malformed): a well-formed dataset csv, or one with a bad
+    header, a row of the wrong length, a non-numeric value or a negative
+    label."""
+    dim = draw(st.integers(1, 3))
+    classes = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=20))
+    values = st.integers(-300, 300).map(lambda v: f"{v / 100}")
+    rows = [[draw(values) for _ in range(dim)] + [str(y)] for y in labels]
+    header = [f"x{j}" for j in range(dim)] + ["label"]
+    fault = draw(st.sampled_from([None, "header", "fields", "value", "label"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if fault == "header":
+        header[-1] = "y"
+    elif fault == "fields" and draw(st.booleans()):
+        row.append("0")
+    elif fault == "fields":
+        row.pop(0)
+    elif fault == "value":
+        row[draw(st.integers(0, dim - 1))] = "abc"
+    elif fault == "label":
+        row[-1] = "-1"
+    text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    return text, fault is not None
 
 
 @settings(max_examples=150, deadline=None)
 @given(tiny_configs())
-def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(mapping):
+def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(drawn):
+    mapping, text, malformed = drawn
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
+        dataset = mapping["dataset"]
+        csv_intact = isinstance(dataset, dict) and dataset.get("path") == CSV_PLACEHOLDER
+        if csv_intact:
+            (Path(tmp) / CSV_PLACEHOLDER).write_text(text)
+            dataset["path"] = str(Path(tmp) / CSV_PLACEHOLDER)
+            csv_intact = dataset.get("kind") == "csv"
         path = write_config(Path(tmp), mapping)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for verb in ("validate", "run", "invert"):
                 codes[verb] = cli.main([verb, str(path)])
     assert set(codes.values()) <= {0, 2}, codes
     assert (codes["validate"] == 2) == (codes["run"] == 2), codes
+    if csv_intact and malformed:
+        assert set(codes.values()) == {2}, codes

@@ -22,14 +22,19 @@ def objective(extractor, rm, x, target):
     return float(((mapped[0] - target) ** 2).sum())
 
 
+def starts(extractor, seed, count=1, scale=1.0):
+    """`count` attack starts drawn from a fresh rng, shape (count, 1, d)."""
+    return inversion.draw_starts(extractor, np.random.default_rng(seed), count, scale)
+
+
 def test_invert_recovers_input_of_invertible_linear_map():
     W = np.array([[2.0, 0.5], [-0.3, 1.5]])
     extractor = linear_extractor(W, [0.1, -0.2])
     rm = RMSpec(AP)
     x0 = np.array([0.8, -1.1])
     target = W @ x0 + np.array([0.1, -0.2])
-    rec = inversion.invert(
-        extractor, rm, target, steps=500, lr=0.05, rng=np.random.default_rng(0)
+    [rec] = inversion.invert(
+        extractor, rm, target[None, :], steps=500, lr=0.05, inits=starts(extractor, 0)
     )
     np.testing.assert_allclose(rec, x0, atol=1e-4)
     mse, psnr = inversion.score(rec, x0, data_range=2.0)
@@ -39,12 +44,9 @@ def test_invert_recovers_input_of_invertible_linear_map():
 
 def test_invert_zero_steps_returns_the_random_init():
     extractor = linear_extractor(np.eye(2))
-    rng = np.random.default_rng(5)
-    twin = np.random.default_rng(5)
-    rec = inversion.invert(
-        extractor, RMSpec(AP), np.zeros(2), steps=0, lr=0.1, rng=rng, init_scale=0.7
-    )
-    np.testing.assert_array_equal(rec, 0.7 * twin.standard_normal(2))
+    inits = starts(extractor, 5, scale=0.7)
+    rec = inversion.invert(extractor, RMSpec(AP), np.zeros((1, 2)), steps=0, lr=0.1, inits=inits)
+    np.testing.assert_array_equal(rec, 0.7 * np.random.default_rng(5).standard_normal((1, 2)))
 
 
 def test_invert_returns_best_iterate_not_last():
@@ -54,12 +56,11 @@ def test_invert_returns_best_iterate_not_last():
     extractor = linear_extractor(W)
     rm = RMSpec(AP)
     target = np.array([1.0, 1.0])
-    rng = np.random.default_rng(1)
-    start_twin = np.random.default_rng(1).standard_normal(2)
+    inits = starts(extractor, 1)
     with np.errstate(all="ignore"):
-        rec = inversion.invert(extractor, rm, target, steps=40, lr=0.109, rng=rng)
+        [rec] = inversion.invert(extractor, rm, target[None, :], steps=40, lr=0.109, inits=inits)
     assert objective(extractor, rm, rec, target) <= objective(
-        extractor, rm, start_twin, target
+        extractor, rm, inits[0, 0], target
     )
 
 
@@ -70,46 +71,24 @@ def test_invert_reduces_objective_through_relu_extractor():
     x0 = rng.standard_normal(2)
     out, _ = nets.forward_pass(extractor, x0[None, :])
     target, _ = rm_apply(out, rm, 4)
-    target = target[0]
-    attack_rng = np.random.default_rng(8)
-    init_twin = np.random.default_rng(8).standard_normal(2)
-    rec = inversion.invert(extractor, rm, target, steps=300, lr=0.05, rng=attack_rng)
-    assert objective(extractor, rm, rec, target) < objective(
-        extractor, rm, init_twin, target
+    inits = starts(extractor, 8)
+    [rec] = inversion.invert(extractor, rm, target, steps=300, lr=0.05, inits=inits)
+    assert objective(extractor, rm, rec, target[0]) < objective(
+        extractor, rm, inits[0, 0], target[0]
     )
-
-
-def test_invert_restarts_then_fails_when_every_run_diverges():
-    extractor = linear_extractor(np.eye(2) * 10.0)
-    rng = np.random.default_rng(2)
-    with np.errstate(all="ignore"), pytest.raises(inversion.InversionFailure):
-        inversion.invert(
-            extractor,
-            RMSpec(AP),
-            np.zeros(2),
-            steps=200,
-            lr=1e12,
-            rng=rng,
-            max_restarts=2,
-        )
-    # three fresh inits were consumed (initial try plus two restarts)
-    twin = np.random.default_rng(2)
-    for _ in range(3):
-        twin.standard_normal(2)
-    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_invert_validates_arguments():
     extractor = linear_extractor(np.eye(2))
-    rng = np.random.default_rng(0)
+    inits = np.zeros((1, 1, 2))
     with pytest.raises(nets.ShapeError):
-        inversion.invert(extractor, RMSpec(AP), np.zeros((2, 2)), 10, 0.1, rng)
+        inversion.invert(extractor, RMSpec(AP), np.zeros(2), 10, 0.1, inits)
     with pytest.raises(ValueError):
-        inversion.invert(extractor, RMSpec(AP), np.array([np.inf, 0.0]), 10, 0.1, rng)
+        inversion.invert(extractor, RMSpec(AP), np.array([[np.inf, 0.0]]), 10, 0.1, inits)
     with pytest.raises(ValueError):
-        inversion.invert(extractor, RMSpec(AP), np.zeros(2), -1, 0.1, rng)
+        inversion.invert(extractor, RMSpec(AP), np.zeros((1, 2)), -1, 0.1, inits)
     with pytest.raises(ValueError):
-        inversion.invert(extractor, RMSpec(AP), np.zeros(2), 10, 0.0, rng)
+        inversion.invert(extractor, RMSpec(AP), np.zeros((1, 2)), 10, 0.0, inits)
 
 
 def test_attack_objective_matches_manual_computation():
@@ -123,43 +102,37 @@ def test_attack_objective_matches_manual_computation():
 
 
 def test_invert_multi_single_restart_equals_invert():
+    # one start per target: the stacked targets equal each target attacked alone
     extractor = linear_extractor(np.array([[2.0, 0.5], [-0.3, 1.5]]))
     rm = RMSpec(AP)
-    target = np.array([0.7, 0.2])
-    rec = inversion.invert_multi(
-        extractor, rm, target, steps=50, lr=0.05, rng=np.random.default_rng(3)
-    )
-    twin = inversion.invert(
-        extractor, rm, target, steps=50, lr=0.05, rng=np.random.default_rng(3)
-    )
-    np.testing.assert_array_equal(rec, twin)
+    targets = np.array([[0.7, 0.2], [-1.0, 0.4], [0.0, 3.0]])
+    inits = starts(extractor, 3, count=3)
+    rec = inversion.invert_multi(extractor, rm, targets, steps=50, lr=0.05, inits=inits)
+    for t in range(3):
+        twin = inversion.invert(extractor, rm, targets[t : t + 1], 50, 0.05, inits[t : t + 1])
+        np.testing.assert_array_equal(rec[t], twin[0])
 
 
 def test_invert_multi_keeps_the_lowest_objective_start():
     extractor = linear_extractor(np.array([[2.0, 0.5], [-0.3, 1.5]]))
     rm = RMSpec(AP)
-    target = np.array([0.7, 0.2])
-    rng = np.random.default_rng(11)
-    twin = np.random.default_rng(11)
+    target = np.array([[0.7, 0.2]])
+    inits = starts(extractor, 11, count=4)
     # steps=1 leaves each run near its own init, so the starts stay distinct
-    rec = inversion.invert_multi(
-        extractor, rm, target, steps=1, lr=0.01, rng=rng, restarts=4
-    )
+    [rec] = inversion.invert_multi(extractor, rm, target, steps=1, lr=0.01, inits=inits)
     candidates = [
-        inversion.invert(extractor, rm, target, steps=1, lr=0.01, rng=twin)
-        for _ in range(4)
+        inversion.invert(extractor, rm, target, steps=1, lr=0.01, inits=inits[r : r + 1])[0]
+        for r in range(4)
     ]
-    objs = [objective(extractor, rm, c, target) for c in candidates]
+    objs = [objective(extractor, rm, c, target[0]) for c in candidates]
     np.testing.assert_array_equal(rec, candidates[int(np.argmin(objs))])
-    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_invert_multi_rejects_zero_restarts():
     extractor = linear_extractor(np.eye(2))
     with pytest.raises(ValueError):
         inversion.invert_multi(
-            extractor, RMSpec(AP), np.zeros(2), 5, 0.1,
-            np.random.default_rng(0), restarts=0,
+            extractor, RMSpec(AP), np.zeros((1, 2)), 5, 0.1, np.zeros((0, 1, 2))
         )
 
 

@@ -3,13 +3,10 @@
 The seed attack descends the starts of all its targets as one stack of
 one-row batches (see test_seed_attack.py). These tests hold the stack to
 the one-start path: every layer, the attack objective and its gradient
-match the 2-d one-row calls bit for bit. A multi-start attack without
-`inits`, whose starts run one at a time, returns the same reconstruction
-and leaves the rng in the same state as the unstacked reference,
-divergence restarts included.
+match the 2-d one-row calls bit for bit, and `invert` returns what the
+starts descending alone return (`helpers.one_row_attack`), a diverging
+start dropped in both.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -19,69 +16,23 @@ from hypothesis import strategies as st
 from fedre import inversion, nets
 from fedre.entangle import AP, FC, RM_KINDS, RMSpec, rm_apply, rm_backward
 
-# ------------------------------------------------- the one-start reference
+from helpers import one_row_attack, one_row_objective_and_grad
 
 
-def one_row_objective_and_grad(extractor, rm, x, target):
-    out, ext_cache = inversion.forward_pass(extractor, x[None, :])
-    mapped, rm_cache = rm_apply(out, rm, target.shape[0])
-    resid = mapped[0] - target
-    obj = float(resid @ resid)
-    grad_reps, _ = rm_backward((2.0 * resid)[None, :], rm, rm_cache)
-    _, grad_x = nets.backprop(extractor, ext_cache, grad_reps)
-    return obj, grad_x[0]
-
-
-def one_start_invert(extractor, rm, target, steps, lr, rng, init_scale=1.0, max_restarts=3):
-    """One start at a time, restarting on divergence: the unstacked attack."""
-    for _ in range(max_restarts + 1):
-        x = init_scale * rng.standard_normal(extractor.input_dim)
-        best_x, best_obj = x.copy(), math.inf
-        diverged = False
-        for _ in range(steps):
-            obj, grad = one_row_objective_and_grad(extractor, rm, x, target)
-            if not math.isfinite(obj) or not np.isfinite(grad).all():
-                diverged = True
-                break
-            if obj < best_obj:
-                best_obj, best_x = obj, x.copy()
-            x = x - lr * grad
-        if diverged:
-            continue
-        final_obj, _ = one_row_objective_and_grad(extractor, rm, x, target)
-        if math.isfinite(final_obj) and final_obj < best_obj:
-            best_x = x.copy()
-        return best_x
-    raise inversion.InversionFailure("every restart diverged")
-
-
-def sequential_invert_multi(extractor, rm, target, steps, lr, rng, init_scale=1.0, restarts=1):
-    best, best_obj = None, math.inf
-    for _ in range(restarts):
-        rec = one_start_invert(extractor, rm, target, steps, lr, rng, init_scale)
-        obj, _ = one_row_objective_and_grad(extractor, rm, rec, target)
-        if obj < best_obj:
-            best, best_obj = rec, obj
-    return best
-
-
-def outcome(fn, *args, **kwargs):
-    """(result or exception type, final rng state) of an attack call."""
-    rng = kwargs["rng"]
+def outcome(fn, *args):
+    """The attack's result, or its exception type."""
     try:
-        result = fn(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            return fn(*args)
     except (inversion.InversionFailure, ValueError) as e:
-        result = type(e)
-    return result, rng.bit_generator.state
+        return type(e)
 
 
 def assert_same_outcome(got, want):
-    (result, state), (want_result, want_state) = got, want
-    if isinstance(want_result, type):
-        assert result is want_result
+    if isinstance(want, type):
+        assert got is want
     else:
-        np.testing.assert_array_equal(result, want_result)
-    assert state == want_state
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------- worlds
@@ -165,16 +116,21 @@ def test_one_d_inputs_still_raise_shape_error(kind):
 # ------------------------------------------ the attack against the reference
 
 
-@settings(max_examples=40, deadline=None)
-@given(attack_worlds(), st.integers(0, 12), st.sampled_from([0.01, 0.05, 0.3]), st.integers(0, 2**16))
-def test_stacked_invert_multi_equals_starts_run_one_by_one(world, steps, lr, seed):
+@settings(max_examples=60, deadline=None)
+@given(
+    attack_worlds(),
+    st.integers(1, 3),
+    st.integers(0, 12),
+    st.sampled_from([0.01, 0.05, 0.3, 1e8, 1e200]),
+    st.integers(0, 2**16),
+)
+def test_stacked_invert_multi_equals_starts_run_one_by_one(world, num_targets, steps, lr, seed):
     extractor, rm, target, X = world
-    restarts = X.shape[0]
-    got = outcome(inversion.invert_multi, extractor, rm, target, steps, lr,
-                  rng=np.random.default_rng(seed), restarts=restarts)
-    want = outcome(sequential_invert_multi, extractor, rm, target, steps, lr,
-                   rng=np.random.default_rng(seed), restarts=restarts)
-    assert_same_outcome(got, want)
+    rng = np.random.default_rng(seed)
+    targets = np.vstack([target, rng.standard_normal((num_targets - 1, len(target)))])
+    inits = np.vstack([X, rng.standard_normal(((num_targets - 1) * len(X),) + X.shape[1:])])
+    args = (extractor, rm, targets, steps, lr, inits)
+    assert_same_outcome(outcome(inversion.invert_multi, *args), outcome(one_row_attack, *args))
 
 
 def linear_extractor(weight):
@@ -187,62 +143,48 @@ def test_objective_ties_keep_the_earliest_iterate(steps):
     # x -> x - 1.0 * 2x = -x: every iterate of a start ties with its init;
     # odd steps end on -x (a tie at the final check), even ones inside the loop
     extractor = linear_extractor([[1.0]])
-    args = (extractor, RMSpec(AP), np.zeros(1), steps, 1.0)
-    got = outcome(inversion.invert_multi, *args, rng=np.random.default_rng(6), restarts=3)
-    want = outcome(sequential_invert_multi, *args, rng=np.random.default_rng(6), restarts=3)
-    assert_same_outcome(got, want)
-    inits = np.random.default_rng(6).standard_normal(3)
-    np.testing.assert_array_equal(got[0], [inits[np.argmin(inits**2)]])
+    inits = np.random.default_rng(6).standard_normal((3, 1, 1))
+    args = (extractor, RMSpec(AP), np.zeros((1, 1)), steps, 1.0, inits)
+    got = outcome(inversion.invert_multi, *args)
+    assert_same_outcome(got, outcome(one_row_attack, *args))
+    np.testing.assert_array_equal(got, inits[np.argmin(inits[:, 0, 0] ** 2)])
 
 
 def test_every_start_diverging_fails_like_starts_run_one_by_one():
     extractor = linear_extractor(np.eye(2) * 10.0)
-    args = (extractor, RMSpec(AP), np.zeros(2), 200, 1e12)
-    with np.errstate(all="ignore"):
-        got = outcome(inversion.invert_multi, *args, rng=np.random.default_rng(2), restarts=3)
-        want = outcome(sequential_invert_multi, *args, rng=np.random.default_rng(2), restarts=3)
-    assert got[0] is inversion.InversionFailure
-    assert_same_outcome(got, want)
+    inits = np.random.default_rng(2).standard_normal((3, 1, 2))
+    args = (extractor, RMSpec(AP), np.zeros((1, 2)), 200, 1e12, inits)
+    got = outcome(inversion.invert_multi, *args)
+    assert got is inversion.InversionFailure
+    assert_same_outcome(got, outcome(one_row_attack, *args))
 
 
-def faulty_forward(bad_row, fault, hits):
-    """forward_pass that breaks every row equal to bad_row; counts calls hit."""
+def test_an_overflowing_iterate_is_dropped_before_forward_pass_sees_it(monkeypatch):
+    # lr 1e308 times a gradient of about 2 overflows; the start sitting on
+    # the target has gradient 0 and stays put
+    extractor = linear_extractor(np.eye(2))
+    target = np.array([[1.0, -1.0]])
+    inits = np.array([[[0.0, 0.0]], [[1.0, -1.0]], [[3.0, 2.0]]])
+    seen = []
     real = nets.forward_pass
 
     def forward(net, X):
-        hit = np.all(np.asarray(X) == bad_row, axis=-1)
-        if hit.any():
-            hits.append(X.shape)
-            if fault == "raise":
-                raise ValueError("inputs must be finite")
-        out, cache = real(net, X)
-        out[hit] = np.nan
-        return out, cache
+        seen.append(bool(np.isfinite(X).all()))
+        return real(net, X)
 
-    return forward
+    monkeypatch.setattr(inversion, "forward_pass", forward)
+    best_objs = []
+    descend = inversion._descend
 
+    def recording_descend(*args):
+        best_x, best_obj = descend(*args)
+        best_objs.append(best_obj)
+        return best_x, best_obj
 
-@pytest.mark.parametrize("fault", ["nan", "raise"])
-@pytest.mark.parametrize("bad_start", [0, 2, 4])
-def test_one_diverging_start_replays_like_starts_run_one_by_one(monkeypatch, fault, bad_start):
-    rng = np.random.default_rng(21)
-    extractor = nets.init_dense([3, 6, 4], [nets.RELU, nets.RELU], rng)
-    rm = RMSpec(AP)
-    target = rng.standard_normal(2)
-    restarts = 5
-    # the init of the chosen start, as the attack will draw it
-    bad_row = np.random.default_rng(8).standard_normal((restarts, 3))[bad_start]
-    hits = []
-    monkeypatch.setattr(inversion, "forward_pass", faulty_forward(bad_row, fault, hits))
-    args = (extractor, rm, target, 30, 0.05)
-    got = outcome(inversion.invert_multi, *args, rng=np.random.default_rng(8), restarts=restarts)
-    # the starts run one at a time
-    assert hits and all(shape == (1, 1, 3) for shape in hits)
-    want = outcome(sequential_invert_multi, *args, rng=np.random.default_rng(8), restarts=restarts)
-    assert_same_outcome(got, want)
-    if fault == "nan":
-        # the diverged start restarted from a fresh init and the attack went on
-        assert not isinstance(got[0], type)
-    else:
-        # an overflowing iterate is an error, raised at the same rng position
-        assert got[0] is ValueError
+    monkeypatch.setattr(inversion, "_descend", recording_descend)
+    args = (extractor, RMSpec(AP), target, 3, 1e308, inits)
+    got = outcome(inversion.invert_multi, *args)
+    np.testing.assert_array_equal(got, target)
+    assert all(seen) and len(seen) == 4
+    np.testing.assert_array_equal(best_objs, [[np.inf, 0.0, np.inf]])
+    assert_same_outcome(got, outcome(one_row_attack, *args))
