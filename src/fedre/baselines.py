@@ -1,10 +1,13 @@
 """The round engine and the upload strategies it runs.
 
-One round: clients train, upload packets, the server trains on them (or
-averages them), everyone is scored, and the ledger records the traffic.
-Five upload policies share that round:
+One round: clients train and upload packets, the server trains on them (or
+averages them), the trained clients are scored, and the ledger records the
+traffic. A client uploads one PacketBlock of k packets, one per row, and
+the server gets the participants' blocks concatenated. A client that sat
+the round out is unchanged and keeps its previous score. Five upload
+policies share that round:
 
-  local          no uploads, no broadcast; clients train alone
+  local          no uploads (k = 0), no broadcast; clients train alone
   fed_all_rep    one packet per training sample (upper communication bound)
   fedgh_style    one one-hot prototype packet per present category
   fedproto_style prototypes averaged server-side, no classifier training;
@@ -18,14 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entangle import (
-    EntangledPacket,
     ReMechanism,
     compute_prototypes,
     entangle,
     re_weights,
     rm_apply,
 )
-from .nets import one_hot
+from .nets import one_hot_matrix
 from .protocol import (
     REPRESENTATION_PLUS_LABEL,
     RoundMetrics,
@@ -70,10 +72,22 @@ class Strategy:
             raise ValueError("lambda_proto must be nonnegative")
 
 
+@dataclass(eq=False)
+class PacketBlock:
+    """One client's upload: k packets, one per row."""
+
+    reps: np.ndarray  # (k, unified_dim)
+    labels: np.ndarray  # (k, num_classes)
+
+    def __len__(self):
+        return self.reps.shape[0]
+
+
 def packets_for(strategy, client, round_index, unified_dim):
-    """The packets this client uploads under the given strategy."""
+    """The PacketBlock this client uploads under the given strategy."""
+    num_classes = client.classifier.output_dim
     if strategy.kind == LOCAL:
-        return []
+        return PacketBlock(np.zeros((0, unified_dim)), np.zeros((0, num_classes)))
     if strategy.kind == FEDRE:
         if strategy.resample == FIXED:
             w = strategy.fs_cache.get(client.client_id)
@@ -81,20 +95,22 @@ def packets_for(strategy, client, round_index, unified_dim):
                 rep_set = client_representation_set(client)
                 w = re_weights(rep_set, strategy.mech, client.rng)
                 strategy.fs_cache[client.client_id] = w
-                return [entangle(rep_set, w, client.rm, unified_dim)]
-            return [client_make_packet(client, strategy.mech, unified_dim, weights=w)]
-        return [client_make_packet(client, strategy.mech, unified_dim)]
+                p = entangle(rep_set, w, client.rm, unified_dim)
+            else:
+                p = client_make_packet(client, strategy.mech, unified_dim, weights=w)
+        else:
+            p = client_make_packet(client, strategy.mech, unified_dim)
+        return PacketBlock(p.r_tilde[None, :], p.y_tilde[None, :])
     rep_set = client_representation_set(client)
-    num_classes = rep_set.num_classes
     if strategy.kind == FED_ALL_REP:
         mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
-        return [
-            EntangledPacket(mapped[i].copy(), rep_set.labels_onehot[i].copy())
-            for i in range(len(rep_set))
-        ]
+        return PacketBlock(mapped, rep_set.labels_onehot)
     # fedgh_style / fedproto_style: one prototype per present category
     protos = compute_prototypes(rep_set, client.rm, unified_dim)
-    return [EntangledPacket(p, one_hot(c, num_classes)) for c, p in protos]
+    return PacketBlock(
+        np.stack([p for _, p in protos]),
+        one_hot_matrix([c for c, _ in protos], num_classes),
+    )
 
 
 def ledger_for(
@@ -135,12 +151,10 @@ def ledger_for(
     return upload, num_clients * protos * unified_dim
 
 
-def average_prototypes(packets):
-    """Per-category mean of uploaded prototype packets."""
-    grouped = {}
-    for p in packets:
-        grouped.setdefault(int(p.y_tilde.argmax()), []).append(p.r_tilde)
-    return {c: np.mean(rows, axis=0) for c, rows in sorted(grouped.items())}
+def average_prototypes(reps, labels):
+    """Per-category mean of prototype rows; a row's category is its label's argmax."""
+    cats = labels.argmax(axis=1)
+    return {int(c): reps[cats == c].mean(axis=0) for c in np.unique(cats)}
 
 
 def _rng_states(clients, server, part_rng):
@@ -167,15 +181,21 @@ def strategy_round(
     participation_rate=1.0,
     part_rng=None,
     global_protos=None,
+    previous=None,
 ):
     """One round under any strategy.
 
-    Returns (clients, server, ledger, RoundMetrics, global_protos). Rounds
-    are atomic: input states are never mutated, and on any abort the RNG
-    streams, the fs weight cache and the ledger are left as they were.
+    previous is the RoundMetrics of the round that produced clients: a
+    client this round does not train keeps its score from there. Without
+    it, every client is scored. Returns (clients, server, ledger,
+    RoundMetrics, global_protos). Rounds are atomic: input states are never
+    mutated, and on any abort the RNG streams, the fs weight cache and the
+    ledger are left as they were.
     """
     if not clients:
         raise ValueError("strategy_round needs at least one client")
+    if previous is not None and len(previous.per_client_acc) != len(clients):
+        raise ValueError("previous round scored a different number of clients")
     d = server.classifier.input_dim
     num_classes = server.classifier.output_dim
     protos = dict(global_protos) if global_protos else {}
@@ -191,22 +211,25 @@ def strategy_round(
             else None
         )
         updated = {}
-        packets = []
+        blocks = []
         stats = []
         for c in participants:
             trained = client_local_update(
                 c, server.classifier if broadcast else None, proto_reg=proto_reg
             )
-            packets.extend(packets_for(strategy, trained, round_index, d))
+            blocks.append(packets_for(strategy, trained, round_index, d))
             updated[trained.client_id] = trained
             stats.append(
                 (len(trained.train), int(np.unique(trained.train.y).size))
             )
         new_server = server
-        if broadcast:
-            new_server = server_update(server, packets)
-        elif strategy.kind == FEDPROTO_STYLE:
-            protos = average_prototypes(packets)
+        if strategy.kind != LOCAL:
+            reps = np.concatenate([b.reps for b in blocks])
+            labels = np.concatenate([b.labels for b in blocks])
+            if broadcast:
+                new_server = server_update(server, reps, labels)
+            else:
+                protos = average_prototypes(reps, labels)
         upload, down = ledger_for(
             strategy,
             len(participants),
@@ -217,7 +240,12 @@ def strategy_round(
             num_global_prototypes=len(protos) if strategy.kind == FEDPROTO_STYLE else None,
         )
         new_clients = [updated.get(c.client_id, c) for c in clients]
-        accs = [evaluate_client(c) for c in new_clients]
+        accs = [
+            evaluate_client(c)
+            if previous is None or c.client_id in updated
+            else previous.per_client_acc[i]
+            for i, c in enumerate(new_clients)
+        ]
         # the ledger is committed last, once nothing left can abort the round
         ledger.add_round(upload, down)
         metrics = RoundMetrics(mean_accuracy(accs), accs, upload, down)

@@ -7,14 +7,16 @@ analytic gradients, and vanilla SGD.
 
 A net has one form, a ``DenseNet`` of validated ``Layer`` objects, and no
 mutable slot: ``forward_pass``, ``backprop`` and ``ce_value_and_grads`` are
-pure, and ``sgd_step`` returns an updated copy without touching its input.
+pure, and ``sgd_step`` returns an updated copy without touching the net or
+the gradients it is given.
 There is one loss, the mean soft-label cross-entropy of a batch.
 
 The dense-layer math exists once, in private kernels that read
 ``net.layers``: ``_forward``, ``_backward`` (parameter gradients, the input
-gradient, or both), ``_ce_value_and_grads`` and the in-place ``_sgd``.
-``forward_pass``, ``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are
-thin wrappers that validate their inputs and call them.
+gradient, or both), ``_ce_value_and_grads`` and the in-place ``_sgd``
+(which also scales the gradients it is given in place). ``forward_pass``,
+``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are thin wrappers that
+validate their inputs and call them.
 
 Validation boundary: ``Layer``/``DenseNet`` validate on construction and the
 public functions here validate their inputs; the kernels check nothing. The
@@ -48,14 +50,6 @@ class ShapeError(ValueError):
 
 class DivergedError(RuntimeError):
     """A loss, gradient, or parameter turned non-finite during training."""
-
-
-def one_hot(label, num_classes):
-    if not 0 <= int(label) < num_classes:
-        raise ValueError(f"label {label} outside [0, {num_classes})")
-    v = np.zeros(num_classes)
-    v[int(label)] = 1.0
-    return v
 
 
 def one_hot_matrix(labels, num_classes):
@@ -198,10 +192,16 @@ def _backward(net, cache, delta, param_grads=True, input_grad=True):
 
 
 def _sgd(net, grads, lr):
-    """In-place SGD kernel: w -= lr * gw and b -= lr * gb for every layer."""
+    """In-place SGD kernel: w -= lr * gw and b -= lr * gb for every layer.
+
+    It consumes grads: each gradient is scaled by lr in place, so the step
+    makes no temporaries (the same products, bitwise).
+    """
     for l, gw, gb in zip(net.layers, grads.weight_grads, grads.bias_grads):
-        l.weight -= lr * gw
-        l.bias -= lr * gb
+        gw *= lr
+        l.weight -= gw
+        gb *= lr
+        l.bias -= gb
 
 
 def _batch(net, X):
@@ -290,6 +290,11 @@ def sgd_step(net, grads, lr):
     if not grads.matches(net):
         raise ShapeError("gradient shapes do not match the net")
     stepped = clone(net)
-    _sgd(stepped, grads, lr)
+    # _sgd scales the gradients it is given in place: hand it copies
+    own = GradientSet(
+        [np.array(g, dtype=float) for g in grads.weight_grads],
+        [np.array(g, dtype=float) for g in grads.bias_grads],
+    )
+    _sgd(stepped, own, lr)
     _check_trained(stepped)
     return stepped

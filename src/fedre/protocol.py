@@ -3,9 +3,11 @@
 Client steps: adopt the broadcast classifier, fine-tune locally (extractor,
 classifier, and learned mapping together), and collapse the mapped training
 representations into one entangled packet. Server step: train the shared
-classifier on the uploaded packets with soft-label cross-entropy. Every step
-returns new states and leaves its inputs' parameters untouched; only RNG
-streams advance. baselines.strategy_round runs the steps as one atomic round.
+classifier with soft-label cross-entropy on the uploaded packets, given as
+one (n, d) matrix and its (n, num_classes) labels. Every step returns new
+states and leaves its inputs' parameters untouched; only RNG streams
+advance. baselines.strategy_round runs the steps as one atomic round; it
+calls evaluate_client only on the clients that round trained.
 """
 
 import math
@@ -182,8 +184,10 @@ def client_local_update(client, global_classifier, proto_reg=None):
 
     proto_reg is (lam, {category: prototype}) for prototype-regularized
     training. Returns a new ClientState; the input state's parameters are
-    untouched (its RNG stream advances). Every step updates private clones
-    of the nets in place; their parameters are checked once, at the end.
+    untouched (its RNG stream advances). The one-hot targets and prototype
+    rows are built once per update and gathered per batch. Every step
+    updates private clones of the nets in place; their parameters are
+    checked once, at the end.
     """
     c = (
         receive_classifier(client, global_classifier)
@@ -196,27 +200,25 @@ def client_local_update(client, global_classifier, proto_reg=None):
         raise ValueError("learning rate must be nonnegative")
     extractor, classifier = nets.clone(c.extractor), nets.clone(c.classifier)
     rm = RMSpec(FC, nets.clone(c.rm.net)) if c.rm.kind == FC else c.rm
-    num_classes = classifier.output_dim
-    reg = None
     n = len(c.train)
+    y = c.train.y
+    onehot = nets.one_hot_matrix(y, classifier.output_dim)
+    reg = None
+    if proto_reg is not None:
+        lam, protos = proto_reg
+        rows = np.zeros((n, classifier.input_dim))
+        mask = np.zeros(n)
+        for label, proto in protos.items():
+            rows[y == label] = proto
+            mask[y == label] = 1.0
     for _ in range(c.epochs):
         order = c.rng.permutation(n)
         for start in range(0, n, c.batch_size):
             idx = order[start : start + c.batch_size]
-            Xb = c.train.X[idx]
-            yb = c.train.y[idx]
-            targets = nets.one_hot_matrix(yb, num_classes)
             if proto_reg is not None:
-                lam, protos = proto_reg
-                rows = np.zeros((idx.size, classifier.input_dim))
-                mask = np.zeros(idx.size)
-                for i, label in enumerate(yb):
-                    if int(label) in protos:
-                        rows[i] = protos[int(label)]
-                        mask[i] = 1.0
-                reg = (lam, rows, mask)
+                reg = (lam, rows[idx], mask[idx])
             loss, ext_grads, cls_grads, fc_grads = local_gradients(
-                extractor, rm, classifier, Xb, targets, proto_reg=reg
+                extractor, rm, classifier, c.train.X[idx], onehot[idx], proto_reg=reg
             )
             if not math.isfinite(loss):
                 raise DivergedError(
@@ -244,31 +246,30 @@ def client_make_packet(client, mech, unified_dim, weights=None):
     return entangle(rep_set, w, client.rm, unified_dim)
 
 
-def server_update(server, packets):
+def server_update(server, reps, labels):
     """Train the shared classifier on the uploaded packets.
 
-    Steps a private clone of the classifier in place; its parameters are
-    checked once, at the end.
+    reps (n, d) and labels (n, num_classes) hold one packet per row, the
+    participants' upload blocks concatenated. Steps a private clone of the
+    classifier in place; its parameters are checked once, at the end.
     """
-    if not packets:
+    reps = np.asarray(reps, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n = len(reps)
+    if n == 0:
         raise ValueError("server_update needs at least one packet")
     if server.lr < 0:
         raise ValueError("learning rate must be nonnegative")
-    d = server.classifier.input_dim
-    num_classes = server.classifier.output_dim
-    for p in packets:
-        if p.r_tilde.shape != (d,) or p.y_tilde.shape != (num_classes,):
-            raise ShapeError("packet dimensions do not match the classifier")
-    R = np.stack([p.r_tilde for p in packets])
-    _require_finite(R, "uploaded packets")
-    Y = np.stack([p.y_tilde for p in packets])
+    d, num_classes = server.classifier.input_dim, server.classifier.output_dim
+    if reps.shape != (n, d) or labels.shape != (n, num_classes):
+        raise ShapeError("packet dimensions do not match the classifier")
+    _require_finite(reps, "uploaded packets")
     classifier = nets.clone(server.classifier)
-    n = len(packets)
     for _ in range(server.epochs):
         order = server.rng.permutation(n)
         for start in range(0, n, server.batch_size):
             idx = order[start : start + server.batch_size]
-            loss, grads = nets._ce_value_and_grads(classifier, R[idx], Y[idx])
+            loss, grads = nets._ce_value_and_grads(classifier, reps[idx], labels[idx])
             if not math.isfinite(loss):
                 raise DivergedError("server loss is non-finite")
             nets._sgd(classifier, grads, server.lr)

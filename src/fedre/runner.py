@@ -185,7 +185,9 @@ def train(cfg, world):
     """Run all of cfg's rounds on a freshly built world.
 
     Returns (clients, server, ledger, records), with the clients and server
-    as the last round left them and one RoundMetrics per round.
+    as the last round left them and one RoundMetrics per round. Each round
+    gets the previous one's metrics, so it re-scores only the clients it
+    trained.
     """
     ledger = CommLedger(cfg.comm_convention)
     clients, server = world.clients, world.server
@@ -201,6 +203,7 @@ def train(cfg, world):
             participation_rate=cfg.participation_rate,
             part_rng=world.part_rng,
             global_protos=protos,
+            previous=records[-1] if records else None,
         )
         records.append(metrics)
     return clients, server, ledger, records

@@ -284,3 +284,96 @@ def one_row_client_attack(inv, world, client):
         packet = np.asarray(w @ mapped, dtype=float)
         attack(packet, "entangled", client.train.X)
     return results
+
+
+# ------------------------------------------------------- reference round
+
+
+def reference_packets(strategy, client, unified_dim):
+    """The client's upload as a list of per-row packets, one object each."""
+    from fedre import baselines
+    from fedre.entangle import compute_prototypes, entangle, re_weights, rm_apply
+
+    if strategy.kind == baselines.LOCAL:
+        return []
+    if strategy.kind == baselines.FEDRE:
+        w = None
+        if strategy.resample == baselines.FIXED:
+            w = strategy.fs_cache.get(client.client_id)
+            if w is None:
+                rep_set = protocol.client_representation_set(client)
+                w = re_weights(rep_set, strategy.mech, client.rng)
+                strategy.fs_cache[client.client_id] = w
+                return [entangle(rep_set, w, client.rm, unified_dim)]
+        return [protocol.client_make_packet(client, strategy.mech, unified_dim, weights=w)]
+    rep_set = protocol.client_representation_set(client)
+    if strategy.kind == baselines.FED_ALL_REP:
+        mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
+        return [
+            EntangledPacket(mapped[i].copy(), rep_set.labels_onehot[i].copy())
+            for i in range(len(rep_set))
+        ]
+    num_classes = client.classifier.output_dim
+    return [
+        EntangledPacket(p, nets.one_hot_matrix([c], num_classes)[0])
+        for c, p in compute_prototypes(rep_set, client.rm, unified_dim)
+    ]
+
+
+def reference_round(strategy, clients, server, ledger, round_index, rate, part_rng, protos):
+    """One round the long way: per-row packet objects, stacked for the
+    server or grouped one by one into prototypes, and every client scored.
+    Returns (clients, server, RoundMetrics, protos); no atomicity."""
+    from fedre import baselines
+
+    d = server.classifier.input_dim
+    pool = [c for c in clients if len(c.train) > 0]
+    participants = protocol.participation_sample(pool, rate, part_rng)
+    broadcast = strategy.kind in (baselines.FED_ALL_REP, baselines.FEDGH_STYLE, baselines.FEDRE)
+    proto_reg = (strategy.lambda_proto, protos) if strategy.kind == baselines.FEDPROTO_STYLE else None
+    updated, packets, stats = {}, [], []
+    for c in participants:
+        trained = protocol.client_local_update(
+            c, server.classifier if broadcast else None, proto_reg=proto_reg
+        )
+        packets += reference_packets(strategy, trained, d)
+        updated[trained.client_id] = trained
+        stats.append((len(trained.train), int(np.unique(trained.train.y).size)))
+    if broadcast:
+        server = protocol.server_update(
+            server,
+            np.stack([p.r_tilde for p in packets]),
+            np.stack([p.y_tilde for p in packets]),
+        )
+    elif strategy.kind == baselines.FEDPROTO_STYLE:
+        grouped = {}
+        for p in packets:
+            grouped.setdefault(int(p.y_tilde.argmax()), []).append(p.r_tilde)
+        protos = {c: np.mean(rows, axis=0) for c, rows in sorted(grouped.items())}
+    upload, down = baselines.ledger_for(
+        strategy,
+        len(participants),
+        d,
+        server.classifier.output_dim,
+        per_client_stats=stats,
+        convention=ledger.convention,
+        num_global_prototypes=len(protos) if strategy.kind == baselines.FEDPROTO_STYLE else None,
+    )
+    clients = [updated.get(c.client_id, c) for c in clients]
+    accs = [protocol.evaluate_client(c) for c in clients]
+    ledger.add_round(upload, down)
+    metrics = protocol.RoundMetrics(protocol.mean_accuracy(accs), accs, upload, down)
+    return clients, server, metrics, protos
+
+
+def reference_train(cfg, world):
+    """runner.train on reference_round: (clients, server, ledger, records)."""
+    ledger = protocol.CommLedger(cfg.comm_convention)
+    clients, server, records, protos = world.clients, world.server, [], {}
+    for rnd in range(cfg.rounds):
+        clients, server, metrics, protos = reference_round(
+            world.strategy, clients, server, ledger, rnd,
+            cfg.participation_rate, world.part_rng, protos,
+        )
+        records.append(metrics)
+    return clients, server, ledger, records

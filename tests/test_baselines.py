@@ -1,12 +1,13 @@
 """Tests for the comparison strategies and their shared round driver."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedre import baselines, nets, protocol
-from fedre.entangle import ReMechanism, entangle, re_weights, rm_apply
+from fedre.entangle import EntangledPacket, ReMechanism, entangle, re_weights, rm_apply
 
 from helpers import make_client, make_server, net_params_equal
 
@@ -37,17 +38,26 @@ def test_strategy_validation():
 
 def test_local_strategy_uploads_nothing():
     client = make_client(rng_seed=0)
-    assert baselines.packets_for(baselines.Strategy(kind="local"), client, 0, 4) == []
+    block = baselines.packets_for(baselines.Strategy(kind="local"), client, 0, 4)
+    assert len(block) == 0
+    assert block.reps.shape == (0, 4)
+    assert block.labels.shape == (0, 3)
+
+
+def packet(block):
+    """The one packet of a fedre client's upload block."""
+    assert block.reps.shape[0] == block.labels.shape[0] == len(block) == 1
+    return EntangledPacket(block.reps[0], block.labels[0])
 
 
 def test_fedre_rs_draws_fresh_weights_each_round():
     a = make_client(rng_seed=1)
     b = make_client(rng_seed=1)
     strategy = baselines.Strategy(kind="fedre", resample="rs")
-    p1 = baselines.packets_for(strategy, a, 0, 4)[0]
-    p2 = baselines.packets_for(strategy, a, 1, 4)[0]
+    p1 = packet(baselines.packets_for(strategy, a, 0, 4))
+    p2 = packet(baselines.packets_for(strategy, a, 1, 4))
     # the same state replays identically, but consecutive draws differ
-    q1 = baselines.packets_for(strategy, b, 0, 4)[0]
+    q1 = packet(baselines.packets_for(strategy, b, 0, 4))
     np.testing.assert_array_equal(p1.r_tilde, q1.r_tilde)
     assert not np.array_equal(p1.y_tilde, p2.y_tilde) or not np.array_equal(
         p1.r_tilde, p2.r_tilde
@@ -57,11 +67,11 @@ def test_fedre_rs_draws_fresh_weights_each_round():
 def test_fedre_fs_caches_weights_and_stops_consuming_rng():
     client = make_client(rng_seed=2)
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    p1 = baselines.packets_for(strategy, client, 0, 4)[0]
+    p1 = packet(baselines.packets_for(strategy, client, 0, 4))
     assert client.client_id in strategy.fs_cache
     w = strategy.fs_cache[client.client_id]
     state = client.rng.bit_generator.state
-    p2 = baselines.packets_for(strategy, client, 1, 4)[0]
+    p2 = packet(baselines.packets_for(strategy, client, 1, 4))
     assert client.rng.bit_generator.state == state  # no draw on the hit
     np.testing.assert_array_equal(p1.r_tilde, p2.r_tilde)
     # and the packet really is the cached weighting of the current reps
@@ -76,7 +86,7 @@ def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
     baselines.packets_for(strategy, client, 0, 4)
     w = strategy.fs_cache[client.client_id].copy()
     trained = protocol.client_local_update(client, None)
-    p = baselines.packets_for(strategy, trained, 1, 4)[0]
+    p = packet(baselines.packets_for(strategy, trained, 1, 4))
     np.testing.assert_array_equal(strategy.fs_cache[client.client_id], w)
     rep_set = protocol.client_representation_set(trained)
     manual = entangle(rep_set, w, trained.rm, 4)
@@ -85,28 +95,28 @@ def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
 
 def test_fed_all_rep_uploads_every_mapped_sample():
     client = make_client(rng_seed=4)
-    packets = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client, 0, 4)
-    assert len(packets) == len(client.train)
+    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client, 0, 4)
+    assert len(block) == len(client.train)
     rep_set = protocol.client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, 4)
-    for i, p in enumerate(packets):
-        np.testing.assert_array_equal(p.r_tilde, mapped[i])
-        np.testing.assert_array_equal(p.y_tilde, rep_set.labels_onehot[i])
+    np.testing.assert_array_equal(block.reps, mapped)
+    np.testing.assert_array_equal(block.labels, rep_set.labels_onehot)
 
 
 @pytest.mark.parametrize("kind", ["fedgh_style", "fedproto_style"])
 def test_prototype_strategies_upload_category_means(kind):
     client = make_client(rng_seed=5)
-    packets = baselines.packets_for(baselines.Strategy(kind=kind), client, 0, 4)
+    block = baselines.packets_for(baselines.Strategy(kind=kind), client, 0, 4)
     cats = np.unique(client.train.y)
-    assert len(packets) == cats.size
+    assert len(block) == cats.size
+    assert block.labels.shape == (cats.size, 3)
     rep_set = protocol.client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, 4)
-    for p, c in zip(packets, cats):
-        assert p.y_tilde.argmax() == c
-        assert p.y_tilde.sum() == 1.0
+    for r, y, c in zip(block.reps, block.labels, cats):
+        assert y.argmax() == c
+        assert y.sum() == 1.0
         np.testing.assert_allclose(
-            p.r_tilde, mapped[client.train.y == c].mean(axis=0), atol=1e-12
+            r, mapped[client.train.y == c].mean(axis=0), atol=1e-12
         )
 
 
@@ -168,12 +178,9 @@ def test_ledger_for_requires_stats_when_size_dependent():
 
 
 def test_average_prototypes_groups_by_category():
-    packets = [
-        baselines.EntangledPacket(np.array([1.0, 0.0]), nets.one_hot(0, 2)),
-        baselines.EntangledPacket(np.array([3.0, 0.0]), nets.one_hot(0, 2)),
-        baselines.EntangledPacket(np.array([0.0, 5.0]), nets.one_hot(1, 2)),
-    ]
-    protos = baselines.average_prototypes(packets)
+    reps = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 5.0]])
+    labels = nets.one_hot_matrix([0, 0, 1], 2)
+    protos = baselines.average_prototypes(reps, labels)
     assert sorted(protos) == [0, 1]
     np.testing.assert_array_equal(protos[0], [2.0, 0.0])
     np.testing.assert_array_equal(protos[1], [0.0, 5.0])
@@ -199,7 +206,11 @@ def test_strategy_round_fedre_rs_equals_plain_round():
     for c in a_clients:
         trained.append(protocol.client_local_update(c, a_server.classifier))
         packets.append(protocol.client_make_packet(trained[-1], mech, d))
-    server_a = protocol.server_update(a_server, packets)
+    server_a = protocol.server_update(
+        a_server,
+        np.stack([p.r_tilde for p in packets]),
+        np.stack([p.y_tilde for p in packets]),
+    )
     accs = [protocol.evaluate_client(c) for c in trained]
     ledger_a = protocol.count_round(protocol.CommLedger(), len(trained), d, num_classes)
     strategy = baselines.Strategy(kind="fedre", mech=mech, resample="rs")
@@ -279,45 +290,61 @@ def test_strategy_round_rolls_back_fs_cache_on_failure():
         np.testing.assert_array_equal(strategy.fs_cache[k], ref_strategy.fs_cache[k])
 
 
-def failing_evaluation(monkeypatch):
-    """Make evaluate_client raise on its last call of the round, after the
-    server has trained and the ledger entry is known."""
+def failing_evaluation(monkeypatch, at_call):
+    """Make evaluate_client raise on its at_call-th call, after the server
+    has trained and the ledger entry is known."""
 
     real = protocol.evaluate_client
+    calls = []
 
     def evaluate(client):
-        if client.client_id == 2:
+        calls.append(client.client_id)
+        if len(calls) == at_call:
             raise nets.DivergedError("injected evaluation fault")
         return real(client)
 
     monkeypatch.setattr(baselines, "evaluate_client", evaluate)
 
 
-@pytest.mark.parametrize("kind", baselines.STRATEGIES)
-@pytest.mark.parametrize("resample", baselines.RESAMPLE_MODES)
-def test_strategy_round_aborted_in_evaluation_commits_nothing(monkeypatch, kind, resample):
+def check_aborted_round_commits_nothing(monkeypatch, kind, resample, rate):
+    """The fault hits the round's last evaluation, once the round has
+    trained ceil(rate * 3) of the three clients; a client that sat out keeps
+    its previous score and is not evaluated."""
     clients, server = fresh_world()
     strategy = baselines.Strategy(kind=kind, resample=resample)
     part_rng = np.random.default_rng(9)
     ledger = protocol.CommLedger()
-    clients, server, ledger, _, protos = baselines.strategy_round(
-        strategy, clients, server, ledger, 0, participation_rate=0.7, part_rng=part_rng
+    clients, server, ledger, metrics, protos = baselines.strategy_round(
+        strategy, clients, server, ledger, 0, participation_rate=rate, part_rng=part_rng
     )
     history = (list(ledger.upload_history), list(ledger.broadcast_history))
     streams = [c.rng for c in clients] + [server.rng, part_rng]
     states = [g.bit_generator.state for g in streams]
     cache = {k: v.copy() for k, v in strategy.fs_cache.items()}
-    failing_evaluation(monkeypatch)
+    trained = math.ceil(rate * len(clients))
+    failing_evaluation(monkeypatch, at_call=trained)
     with pytest.raises(nets.DivergedError):
         baselines.strategy_round(
-            strategy, clients, server, ledger, 1, participation_rate=0.7,
-            part_rng=part_rng, global_protos=protos,
+            strategy, clients, server, ledger, 1, participation_rate=rate,
+            part_rng=part_rng, global_protos=protos, previous=metrics,
         )
     assert (ledger.upload_history, ledger.broadcast_history) == history
     assert [g.bit_generator.state for g in streams] == states
     assert sorted(strategy.fs_cache) == sorted(cache)
     for k, v in cache.items():
         np.testing.assert_array_equal(strategy.fs_cache[k], v)
+
+
+@pytest.mark.parametrize("kind", baselines.STRATEGIES)
+@pytest.mark.parametrize("resample", baselines.RESAMPLE_MODES)
+def test_strategy_round_aborted_in_evaluation_commits_nothing(monkeypatch, kind, resample):
+    check_aborted_round_commits_nothing(monkeypatch, kind, resample, rate=0.7)
+
+
+@pytest.mark.parametrize("kind", baselines.STRATEGIES)
+@pytest.mark.parametrize("resample", baselines.RESAMPLE_MODES)
+def test_strategy_round_aborted_with_clients_sat_out_commits_nothing(monkeypatch, kind, resample):
+    check_aborted_round_commits_nothing(monkeypatch, kind, resample, rate=0.4)
 
 
 def test_strategy_round_skips_trainless_clients():

@@ -33,19 +33,19 @@ def row_grads(net, x, target):
 
 
 def test_one_hot_basic():
-    v = nets.one_hot(2, 4)
-    assert v.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert nets.one_hot_matrix([2], 4).tolist() == [[0.0, 0.0, 1.0, 0.0]]
     M = nets.one_hot_matrix(np.array([0, 3, 1]), 4)
     assert M.shape == (3, 4)
     assert M.sum() == 3.0
     assert M[1, 3] == 1.0
+    assert nets.one_hot_matrix([], 4).shape == (0, 4)
 
 
 def test_one_hot_rejects_out_of_range():
     with pytest.raises(ValueError):
-        nets.one_hot(4, 4)
+        nets.one_hot_matrix([4], 4)
     with pytest.raises(ValueError):
-        nets.one_hot(-1, 4)
+        nets.one_hot_matrix([0, -1], 4)
 
 
 def test_identity_single_layer_forward_is_affine():
@@ -245,6 +245,21 @@ def test_sgd_step_does_not_mutate_input():
     )
     nets.sgd_step(net, grads, 0.5)
     np.testing.assert_array_equal(net.layers[0].weight, before)
+
+
+def test_sgd_step_leaves_the_gradients_untouched():
+    # the in-place kernel scales the gradients it steps with; sgd_step must
+    # hand it copies, never the caller's arrays
+    rng = np.random.default_rng(11)
+    net = random_net(rng, [3, 4, 2])
+    grads = nets.GradientSet(
+        [rng.normal(size=l.weight.shape) for l in net.layers],
+        [rng.normal(size=l.bias.shape) for l in net.layers],
+    )
+    before = [g.copy() for g in grads.weight_grads + grads.bias_grads]
+    nets.sgd_step(net, grads, 0.5)
+    for g, want in zip(grads.weight_grads + grads.bias_grads, before):
+        np.testing.assert_array_equal(g, want)
 
 
 def test_sgd_step_rejects_negative_lr_and_bad_shapes():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedre import baselines, nets, protocol
-from fedre.entangle import AP, FC, EntangledPacket, ReMechanism, RMSpec, rm_apply
+from fedre.entangle import AP, FC, ReMechanism, RMSpec, rm_apply
 
 from helpers import batch_mean_ce, make_client, make_server, local_ce_loss, net_params_equal
 
@@ -275,9 +275,7 @@ def test_packet_shapes():
 # ---------------------------------------------------------------- server
 
 
-def server_packet_loss(server, packets):
-    R = np.stack([p.r_tilde for p in packets])
-    Y = np.stack([p.y_tilde for p in packets])
+def server_packet_loss(server, R, Y):
     logits, _ = nets.forward_pass(server.classifier, R)
     return batch_mean_ce(logits, Y)
 
@@ -285,28 +283,30 @@ def server_packet_loss(server, packets):
 def test_server_update_reduces_packet_loss():
     rng = np.random.default_rng(200)
     server = make_server(unified_dim=4, num_classes=3, lr=0.5, epochs=20)
-    packets = [
-        EntangledPacket(rng.normal(size=4), nets.one_hot(int(rng.integers(3)), 3))
-        for _ in range(12)
-    ]
-    before = server_packet_loss(server, packets)
-    after_state = protocol.server_update(server, packets)
-    assert server_packet_loss(after_state, packets) < before
+    draws = [(rng.normal(size=4), int(rng.integers(3))) for _ in range(12)]
+    R = np.stack([r for r, _ in draws])
+    Y = nets.one_hot_matrix([c for _, c in draws], 3)
+    before = server_packet_loss(server, R, Y)
+    after_state = protocol.server_update(server, R, Y)
+    assert server_packet_loss(after_state, R, Y) < before
 
 
 def test_server_update_zero_lr_keeps_classifier():
     server = make_server(lr=0.0)
-    packets = [EntangledPacket(np.ones(4), nets.one_hot(0, 3))]
-    after = protocol.server_update(server, packets)
+    after = protocol.server_update(server, np.ones((1, 4)), nets.one_hot_matrix([0], 3))
     assert net_params_equal(after.classifier, server.classifier)
 
 
 def test_server_update_rejects_empty_and_mismatched_packets():
     server = make_server()
     with pytest.raises(ValueError):
-        protocol.server_update(server, [])
+        protocol.server_update(server, np.zeros((0, 4)), np.zeros((0, 3)))
     with pytest.raises(nets.ShapeError):
-        protocol.server_update(server, [EntangledPacket(np.ones(5), nets.one_hot(0, 3))])
+        protocol.server_update(server, np.ones((1, 5)), nets.one_hot_matrix([0], 3))
+    with pytest.raises(nets.ShapeError):
+        protocol.server_update(server, np.ones((2, 4)), nets.one_hot_matrix([0], 3))
+    with pytest.raises(nets.ShapeError):
+        protocol.server_update(server, np.ones(4), nets.one_hot_matrix([0], 3))
 
 
 # ---------------------------------------------------------------- evaluation

@@ -80,6 +80,7 @@ def reference_client_update(client, global_classifier, proto_reg=None):
 
 
 def reference_server_update(server, packets):
+    """The server loop on a list of per-row packets."""
     R = np.stack([p.r_tilde for p in packets])
     Y = np.stack([p.y_tilde for p in packets])
     classifier = server.classifier
@@ -204,7 +205,9 @@ def test_server_update_equals_the_per_step_loop(world):
     server, packets = world
     before = nets.clone(server.classifier)
     rng_a, rng_b = twin_rngs(server)
-    got = outcome(protocol.server_update, replace(server, rng=rng_a), packets)
+    R = np.stack([p.r_tilde for p in packets])
+    Y = np.stack([p.y_tilde for p in packets])
+    got = outcome(protocol.server_update, replace(server, rng=rng_a), R, Y)
     want = outcome(reference_server_update, replace(server, rng=rng_b), packets)
     assert net_params_equal(server.classifier, before)
     if want is nets.DivergedError:
@@ -218,11 +221,11 @@ def test_server_update_equals_the_per_step_loop(world):
 def test_parameters_overflowing_on_the_last_step_raise_diverged_error():
     # one step, so only the end-of-update check can see the overflow
     rng = np.random.default_rng(3)
-    packet = EntangledPacket(np.full(2, 100.0), np.array([1.0, 0.0]))
     server = protocol.ServerState(
         classifier=protocol.make_classifier(2, 2, rng), rng=rng, lr=1e308, batch_size=1, epochs=1
     )
-    assert outcome(protocol.server_update, server, [packet]) is nets.DivergedError
+    R, Y = np.full((1, 2), 100.0), np.array([[1.0, 0.0]])
+    assert outcome(protocol.server_update, server, R, Y) is nets.DivergedError
     train = data.Dataset(np.full((1, 2), 100.0), np.array([1]), 2)
     client = protocol.ClientState(
         client_id=0,
