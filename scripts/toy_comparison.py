@@ -31,9 +31,9 @@ def main(argv=None):
             rounds=args.rounds, num_seeds=args.seeds, **kwargs
         )
         summary = runner.run_experiment(cfg)
-        trace = summary.traces[0].ledger
-        up = trace.upload_history[0] if trace.upload_history else 0
-        down = trace.broadcast_history[0] if trace.broadcast_history else 0
+        records = summary.traces[0].records
+        up = records[0].upload_scalars if records else 0
+        down = records[0].broadcast_scalars if records else 0
         print(
             f"{name:15s} mean final acc {100 * summary.mean_acc:6.2f}%"
             f" +- {100 * summary.std_acc:5.2f}"

@@ -1,11 +1,12 @@
 """The round engine and the upload strategies it runs.
 
 One round: clients train and upload packets, the server trains on them (or
-averages them), the trained clients are scored, and the ledger records the
-traffic. A client uploads one PacketBlock of k packets, one per row, and
-the server gets the participants' blocks concatenated. A client that sat
-the round out is unchanged and keeps its previous score. Five upload
-policies share that round:
+averages them), the trained clients are scored, and the round's metrics
+count the traffic. A round changes none of its inputs: it returns every
+state it changes. A client uploads one PacketBlock of k packets, one per
+row, and the server gets the participants' blocks concatenated. A client
+that sat the round out is unchanged and keeps its previous score. Five
+upload policies share that round:
 
   local          no uploads (k = 0), no broadcast; clients train alone
   fed_all_rep    one packet per training sample (upper communication bound)
@@ -13,20 +14,15 @@ policies share that round:
   fedproto_style prototypes averaged server-side, no classifier training;
                  the averaged prototypes regularize local training
   fedre          one entangled packet per client; weights re-sampled each
-                 round (rs) or frozen from the first packet onward (fs)
+                 round (rs) or frozen from the first packet onward (fs),
+                 kept on the client as ClientState.weights
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .entangle import (
-    ReMechanism,
-    compute_prototypes,
-    entangle,
-    re_weights,
-    rm_apply,
-)
+from .entangle import ReMechanism, compute_prototypes, rm_apply
 from .nets import one_hot_matrix
 from .protocol import (
     REPRESENTATION_PLUS_LABEL,
@@ -35,6 +31,7 @@ from .protocol import (
     client_make_packet,
     client_representation_set,
     evaluate_client,
+    fork_rng,
     mean_accuracy,
     participation_sample,
     server_update,
@@ -57,11 +54,12 @@ _CLASSIFIER_STRATEGIES = (FED_ALL_REP, FEDGH_STYLE, FEDRE)
 
 @dataclass
 class Strategy:
+    """An upload policy's configuration; rounds read it and never change it."""
+
     kind: str = FEDRE
     mech: ReMechanism = field(default_factory=ReMechanism)
     resample: str = RESAMPLED
     lambda_proto: float = 0.1
-    fs_cache: dict = field(default_factory=dict)  # client_id -> weight vector
 
     def __post_init__(self):
         if self.kind not in STRATEGIES:
@@ -78,29 +76,24 @@ class PacketBlock:
 
     reps: np.ndarray  # (k, unified_dim)
     labels: np.ndarray  # (k, num_classes)
+    weights: np.ndarray | None = None  # fedre: the entangling weights
 
     def __len__(self):
         return self.reps.shape[0]
 
 
-def packets_for(strategy, client, round_index, unified_dim):
-    """The PacketBlock this client uploads under the given strategy."""
+def packets_for(strategy, client, unified_dim):
+    """The PacketBlock this client uploads under the given strategy.
+
+    A fedre client entangles with its frozen weights when it has them (fs
+    after the first packet), else with a fresh draw from its stream.
+    """
     num_classes = client.classifier.output_dim
     if strategy.kind == LOCAL:
         return PacketBlock(np.zeros((0, unified_dim)), np.zeros((0, num_classes)))
     if strategy.kind == FEDRE:
-        if strategy.resample == FIXED:
-            w = strategy.fs_cache.get(client.client_id)
-            if w is None:
-                rep_set = client_representation_set(client)
-                w = re_weights(rep_set, strategy.mech, client.rng)
-                strategy.fs_cache[client.client_id] = w
-                p = entangle(rep_set, w, client.rm, unified_dim)
-            else:
-                p = client_make_packet(client, strategy.mech, unified_dim, weights=w)
-        else:
-            p = client_make_packet(client, strategy.mech, unified_dim)
-        return PacketBlock(p.r_tilde[None, :], p.y_tilde[None, :])
+        p, w = client_make_packet(client, strategy.mech, unified_dim, weights=client.weights)
+        return PacketBlock(p.r_tilde[None, :], p.y_tilde[None, :], w)
     rep_set = client_representation_set(client)
     if strategy.kind == FED_ALL_REP:
         mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
@@ -157,40 +150,30 @@ def average_prototypes(reps, labels):
     return {int(c): reps[cats == c].mean(axis=0) for c in np.unique(cats)}
 
 
-def _rng_states(clients, server, part_rng):
-    states = [c.rng.bit_generator.state for c in clients]
-    states.append(server.rng.bit_generator.state)
-    states.append(None if part_rng is None else part_rng.bit_generator.state)
-    return states
-
-
-def _restore_rng_states(clients, server, part_rng, states):
-    for c, st in zip(clients, states):
-        c.rng.bit_generator.state = st
-    server.rng.bit_generator.state = states[len(clients)]
-    if part_rng is not None and states[-1] is not None:
-        part_rng.bit_generator.state = states[-1]
-
-
 def strategy_round(
     strategy,
     clients,
     server,
-    ledger,
+    global_protos,
     round_index,
-    participation_rate=1.0,
-    part_rng=None,
-    global_protos=None,
-    previous=None,
+    participation_rate,
+    part_rng,
+    previous,
+    convention,
 ):
     """One round under any strategy.
 
     previous is the RoundMetrics of the round that produced clients: a
     client this round does not train keeps its score from there. Without
-    it, every client is scored. Returns (clients, server, ledger,
-    RoundMetrics, global_protos). Rounds are atomic: input states are never
-    mutated, and on any abort the RNG streams, the fs weight cache and the
-    ledger are left as they were.
+    it, every client is scored. convention is the ledger_for convention the
+    round's traffic is counted under. Returns (clients, server,
+    global_protos, RoundMetrics).
+
+    The round changes none of its inputs, so an aborted round commits
+    nothing. Trained clients and the server come back with their own forked
+    RNG streams, and a fedre fs client with its frozen weights. The
+    participants are drawn from a fork of part_rng, and the round's last
+    statement, once nothing can abort, writes the fork's state back.
     """
     if not clients:
         raise ValueError("strategy_round needs at least one client")
@@ -198,60 +181,48 @@ def strategy_round(
         raise ValueError("previous round scored a different number of clients")
     d = server.classifier.input_dim
     num_classes = server.classifier.output_dim
-    protos = dict(global_protos) if global_protos else {}
-    snapshot = _rng_states(clients, server, part_rng)
-    cache_snapshot = dict(strategy.fs_cache)
-    try:
-        pool = [c for c in clients if len(c.train) > 0]
-        participants = participation_sample(pool, participation_rate, part_rng)
-        broadcast = strategy.kind in _CLASSIFIER_STRATEGIES
-        proto_reg = (
-            (strategy.lambda_proto, protos)
-            if strategy.kind == FEDPROTO_STYLE
-            else None
+    protos = dict(global_protos)
+    sampler = fork_rng(part_rng)
+    pool = [c for c in clients if len(c.train) > 0]
+    participants = participation_sample(pool, participation_rate, sampler)
+    broadcast = strategy.kind in _CLASSIFIER_STRATEGIES
+    proto_reg = (strategy.lambda_proto, protos) if strategy.kind == FEDPROTO_STYLE else None
+    updated = {}
+    blocks = []
+    stats = []
+    for c in participants:
+        trained = client_local_update(
+            c, server.classifier if broadcast else None, proto_reg=proto_reg
         )
-        updated = {}
-        blocks = []
-        stats = []
-        for c in participants:
-            trained = client_local_update(
-                c, server.classifier if broadcast else None, proto_reg=proto_reg
-            )
-            blocks.append(packets_for(strategy, trained, round_index, d))
-            updated[trained.client_id] = trained
-            stats.append(
-                (len(trained.train), int(np.unique(trained.train.y).size))
-            )
-        new_server = server
-        if strategy.kind != LOCAL:
-            reps = np.concatenate([b.reps for b in blocks])
-            labels = np.concatenate([b.labels for b in blocks])
-            if broadcast:
-                new_server = server_update(server, reps, labels)
-            else:
-                protos = average_prototypes(reps, labels)
-        upload, down = ledger_for(
-            strategy,
-            len(participants),
-            d,
-            num_classes,
-            per_client_stats=stats,
-            convention=ledger.convention,
-            num_global_prototypes=len(protos) if strategy.kind == FEDPROTO_STYLE else None,
-        )
-        new_clients = [updated.get(c.client_id, c) for c in clients]
-        accs = [
-            evaluate_client(c)
-            if previous is None or c.client_id in updated
-            else previous.per_client_acc[i]
-            for i, c in enumerate(new_clients)
-        ]
-        # the ledger is committed last, once nothing left can abort the round
-        ledger.add_round(upload, down)
-        metrics = RoundMetrics(mean_accuracy(accs), accs, upload, down)
-        return new_clients, new_server, ledger, metrics, protos
-    except Exception:
-        _restore_rng_states(clients, server, part_rng, snapshot)
-        strategy.fs_cache.clear()
-        strategy.fs_cache.update(cache_snapshot)
-        raise
+        blocks.append(packets_for(strategy, trained, d))
+        if strategy.resample == FIXED:
+            trained = replace(trained, weights=blocks[-1].weights)
+        updated[trained.client_id] = trained
+        stats.append((len(trained.train), int(np.unique(trained.train.y).size)))
+    new_server = server
+    if strategy.kind != LOCAL:
+        reps = np.concatenate([b.reps for b in blocks])
+        labels = np.concatenate([b.labels for b in blocks])
+        if broadcast:
+            new_server = server_update(server, reps, labels)
+        else:
+            protos = average_prototypes(reps, labels)
+    upload, down = ledger_for(
+        strategy,
+        len(participants),
+        d,
+        num_classes,
+        per_client_stats=stats,
+        convention=convention,
+        num_global_prototypes=len(protos) if strategy.kind == FEDPROTO_STYLE else None,
+    )
+    new_clients = [updated.get(c.client_id, c) for c in clients]
+    accs = [
+        evaluate_client(c)
+        if previous is None or c.client_id in updated
+        else previous.per_client_acc[i]
+        for i, c in enumerate(new_clients)
+    ]
+    metrics = RoundMetrics(mean_accuracy(accs), accs, upload, down)
+    part_rng.bit_generator.state = sampler.bit_generator.state
+    return new_clients, new_server, protos, metrics

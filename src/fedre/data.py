@@ -241,8 +241,8 @@ def train_test_split(ds, train_fraction, seed):
     )
 
 
-def load_csv(path, num_classes=None):
-    """Read x0,...,x{dim-1},label rows; num_classes defaults to max+1.
+def load_csv(path):
+    """Read x0,...,x{dim-1},label rows; num_classes is the largest label + 1.
 
     A malformed header or row, a non-numeric or non-finite value and a
     negative label raise ValueError naming the file and the line.
@@ -273,6 +273,4 @@ def load_csv(path, num_classes=None):
                 raise ValueError(f"{path}:{line_no}: label {labels[-1]} is negative")
     X = np.asarray(feats, dtype=float).reshape(len(labels), dim)
     y = np.asarray(labels, dtype=int)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1 if y.size else 1
-    return Dataset(X, y, num_classes)
+    return Dataset(X, y, int(y.max()) + 1 if y.size else 1)

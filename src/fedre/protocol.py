@@ -5,9 +5,10 @@ classifier, and learned mapping together), and collapse the mapped training
 representations into one entangled packet. Server step: train the shared
 classifier with soft-label cross-entropy on the uploaded packets, given as
 one (n, d) matrix and its (n, num_classes) labels. Every step returns new
-states and leaves its inputs' parameters untouched; only RNG streams
-advance. baselines.strategy_round runs the steps as one atomic round; it
-calls evaluate_client only on the clients that round trained.
+states and changes none of its inputs: the training steps draw from a fork
+of the input's RNG stream (fork_rng) and return the fork as the new state's
+stream. baselines.strategy_round runs the steps as one round; it calls
+evaluate_client only on the clients that round trained.
 """
 
 import math
@@ -44,6 +45,7 @@ class ClientState:
     lr: float = 0.05
     batch_size: int = 16
     epochs: int = 1
+    weights: np.ndarray | None = None  # frozen entangling weights (fedre fs)
 
 
 @dataclass(eq=False)
@@ -99,23 +101,30 @@ class RoundMetrics:
         }
 
 
-def count_round(ledger, num_clients, unified_dim, num_classes, convention=None):
+def count_round(ledger, num_clients, unified_dim, num_classes):
     """Account one fedre round: a packet up and a classifier down per client.
 
-    The counts come from baselines.ledger_for, the one accounting formula.
+    The counts come from baselines.ledger_for, the one accounting formula,
+    under the ledger's convention.
     """
     from . import baselines  # imported here: baselines imports this module
 
     if num_clients < 0:
         raise ValueError("num_clients must be nonnegative")
-    conv = ledger.convention if convention is None else convention
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown comm convention {conv!r}")
     fedre = baselines.Strategy(baselines.FEDRE)
     ledger.add_round(
-        *baselines.ledger_for(fedre, num_clients, unified_dim, num_classes, convention=conv)
+        *baselines.ledger_for(
+            fedre, num_clients, unified_dim, num_classes, convention=ledger.convention
+        )
     )
     return ledger
+
+
+def fork_rng(rng):
+    """A new generator in rng's state: drawing from it leaves rng as it is."""
+    fork = np.random.Generator(type(rng.bit_generator)())
+    fork.bit_generator.state = rng.bit_generator.state
+    return fork
 
 
 def _require_finite(values, what):
@@ -183,11 +192,12 @@ def client_local_update(client, global_classifier, proto_reg=None):
     """Sync the broadcast classifier (if any), then run local SGD epochs.
 
     proto_reg is (lam, {category: prototype}) for prototype-regularized
-    training. Returns a new ClientState; the input state's parameters are
-    untouched (its RNG stream advances). The one-hot targets and prototype
-    rows are built once per update and gathered per batch. Every step
-    updates private clones of the nets in place; their parameters are
-    checked once, at the end.
+    training. Returns a new ClientState and leaves the input unchanged: the
+    batches are shuffled by a fork of the input's stream, which becomes the
+    new state's stream. The one-hot targets and prototype rows are built
+    once per update and gathered per batch. Every step updates private
+    clones of the nets in place; their parameters are checked once, at the
+    end.
     """
     c = (
         receive_classifier(client, global_classifier)
@@ -200,6 +210,7 @@ def client_local_update(client, global_classifier, proto_reg=None):
         raise ValueError("learning rate must be nonnegative")
     extractor, classifier = nets.clone(c.extractor), nets.clone(c.classifier)
     rm = RMSpec(FC, nets.clone(c.rm.net)) if c.rm.kind == FC else c.rm
+    rng = fork_rng(c.rng)
     n = len(c.train)
     y = c.train.y
     onehot = nets.one_hot_matrix(y, classifier.output_dim)
@@ -212,7 +223,7 @@ def client_local_update(client, global_classifier, proto_reg=None):
             rows[y == label] = proto
             mask[y == label] = 1.0
     for _ in range(c.epochs):
-        order = c.rng.permutation(n)
+        order = rng.permutation(n)
         for start in range(0, n, c.batch_size):
             idx = order[start : start + c.batch_size]
             if proto_reg is not None:
@@ -230,20 +241,22 @@ def client_local_update(client, global_classifier, proto_reg=None):
                 nets._sgd(rm.net, fc_grads, c.lr)
     trained = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
     nets._check_trained(*trained)
-    return replace(c, extractor=extractor, classifier=classifier, rm=rm)
+    return replace(c, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
 
 
 def client_make_packet(client, mech, unified_dim, weights=None):
     """Collapse the client's training set into one entangled packet.
 
     Weights are drawn fresh from the client's RNG stream unless an explicit
-    vector is supplied (fixed-sampling replay).
+    vector is supplied (fixed-sampling replay); the draw advances that
+    stream, so strategy_round hands in only a state it has just trained.
+    Returns (packet, weights).
     """
     if len(client.train) == 0:
         raise ValueError(f"client {client.client_id} has no training samples")
     rep_set = client_representation_set(client)
     w = re_weights(rep_set, mech, client.rng) if weights is None else weights
-    return entangle(rep_set, w, client.rm, unified_dim)
+    return entangle(rep_set, w, client.rm, unified_dim), w
 
 
 def server_update(server, reps, labels):
@@ -251,7 +264,9 @@ def server_update(server, reps, labels):
 
     reps (n, d) and labels (n, num_classes) hold one packet per row, the
     participants' upload blocks concatenated. Steps a private clone of the
-    classifier in place; its parameters are checked once, at the end.
+    classifier in place; its parameters are checked once, at the end. The
+    batches are shuffled by a fork of the server's stream, which becomes the
+    new state's stream, so the input is left unchanged.
     """
     reps = np.asarray(reps, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -265,8 +280,9 @@ def server_update(server, reps, labels):
         raise ShapeError("packet dimensions do not match the classifier")
     _require_finite(reps, "uploaded packets")
     classifier = nets.clone(server.classifier)
+    rng = fork_rng(server.rng)
     for _ in range(server.epochs):
-        order = server.rng.permutation(n)
+        order = rng.permutation(n)
         for start in range(0, n, server.batch_size):
             idx = order[start : start + server.batch_size]
             loss, grads = nets._ce_value_and_grads(classifier, reps[idx], labels[idx])
@@ -274,7 +290,7 @@ def server_update(server, reps, labels):
                 raise DivergedError("server loss is non-finite")
             nets._sgd(classifier, grads, server.lr)
     nets._check_trained(classifier)
-    return replace(server, classifier=classifier)
+    return replace(server, classifier=classifier, rng=rng)
 
 
 def evaluate_client(client):

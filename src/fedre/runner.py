@@ -26,7 +26,7 @@ from .inversion import (
     invert_multi,
     score,
 )
-from .protocol import ClientState, CommLedger, ServerState
+from .protocol import ClientState, ServerState
 
 
 @dataclass(eq=False)
@@ -36,16 +36,13 @@ class World:
     strategy: baselines.Strategy
     part_rng: np.random.Generator
     attack_seed: object
-    dataset: data.Dataset
     unified_dim: int
-    num_classes: int
 
 
 @dataclass
 class SeedTrace:
     seed: int
     records: list  # RoundMetrics per round
-    ledger: CommLedger
     final_mean_acc: float
     failed: bool = False
     error: str | None = None
@@ -63,12 +60,12 @@ class RunSummary:
     @property
     def upload_total(self):
         ok = [t for t in self.traces if not t.failed]
-        return ok[0].ledger.upload_total if ok else 0
+        return sum(m.upload_scalars for m in ok[0].records) if ok else 0
 
     @property
     def broadcast_total(self):
         ok = [t for t in self.traces if not t.failed]
-        return ok[0].ledger.broadcast_total if ok else 0
+        return sum(m.broadcast_scalars for m in ok[0].records) if ok else 0
 
 
 def _spawn_streams(seed, num_clients):
@@ -175,50 +172,48 @@ def build_world(cfg, seed):
         strategy=strategy,
         part_rng=np.random.default_rng(streams["participation"]),
         attack_seed=streams["attack"],
-        dataset=ds,
         unified_dim=cfg.unified_dim,
-        num_classes=num_classes,
     )
 
 
 def train(cfg, world):
     """Run all of cfg's rounds on a freshly built world.
 
-    Returns (clients, server, ledger, records), with the clients and server
-    as the last round left them and one RoundMetrics per round. Each round
-    gets the previous one's metrics, so it re-scores only the clients it
-    trained.
+    Returns (clients, server, records), with the clients and server as the
+    last round left them and one RoundMetrics per round, which also carries
+    the round's traffic. Each round gets the previous one's outputs and
+    metrics, so it re-scores only the clients it trained. world's clients
+    and server are left as they were; only world.part_rng advances.
     """
-    ledger = CommLedger(cfg.comm_convention)
     clients, server = world.clients, world.server
     records = []
     protos = {}
     for rnd in range(cfg.rounds):
-        clients, server, ledger, metrics, protos = baselines.strategy_round(
+        clients, server, protos, metrics = baselines.strategy_round(
             world.strategy,
             clients,
             server,
-            ledger,
+            protos,
             rnd,
-            participation_rate=cfg.participation_rate,
-            part_rng=world.part_rng,
-            global_protos=protos,
-            previous=records[-1] if records else None,
+            cfg.participation_rate,
+            world.part_rng,
+            records[-1] if records else None,
+            cfg.comm_convention,
         )
         records.append(metrics)
-    return clients, server, ledger, records
+    return clients, server, records
 
 
 def run_single_seed(cfg, seed):
     """All rounds for one seed; returns the trace."""
-    clients, _, ledger, records = train(cfg, build_world(cfg, seed))
+    clients, _, records = train(cfg, build_world(cfg, seed))
     if records:
         final = records[-1].mean_acc
     else:
         final = protocol.mean_accuracy(
             [protocol.evaluate_client(c) for c in clients]
         )
-    return SeedTrace(seed, records, ledger, final)
+    return SeedTrace(seed, records, final)
 
 
 def run_experiment(cfg):
@@ -233,7 +228,6 @@ def run_experiment(cfg):
                 SeedTrace(
                     seed,
                     [],
-                    CommLedger(cfg.comm_convention),
                     float("nan"),
                     failed=True,
                     error=f"{type(e).__name__}: {e}",
@@ -397,7 +391,7 @@ def run_inversion_study(cfg):
             )
         try:
             with np.errstate(all="ignore"):
-                clients, _, _, _ = train(cfg, world)
+                clients, _, _ = train(cfg, world)
                 results += _attack_client(cfg.inversion, world, clients[0])
         except RuntimeError:
             failed_seeds.append(seed)

@@ -289,24 +289,25 @@ def one_row_client_attack(inv, world, client):
 # ------------------------------------------------------- reference round
 
 
-def reference_packets(strategy, client, unified_dim):
-    """The client's upload as a list of per-row packets, one object each."""
+def reference_packets(strategy, client, unified_dim, fs_weights):
+    """The client's upload as a list of per-row packets, one object each.
+
+    fs_weights is the reference's own {client_id: frozen weights} for fedre
+    fs; a client's first packet draws its weights and stores them there.
+    """
     from fedre import baselines
     from fedre.entangle import compute_prototypes, entangle, re_weights, rm_apply
 
     if strategy.kind == baselines.LOCAL:
         return []
-    if strategy.kind == baselines.FEDRE:
-        w = None
-        if strategy.resample == baselines.FIXED:
-            w = strategy.fs_cache.get(client.client_id)
-            if w is None:
-                rep_set = protocol.client_representation_set(client)
-                w = re_weights(rep_set, strategy.mech, client.rng)
-                strategy.fs_cache[client.client_id] = w
-                return [entangle(rep_set, w, client.rm, unified_dim)]
-        return [protocol.client_make_packet(client, strategy.mech, unified_dim, weights=w)]
     rep_set = protocol.client_representation_set(client)
+    if strategy.kind == baselines.FEDRE:
+        w = fs_weights.get(client.client_id)
+        if w is None:
+            w = re_weights(rep_set, strategy.mech, client.rng)
+            if strategy.resample == baselines.FIXED:
+                fs_weights[client.client_id] = w
+        return [entangle(rep_set, w, client.rm, unified_dim)]
     if strategy.kind == baselines.FED_ALL_REP:
         mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
         return [
@@ -320,10 +321,11 @@ def reference_packets(strategy, client, unified_dim):
     ]
 
 
-def reference_round(strategy, clients, server, ledger, round_index, rate, part_rng, protos):
+def reference_round(strategy, clients, server, convention, rate, part_rng, protos, fs_weights):
     """One round the long way: per-row packet objects, stacked for the
     server or grouped one by one into prototypes, and every client scored.
-    Returns (clients, server, RoundMetrics, protos); no atomicity."""
+    Advances part_rng and fills fs_weights in place. Returns (clients,
+    server, RoundMetrics, protos); no atomicity."""
     from fedre import baselines
 
     d = server.classifier.input_dim
@@ -336,7 +338,7 @@ def reference_round(strategy, clients, server, ledger, round_index, rate, part_r
         trained = protocol.client_local_update(
             c, server.classifier if broadcast else None, proto_reg=proto_reg
         )
-        packets += reference_packets(strategy, trained, d)
+        packets += reference_packets(strategy, trained, d, fs_weights)
         updated[trained.client_id] = trained
         stats.append((len(trained.train), int(np.unique(trained.train.y).size)))
     if broadcast:
@@ -356,24 +358,23 @@ def reference_round(strategy, clients, server, ledger, round_index, rate, part_r
         d,
         server.classifier.output_dim,
         per_client_stats=stats,
-        convention=ledger.convention,
+        convention=convention,
         num_global_prototypes=len(protos) if strategy.kind == baselines.FEDPROTO_STYLE else None,
     )
     clients = [updated.get(c.client_id, c) for c in clients]
     accs = [protocol.evaluate_client(c) for c in clients]
-    ledger.add_round(upload, down)
     metrics = protocol.RoundMetrics(protocol.mean_accuracy(accs), accs, upload, down)
     return clients, server, metrics, protos
 
 
 def reference_train(cfg, world):
-    """runner.train on reference_round: (clients, server, ledger, records)."""
-    ledger = protocol.CommLedger(cfg.comm_convention)
-    clients, server, records, protos = world.clients, world.server, [], {}
+    """runner.train on reference_round: (clients, server, records, fs
+    weights by client id)."""
+    clients, server, records, protos, fs_weights = world.clients, world.server, [], {}, {}
     for rnd in range(cfg.rounds):
         clients, server, metrics, protos = reference_round(
-            world.strategy, clients, server, ledger, rnd,
-            cfg.participation_rate, world.part_rng, protos,
+            world.strategy, clients, server, cfg.comm_convention,
+            cfg.participation_rate, world.part_rng, protos, fs_weights,
         )
         records.append(metrics)
-    return clients, server, ledger, records
+    return clients, server, records, fs_weights

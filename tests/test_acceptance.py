@@ -287,8 +287,8 @@ def test_8_bitwise_determinism():
     b = runner.run_experiment(cfg)
     rec_a = json.dumps(runner.summary_records(a), sort_keys=True)
     rec_b = json.dumps(runner.summary_records(b), sort_keys=True)
-    ledgers_a = [(t.ledger.upload_history, t.ledger.broadcast_history) for t in a.traces]
-    ledgers_b = [(t.ledger.upload_history, t.ledger.broadcast_history) for t in b.traces]
+    ledgers_a = [[(m.upload_scalars, m.broadcast_scalars) for m in t.records] for t in a.traces]
+    ledgers_b = [[(m.upload_scalars, m.broadcast_scalars) for m in t.records] for t in b.traces]
     inv_cfg = presets.toy_inversion_config(num_seeds=2, rounds=2)
     inv_cfg.inversion.steps = 40
     inv_cfg.inversion.restarts = 2

@@ -38,7 +38,7 @@ def test_strategy_validation():
 
 def test_local_strategy_uploads_nothing():
     client = make_client(rng_seed=0)
-    block = baselines.packets_for(baselines.Strategy(kind="local"), client, 0, 4)
+    block = baselines.packets_for(baselines.Strategy(kind="local"), client, 4)
     assert len(block) == 0
     assert block.reps.shape == (0, 4)
     assert block.labels.shape == (0, 3)
@@ -54,10 +54,11 @@ def test_fedre_rs_draws_fresh_weights_each_round():
     a = make_client(rng_seed=1)
     b = make_client(rng_seed=1)
     strategy = baselines.Strategy(kind="fedre", resample="rs")
-    p1 = packet(baselines.packets_for(strategy, a, 0, 4))
-    p2 = packet(baselines.packets_for(strategy, a, 1, 4))
-    # the same state replays identically, but consecutive draws differ
-    q1 = packet(baselines.packets_for(strategy, b, 0, 4))
+    p1 = packet(baselines.packets_for(strategy, a, 4))
+    p2 = packet(baselines.packets_for(strategy, a, 4))
+    # the same state replays identically, but consecutive draws from one
+    # stream differ
+    q1 = packet(baselines.packets_for(strategy, b, 4))
     np.testing.assert_array_equal(p1.r_tilde, q1.r_tilde)
     assert not np.array_equal(p1.y_tilde, p2.y_tilde) or not np.array_equal(
         p1.r_tilde, p2.r_tilde
@@ -67,12 +68,16 @@ def test_fedre_rs_draws_fresh_weights_each_round():
 def test_fedre_fs_caches_weights_and_stops_consuming_rng():
     client = make_client(rng_seed=2)
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    p1 = packet(baselines.packets_for(strategy, client, 0, 4))
-    assert client.client_id in strategy.fs_cache
-    w = strategy.fs_cache[client.client_id]
+    first = baselines.packets_for(strategy, client, 4)
+    p1 = packet(first)
+    w = first.weights
+    assert w is not None
+    client = replace(client, weights=w)  # what strategy_round keeps
     state = client.rng.bit_generator.state
-    p2 = packet(baselines.packets_for(strategy, client, 1, 4))
-    assert client.rng.bit_generator.state == state  # no draw on the hit
+    second = baselines.packets_for(strategy, client, 4)
+    p2 = packet(second)
+    assert client.rng.bit_generator.state == state  # no draw with frozen weights
+    assert second.weights is w
     np.testing.assert_array_equal(p1.r_tilde, p2.r_tilde)
     # and the packet really is the cached weighting of the current reps
     rep_set = protocol.client_representation_set(client)
@@ -83,11 +88,10 @@ def test_fedre_fs_caches_weights_and_stops_consuming_rng():
 def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
     client = make_client(rng_seed=3, epochs=2, lr=0.1)
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    baselines.packets_for(strategy, client, 0, 4)
-    w = strategy.fs_cache[client.client_id].copy()
-    trained = protocol.client_local_update(client, None)
-    p = packet(baselines.packets_for(strategy, trained, 1, 4))
-    np.testing.assert_array_equal(strategy.fs_cache[client.client_id], w)
+    w = baselines.packets_for(strategy, client, 4).weights.copy()
+    trained = protocol.client_local_update(replace(client, weights=w), None)
+    p = packet(baselines.packets_for(strategy, trained, 4))
+    np.testing.assert_array_equal(trained.weights, w)
     rep_set = protocol.client_representation_set(trained)
     manual = entangle(rep_set, w, trained.rm, 4)
     np.testing.assert_array_equal(p.r_tilde, manual.r_tilde)
@@ -95,7 +99,7 @@ def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
 
 def test_fed_all_rep_uploads_every_mapped_sample():
     client = make_client(rng_seed=4)
-    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client, 0, 4)
+    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client, 4)
     assert len(block) == len(client.train)
     rep_set = protocol.client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, 4)
@@ -106,7 +110,7 @@ def test_fed_all_rep_uploads_every_mapped_sample():
 @pytest.mark.parametrize("kind", ["fedgh_style", "fedproto_style"])
 def test_prototype_strategies_upload_category_means(kind):
     client = make_client(rng_seed=5)
-    block = baselines.packets_for(baselines.Strategy(kind=kind), client, 0, 4)
+    block = baselines.packets_for(baselines.Strategy(kind=kind), client, 4)
     cats = np.unique(client.train.y)
     assert len(block) == cats.size
     assert block.labels.shape == (cats.size, 3)
@@ -189,9 +193,11 @@ def test_average_prototypes_groups_by_category():
 # ---------------------------------------------------------------- rounds
 
 
-def run_one(strategy, clients, server, protos=None):
+def run_one(strategy, clients, server, protos=None, round_index=0):
+    """One full-participation round; (clients, server, protos, metrics)."""
     return baselines.strategy_round(
-        strategy, clients, server, protocol.CommLedger(), 0, global_protos=protos
+        strategy, clients, server, protos or {}, round_index, 1.0,
+        np.random.default_rng(0), None, None,
     )
 
 
@@ -205,7 +211,7 @@ def test_strategy_round_fedre_rs_equals_plain_round():
     trained, packets = [], []
     for c in a_clients:
         trained.append(protocol.client_local_update(c, a_server.classifier))
-        packets.append(protocol.client_make_packet(trained[-1], mech, d))
+        packets.append(protocol.client_make_packet(trained[-1], mech, d)[0])
     server_a = protocol.server_update(
         a_server,
         np.stack([p.r_tilde for p in packets]),
@@ -214,17 +220,17 @@ def test_strategy_round_fedre_rs_equals_plain_round():
     accs = [protocol.evaluate_client(c) for c in trained]
     ledger_a = protocol.count_round(protocol.CommLedger(), len(trained), d, num_classes)
     strategy = baselines.Strategy(kind="fedre", mech=mech, resample="rs")
-    _, server_b, ledger_b, metrics_b, _ = run_one(strategy, b_clients, b_server)
+    _, server_b, _, metrics_b = run_one(strategy, b_clients, b_server)
     assert protocol.mean_accuracy(accs) == metrics_b.mean_acc
     assert accs == metrics_b.per_client_acc
-    assert ledger_a.upload_history == ledger_b.upload_history
-    assert ledger_a.broadcast_history == ledger_b.broadcast_history
+    assert ledger_a.upload_history == [metrics_b.upload_scalars]
+    assert ledger_a.broadcast_history == [metrics_b.broadcast_scalars]
     assert net_params_equal(server_a.classifier, server_b.classifier)
 
 
 def test_strategy_round_local_never_talks():
     clients, server = fresh_world()
-    new_clients, new_server, ledger, metrics, _ = run_one(
+    new_clients, new_server, _, metrics = run_one(
         baselines.Strategy(kind="local"), clients, server
     )
     assert metrics.upload_scalars == 0
@@ -236,7 +242,7 @@ def test_strategy_round_local_never_talks():
 
 def test_strategy_round_all_rep_uploads_every_sample():
     clients, server = fresh_world()
-    _, _, _, metrics, _ = run_one(baselines.Strategy(kind="fed_all_rep"), clients, server)
+    _, _, _, metrics = run_one(baselines.Strategy(kind="fed_all_rep"), clients, server)
     total = sum(len(c.train) for c in clients)
     assert metrics.upload_scalars == total * 4
 
@@ -244,7 +250,7 @@ def test_strategy_round_all_rep_uploads_every_sample():
 def test_strategy_round_fedproto_keeps_server_frozen_and_builds_prototypes():
     clients, server = fresh_world()
     strategy = baselines.Strategy(kind="fedproto_style", lambda_proto=0.2)
-    new_clients, new_server, _, metrics, protos = run_one(strategy, clients, server)
+    new_clients, new_server, protos, metrics = run_one(strategy, clients, server)
     assert net_params_equal(new_server.classifier, server.classifier)
     all_cats = set()
     for c in clients:
@@ -252,23 +258,24 @@ def test_strategy_round_fedproto_keeps_server_frozen_and_builds_prototypes():
     assert set(protos) == all_cats
     assert metrics.broadcast_scalars == 3 * len(protos) * 4
     # the returned prototypes feed the next round without error
-    baselines.strategy_round(
-        strategy, new_clients, new_server, protocol.CommLedger(), 1, global_protos=protos
-    )
+    run_one(strategy, new_clients, new_server, protos, round_index=1)
 
 
 def test_strategy_round_fs_fills_cache_once():
     clients, server = fresh_world()
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    clients, server, _, _, _ = run_one(strategy, clients, server)
-    cached = {k: v.copy() for k, v in strategy.fs_cache.items()}
+    assert all(c.weights is None for c in clients)
+    clients, server, _, _ = run_one(strategy, clients, server)
+    cached = {c.client_id: c.weights.copy() for c in clients}
     assert sorted(cached) == [0, 1, 2]
-    run_one(strategy, clients, server)
-    for k, v in strategy.fs_cache.items():
-        np.testing.assert_array_equal(v, cached[k])
+    clients, _, _, _ = run_one(strategy, clients, server)
+    for c in clients:
+        np.testing.assert_array_equal(c.weights, cached[c.client_id])
 
 
 def test_strategy_round_rolls_back_fs_cache_on_failure():
+    """The server aborts after every client drew its fs weights: the input
+    clients keep no weights, and nothing needs rolling back."""
     clients, server = fresh_world()
     bad_server = protocol.ServerState(
         classifier=server.classifier, rng=server.rng, lr=-1.0
@@ -277,22 +284,21 @@ def test_strategy_round_rolls_back_fs_cache_on_failure():
     states = [c.rng.bit_generator.state for c in clients]
     with pytest.raises(ValueError):
         run_one(strategy, clients, bad_server)
-    assert strategy.fs_cache == {}
+    assert all(c.weights is None for c in clients)
     for c, st in zip(clients, states):
         assert c.rng.bit_generator.state == st
     # the retry matches an undisturbed run exactly
     ref_clients, ref_server = fresh_world()
-    ref_strategy = baselines.Strategy(kind="fedre", resample="fs")
-    _, _, _, want, _ = run_one(ref_strategy, ref_clients, ref_server)
-    _, _, _, got, _ = run_one(strategy, clients, server)
+    want_clients, _, _, want = run_one(strategy, ref_clients, ref_server)
+    got_clients, _, _, got = run_one(strategy, clients, server)
     assert got.mean_acc == want.mean_acc
-    for k in strategy.fs_cache:
-        np.testing.assert_array_equal(strategy.fs_cache[k], ref_strategy.fs_cache[k])
+    for g, w in zip(got_clients, want_clients):
+        np.testing.assert_array_equal(g.weights, w.weights)
 
 
 def failing_evaluation(monkeypatch, at_call):
     """Make evaluate_client raise on its at_call-th call, after the server
-    has trained and the ledger entry is known."""
+    has trained and the round's traffic is counted."""
 
     real = protocol.evaluate_client
     calls = []
@@ -313,26 +319,25 @@ def check_aborted_round_commits_nothing(monkeypatch, kind, resample, rate):
     clients, server = fresh_world()
     strategy = baselines.Strategy(kind=kind, resample=resample)
     part_rng = np.random.default_rng(9)
-    ledger = protocol.CommLedger()
-    clients, server, ledger, metrics, protos = baselines.strategy_round(
-        strategy, clients, server, ledger, 0, participation_rate=rate, part_rng=part_rng
+    clients, server, protos, metrics = baselines.strategy_round(
+        strategy, clients, server, {}, 0, rate, part_rng, None, None
     )
-    history = (list(ledger.upload_history), list(ledger.broadcast_history))
+    history = (metrics.upload_scalars, metrics.broadcast_scalars)
     streams = [c.rng for c in clients] + [server.rng, part_rng]
     states = [g.bit_generator.state for g in streams]
-    cache = {k: v.copy() for k, v in strategy.fs_cache.items()}
+    cache = {c.client_id: c.weights.copy() for c in clients if c.weights is not None}
+    assert bool(cache) == (kind == "fedre" and resample == "fs")
     trained = math.ceil(rate * len(clients))
     failing_evaluation(monkeypatch, at_call=trained)
     with pytest.raises(nets.DivergedError):
         baselines.strategy_round(
-            strategy, clients, server, ledger, 1, participation_rate=rate,
-            part_rng=part_rng, global_protos=protos, previous=metrics,
+            strategy, clients, server, protos, 1, rate, part_rng, metrics, None
         )
-    assert (ledger.upload_history, ledger.broadcast_history) == history
+    assert (metrics.upload_scalars, metrics.broadcast_scalars) == history
     assert [g.bit_generator.state for g in streams] == states
-    assert sorted(strategy.fs_cache) == sorted(cache)
+    assert sorted(c.client_id for c in clients if c.weights is not None) == sorted(cache)
     for k, v in cache.items():
-        np.testing.assert_array_equal(strategy.fs_cache[k], v)
+        np.testing.assert_array_equal(clients[k].weights, v)
 
 
 @pytest.mark.parametrize("kind", baselines.STRATEGIES)
@@ -350,7 +355,7 @@ def test_strategy_round_aborted_with_clients_sat_out_commits_nothing(monkeypatch
 def test_strategy_round_skips_trainless_clients():
     clients, server = fresh_world()
     clients[2] = replace(clients[2], train=clients[2].train.subset([]))
-    _, _, _, metrics, _ = run_one(baselines.Strategy(kind="fedre"), clients, server)
+    _, _, _, metrics = run_one(baselines.Strategy(kind="fedre"), clients, server)
     assert metrics.upload_scalars == 2 * 4
     assert len(metrics.per_client_acc) == 3
 
@@ -360,6 +365,6 @@ def test_strategy_round_deterministic():
         runs = []
         for _ in range(2):
             clients, server = fresh_world()
-            _, _, _, metrics, _ = run_one(baselines.Strategy(kind=kind), clients, server)
+            _, _, _, metrics = run_one(baselines.Strategy(kind=kind), clients, server)
             runs.append(metrics)
         assert runs[0].mean_acc == runs[1].mean_acc

@@ -287,14 +287,6 @@ def test_csv_round_trip_is_bitwise(tmp_path):
     assert back.num_classes == 3  # inferred as max label + 1
 
 
-def test_csv_num_classes_override(tmp_path):
-    ds = data.Dataset(np.zeros((2, 2)), np.array([0, 1]), 5)
-    p = tmp_path / "ds.csv"
-    save_csv(ds, p)
-    assert data.load_csv(p).num_classes == 2
-    assert data.load_csv(p, num_classes=5).num_classes == 5
-
-
 def test_csv_header_is_validated(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,label\n0,0,0\n")

@@ -4,7 +4,8 @@ Every name a fedre module imports must be used in that module, or be
 re-exported through its ``__all__``. Every public function and class of
 ``src/fedre`` must have a caller outside the tests: in ``src/``,
 ``scripts/`` or perfbench's non-test files, in perfbench's ``TRACED`` list,
-or in ``fedre.__all__``.
+or in ``fedre.__all__``. Every defaulted parameter of a public function
+must be passed by some call in that same live code.
 """
 
 import ast
@@ -146,4 +147,83 @@ def test_the_check_finds_an_unused_public_name():
     callers = [ast.parse("import pkg\npkg.m.attr\n")]
     assert unused_public_names(package, callers, roots={"traced"}) == [
         "Unused", "dead", "only_dead_calls_me"
+    ]
+
+
+# ------------------------------------------- parameters only the tests set
+
+# (function, parameter) pairs set from outside the code: the console entry
+# point calls cli.main() with no arguments
+EXEMPT_PARAMETERS = {("main", "argv")}
+
+
+def defaulted_parameters(package):
+    """{public top-level function: (its positional parameter names, its
+    defaulted parameter names)}."""
+    found = {}
+    for tree in package:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if defaulted:
+                    found[node.name] = (positional, defaulted)
+    return found
+
+
+def parameters_never_passed(package, callers, exempt=()):
+    """The "function(parameter)" pairs of defaulted parameters that no call
+    in the package or the callers passes, by position or by keyword, sorted.
+    A call with *args or **kwargs counts as passing every parameter."""
+    params = defaulted_parameters(package)
+    passed = {name: set() for name in params}
+    for tree in list(package) + list(callers):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in params:
+                continue
+            positional, defaulted = params[name]
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                passed[name] |= set(defaulted)
+                continue
+            passed[name] |= set(positional[: len(call.args)])
+            passed[name] |= {kw.arg for kw in call.keywords}
+    return sorted(
+        f"{name}({p})"
+        for name, (_, defaulted) in params.items()
+        for p in defaulted
+        if p not in passed[name] and (name, p) not in exempt
+    )
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    never = parameters_never_passed(
+        [parse(p) for p in MODULES], [parse(p) for p in CALLERS], EXEMPT_PARAMETERS
+    )
+    assert not never, f"parameters only the tests set: {never}"
+
+
+def test_the_check_finds_a_parameter_only_tests_set():
+    package = [
+        ast.parse(
+            "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+            "def g(x=0): pass\n"
+            "def h(y=0): pass\n"
+            "def main(argv=None): pass\n"
+            "def _private(z=0): pass\n"
+            "f(0, 5, d=6)\n"
+        )
+    ]
+    callers = [ast.parse("import pkg\npkg.g(*[1])\n")]
+    assert parameters_never_passed(package, callers, exempt={("main", "argv")}) == [
+        "f(c)", "f(e)", "h(y)"
     ]

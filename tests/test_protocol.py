@@ -34,16 +34,6 @@ def test_count_round_with_labels_counts_soft_label_payload():
     assert ledger.upload_history[-1] == 10 * (512 + 100)
 
 
-def test_count_round_convention_override():
-    ledger = protocol.CommLedger(protocol.REPRESENTATION_ONLY)
-    protocol.count_round(
-        ledger, 4, 8, 3, convention=protocol.REPRESENTATION_PLUS_LABEL
-    )
-    assert ledger.upload_history[-1] == 4 * (8 + 3)
-    with pytest.raises(ValueError):
-        protocol.count_round(ledger, 4, 8, 3, convention="bogus")
-
-
 def test_ledger_rejects_unknown_convention_and_negative_counts():
     with pytest.raises(ValueError):
         protocol.CommLedger("nope")
@@ -250,10 +240,11 @@ def test_client_make_packet_is_deterministic_per_rng_state():
     a = make_client(rng_seed=8)
     b = make_client(rng_seed=8)
     mech = ReMechanism("rap")
-    pa = protocol.client_make_packet(a, mech, 4)
-    pb = protocol.client_make_packet(b, mech, 4)
+    pa, wa = protocol.client_make_packet(a, mech, 4)
+    pb, wb = protocol.client_make_packet(b, mech, 4)
     np.testing.assert_array_equal(pa.r_tilde, pb.r_tilde)
     np.testing.assert_array_equal(pa.y_tilde, pb.y_tilde)
+    np.testing.assert_array_equal(wa, wb)
 
 
 def test_client_make_packet_with_explicit_weights_skips_the_rng():
@@ -261,13 +252,15 @@ def test_client_make_packet_with_explicit_weights_skips_the_rng():
     state_before = client.rng.bit_generator.state
     n = len(client.train)
     w = np.full(n, 1.0 / n)
-    protocol.client_make_packet(client, ReMechanism("rap"), 4, weights=w)
+    _, used = protocol.client_make_packet(client, ReMechanism("rap"), 4, weights=w)
     assert client.rng.bit_generator.state == state_before
+    assert used is w
 
 
 def test_packet_shapes():
     client = make_client(rng_seed=10, unified_dim=4, num_classes=3)
-    p = protocol.client_make_packet(client, ReMechanism("var"), 4)
+    p, w = protocol.client_make_packet(client, ReMechanism("var"), 4)
+    assert w.shape == (len(client.train),)
     assert p.r_tilde.shape == (4,)
     assert p.y_tilde.shape == (3,)
 
@@ -382,18 +375,21 @@ def test_participation_rejects_bad_rate():
 # ---------------------------------------------------------------- full round
 
 
-def fedre_round(clients, server, mech, ledger, participation_rate=1.0, part_rng=None):
-    """The paper's round: fedre with fresh weight draws every round."""
-    clients, server, ledger, metrics, _ = baselines.strategy_round(
+def fedre_round(clients, server, mech, participation_rate=1.0, part_rng=None):
+    """The paper's round: fedre with fresh weight draws every round.
+    Returns (clients, server, metrics)."""
+    clients, server, _, metrics = baselines.strategy_round(
         baselines.Strategy(kind="fedre", mech=mech),
         clients,
         server,
-        ledger,
+        {},
         0,
-        participation_rate=participation_rate,
-        part_rng=part_rng,
+        participation_rate,
+        np.random.default_rng(0) if part_rng is None else part_rng,
+        None,
+        protocol.REPRESENTATION_ONLY,
     )
-    return clients, server, ledger, metrics
+    return clients, server, metrics
 
 
 def fresh_world(num_clients=3, seed_base=20):
@@ -409,10 +405,7 @@ def test_run_round_is_deterministic():
     results = []
     for _ in range(2):
         clients, server = fresh_world()
-        ledger = protocol.CommLedger()
-        clients, server, ledger, metrics = fedre_round(
-            clients, server, mech, ledger
-        )
+        clients, server, metrics = fedre_round(clients, server, mech)
         results.append((metrics, server))
     m0, m1 = results[0][0], results[1][0]
     assert m0.mean_acc == m1.mean_acc
@@ -422,13 +415,11 @@ def test_run_round_is_deterministic():
 
 def test_run_round_accounts_participants():
     clients, server = fresh_world()
-    ledger = protocol.CommLedger()
-    _, _, ledger, metrics = fedre_round(
-        clients, server, ReMechanism("var"), ledger
-    )
+    _, _, metrics = fedre_round(clients, server, ReMechanism("var"))
     d, C = 4, 3
     assert metrics.upload_scalars == 3 * d
     assert metrics.broadcast_scalars == 3 * (d * C + C)
+    ledger = protocol.count_round(protocol.CommLedger(), 3, d, C)
     assert ledger.upload_total == metrics.upload_scalars
     assert 0.0 <= metrics.mean_acc <= 1.0
     record = metrics.to_record(0)
@@ -445,10 +436,15 @@ def test_run_round_does_not_mutate_inputs():
     clients, server = fresh_world()
     before = [c.extractor.layers[0].weight.copy() for c in clients]
     server_before = server.classifier.layers[0].weight.copy()
-    fedre_round(clients, server, ReMechanism("rap"), protocol.CommLedger())
+    streams = [c.rng for c in clients] + [server.rng]
+    states = [g.bit_generator.state for g in streams]
+    new_clients, new_server, _ = fedre_round(clients, server, ReMechanism("rap"))
     for c, w in zip(clients, before):
         np.testing.assert_array_equal(c.extractor.layers[0].weight, w)
     np.testing.assert_array_equal(server.classifier.layers[0].weight, server_before)
+    # the input streams stay put; the new states draw from forks of them
+    assert [g.bit_generator.state for g in streams] == states
+    assert all(n.rng is not c.rng for n, c in zip(new_clients + [new_server], clients + [server]))
 
 
 def test_run_round_skips_trainless_clients_but_still_scores_them():
@@ -456,9 +452,7 @@ def test_run_round_skips_trainless_clients_but_still_scores_them():
 
     clients, server = fresh_world()
     clients[1] = replace(clients[1], train=clients[1].train.subset([]))
-    _, _, _, metrics = fedre_round(
-        clients, server, ReMechanism("var"), protocol.CommLedger()
-    )
+    _, _, metrics = fedre_round(clients, server, ReMechanism("var"))
     assert metrics.upload_scalars == 2 * 4  # only two uploaders
     assert len(metrics.per_client_acc) == 3  # everyone evaluated
 
@@ -470,29 +464,28 @@ def test_run_round_rolls_back_rng_on_failure():
     )
     states = [c.rng.bit_generator.state for c in clients]
     with pytest.raises(ValueError):
-        fedre_round(clients, bad_server, ReMechanism("rap"), protocol.CommLedger())
+        fedre_round(clients, bad_server, ReMechanism("rap"))
     for c, st in zip(clients, states):
         assert c.rng.bit_generator.state == st
     # a rerun with a good server proceeds exactly as if the failure never happened
     reference_clients, reference_server = fresh_world()
-    _, _, _, want = fedre_round(
-        reference_clients, reference_server, ReMechanism("rap"), protocol.CommLedger()
-    )
-    _, _, _, got = fedre_round(
-        clients, server, ReMechanism("rap"), protocol.CommLedger()
-    )
+    _, _, want = fedre_round(reference_clients, reference_server, ReMechanism("rap"))
+    _, _, got = fedre_round(clients, server, ReMechanism("rap"))
     assert got.mean_acc == want.mean_acc
 
 
 def test_run_round_participation_uses_given_rng():
     clients, server = fresh_world(num_clients=4)
     part_rng = np.random.default_rng(5)
-    _, _, _, metrics = fedre_round(
+    twin = np.random.default_rng(5)
+    _, _, metrics = fedre_round(
         clients,
         server,
         ReMechanism("var"),
-        protocol.CommLedger(),
         participation_rate=0.5,
         part_rng=part_rng,
     )
     assert metrics.upload_scalars == 2 * 4  # ceil(0.5 * 4) = 2 uploaders
+    # the round commits its draw of the participants to part_rng
+    protocol.participation_sample(clients, 0.5, twin)
+    assert part_rng.bit_generator.state == twin.bit_generator.state

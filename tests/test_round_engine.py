@@ -2,13 +2,16 @@
 
 baselines.strategy_round uploads each client's packets as one block and
 re-scores only the clients it trained. helpers.reference_round is the long
-way: one packet object per row, and every client scored every round. Over
-every strategy, resample mode, mapping and participation rate, runner.train
-must end bitwise equal to the reference: records, ledger, parameters, RNG
-streams and fs weights.
+way: one packet object per row, every client scored every round, and the fs
+weights kept in a dict of its own. Over every strategy, resample mode,
+mapping and participation rate, runner.train must end bitwise equal to the
+reference: records, parameters, RNG streams and fs weights. A round that
+aborts anywhere must leave its inputs as they were.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,23 +65,20 @@ def test_train_equals_the_per_row_reference(kind, resample, rm_op, rate, seed):
     with np.errstate(all="ignore"):
         got = runner.train(cfg, got_world)
         want = reference_train(cfg, want_world)
-    (got_clients, got_server, got_ledger, got_records) = got
-    (want_clients, want_server, want_ledger, want_records) = want
+    (got_clients, got_server, got_records) = got
+    (want_clients, want_server, want_records, want_weights) = want
     assert np.array_equal(scores(got_records), scores(want_records), equal_nan=True)
     for g, w in zip(got_records, want_records):
         assert (g.upload_scalars, g.broadcast_scalars) == (w.upload_scalars, w.broadcast_scalars)
-    assert got_ledger.upload_history == want_ledger.upload_history
-    assert got_ledger.broadcast_history == want_ledger.broadcast_history
     assert net_params_equal(got_server.classifier, want_server.classifier)
     for g, w in zip(got_clients, want_clients):
         assert all(net_params_equal(a, b) for a, b in zip(nets_of(g), nets_of(w)))
         assert g.rng.bit_generator.state == w.rng.bit_generator.state
     assert got_server.rng.bit_generator.state == want_server.rng.bit_generator.state
     assert got_world.part_rng.bit_generator.state == want_world.part_rng.bit_generator.state
-    got_cache, want_cache = got_world.strategy.fs_cache, want_world.strategy.fs_cache
-    assert sorted(got_cache) == sorted(want_cache)
-    for k in got_cache:
-        assert np.array_equal(got_cache[k], want_cache[k])
+    assert sorted(c.client_id for c in got_clients if c.weights is not None) == sorted(want_weights)
+    for k, w in want_weights.items():
+        assert np.array_equal(got_clients[k].weights, w)
 
 
 @pytest.mark.parametrize("kind", baselines.STRATEGIES)
@@ -100,7 +100,7 @@ def test_train_scores_every_client_first_then_only_the_trained(monkeypatch, kind
 
     monkeypatch.setattr(baselines, "evaluate_client", evaluate)
     monkeypatch.setattr(baselines, "strategy_round", strategy_round)
-    _, _, _, records = runner.train(cfg, world)
+    _, _, records = runner.train(cfg, world)
     assert len(rounds) == cfg.rounds
     assert [c.client_id for c in rounds[0][2]] == list(range(cfg.num_clients))
     pool = sum(1 for c in world.clients if len(c.train))
@@ -121,18 +121,128 @@ def test_a_direct_round_without_a_previous_score_scores_every_client(monkeypatch
     calls = []
     real = protocol.evaluate_client
     monkeypatch.setattr(baselines, "evaluate_client", lambda c: calls.append(c) or real(c))
-    ledger = protocol.CommLedger()
-    clients, server, ledger, _, _ = baselines.strategy_round(
-        world.strategy, world.clients, world.server, ledger, 0, 0.5, world.part_rng
+    clients, server, protos, _ = baselines.strategy_round(
+        world.strategy, world.clients, world.server, {}, 0, 0.5, world.part_rng, None, None
     )
     assert len(calls) == cfg.num_clients
     calls.clear()
-    baselines.strategy_round(world.strategy, clients, server, ledger, 1, 0.5, world.part_rng)
+    baselines.strategy_round(
+        world.strategy, clients, server, protos, 1, 0.5, world.part_rng, None, None
+    )
     assert len(calls) == cfg.num_clients
     calls.clear()
     with pytest.raises(ValueError):
         baselines.strategy_round(
-            world.strategy, clients, server, ledger, 2, 0.5, world.part_rng,
-            previous=protocol.RoundMetrics(0.5, [0.5], 0, 0),
+            world.strategy, clients, server, protos, 2, 0.5, world.part_rng,
+            protocol.RoundMetrics(0.5, [0.5], 0, 0), None,
         )
     assert calls == []
+
+
+# ------------------------------------------------------- fault injection
+
+# every step the round calls through baselines' namespace
+FAULT_SITES = (
+    "client_local_update",
+    "client_make_packet",
+    "packets_for",
+    "server_update",
+    "average_prototypes",
+    "ledger_for",
+    "evaluate_client",
+)
+
+
+class InjectedFault(RuntimeError):
+    pass
+
+
+def calls_at(site, log, fail_at=None):
+    """baselines.<site>, counting its calls into log; with fail_at, the
+    fail_at-th call raises InjectedFault instead."""
+    real = getattr(baselines, site)
+
+    def wrapped(*args, **kwargs):
+        log[site] = log.get(site, 0) + 1
+        if log[site] == fail_at:
+            raise InjectedFault(f"{site} call {fail_at}")
+        return real(*args, **kwargs)
+
+    return mock.patch.object(baselines, site, wrapped)
+
+
+def state_of(clients, server, protos, part_rng):
+    """Copies of everything a round could change among its inputs or
+    outputs: parameters, fs weights, prototypes and RNG states."""
+    params = [
+        a.copy()
+        for net in [n for c in clients for n in nets_of(c)] + [server.classifier]
+        for layer in net.layers
+        for a in (layer.weight, layer.bias)
+    ]
+    weights = [None if c.weights is None else c.weights.copy() for c in clients]
+    streams = [g.bit_generator.state for g in [c.rng for c in clients] + [server.rng, part_rng]]
+    return params, weights, {k: v.copy() for k, v in protos.items()}, streams
+
+
+def assert_same_state(got, want):
+    (gp, gw, gpr, gs), (wp, ww, wpr, ws) = got, want
+    assert len(gp) == len(wp) and all(np.array_equal(a, b) for a, b in zip(gp, wp))
+    assert [w is None for w in gw] == [w is None for w in ww]
+    assert all(np.array_equal(a, b) for a, b in zip(gw, ww) if a is not None)
+    assert sorted(gpr) == sorted(wpr) and all(np.array_equal(gpr[k], wpr[k]) for k in gpr)
+    assert gs == ws
+
+
+def after_first_round(cfg, seed):
+    """The inputs of round 1: (strategy, clients, server, protos, part_rng,
+    round 0's metrics)."""
+    world = runner.build_world(cfg, seed)
+    clients, server, protos, metrics = baselines.strategy_round(
+        world.strategy, world.clients, world.server, {}, 0,
+        cfg.participation_rate, world.part_rng, None, cfg.comm_convention,
+    )
+    return world.strategy, clients, server, protos, world.part_rng, metrics
+
+
+def second_round(cfg, inputs):
+    strategy, clients, server, protos, part_rng, previous = inputs
+    return baselines.strategy_round(
+        strategy, clients, server, protos, 1,
+        cfg.participation_rate, part_rng, previous, cfg.comm_convention,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(baselines.STRATEGIES),
+    resample=st.sampled_from(baselines.RESAMPLE_MODES),
+    rate=st.sampled_from([0.4, 0.7, 1.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_a_round_aborted_anywhere_changes_no_input(kind, resample, rate, seed, data):
+    """A fault at the k-th call of any step leaves every input as it was,
+    and a retry from the same inputs equals an unfaulted round."""
+    cfg = small_config(kind, resample, "ap", rate)
+    with np.errstate(all="ignore"):
+        inputs, twin = after_first_round(cfg, seed), after_first_round(cfg, seed)
+        counts = {}
+        with contextlib.ExitStack() as stack:
+            for site in FAULT_SITES:
+                stack.enter_context(calls_at(site, counts))
+            want = second_round(cfg, twin)
+        site = data.draw(st.sampled_from([s for s in FAULT_SITES if counts.get(s)]))
+        at = data.draw(st.integers(1, counts[site]))
+        _, clients, server, protos, part_rng, previous = inputs
+        before = state_of(clients, server, protos, part_rng)
+        record = repr(previous.to_record(0))
+        with calls_at(site, {}, fail_at=at), pytest.raises(InjectedFault):
+            second_round(cfg, inputs)
+        assert_same_state(state_of(clients, server, protos, part_rng), before)
+        assert repr(previous.to_record(0)) == record
+        got = second_round(cfg, inputs)
+    assert repr(got[3].to_record(1)) == repr(want[3].to_record(1))
+    assert_same_state(
+        state_of(got[0], got[1], got[2], part_rng), state_of(want[0], want[1], want[2], twin[4])
+    )

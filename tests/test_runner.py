@@ -62,7 +62,7 @@ def test_build_world_different_seed_differs():
     cfg = tiny_config()
     a = runner.build_world(cfg, seed=3)
     b = runner.build_world(cfg, seed=4)
-    assert not np.array_equal(a.dataset.X, b.dataset.X)
+    assert not np.array_equal(a.clients[0].train.X, b.clients[0].train.X)
     assert not net_params_equal(a.clients[0].extractor, b.clients[0].extractor)
 
 
@@ -81,8 +81,8 @@ def test_build_world_csv_dataset(tmp_path):
     save_csv(ds, path)
     cfg = tiny_config(dataset={"kind": "csv", "path": str(path)})
     world = runner.build_world(cfg, seed=0)
-    assert len(world.dataset) == 30
-    assert world.num_classes == 3
+    assert sum(len(c.train) + len(c.test) for c in world.clients) == 30
+    assert world.server.classifier.output_dim == 3
 
 
 def test_build_world_rejects_an_unreadable_csv_path(tmp_path):
@@ -102,7 +102,7 @@ def test_run_experiment_is_reproducible():
     assert a.mean_acc == b.mean_acc
     for ta, tb in zip(a.traces, b.traces):
         assert [m.mean_acc for m in ta.records] == [m.mean_acc for m in tb.records]
-        assert ta.ledger.upload_history == tb.ledger.upload_history
+        assert [m.upload_scalars for m in ta.records] == [m.upload_scalars for m in tb.records]
 
 
 def test_run_experiment_aggregates_over_seeds():

@@ -41,7 +41,7 @@ def small_world(seed=0, rm_op="ap", mechanism="rap", restarts=2, num_targets=2,
         },
     })
     world = runner.build_world(cfg, seed)
-    clients, _, _, _ = runner.train(cfg, world)
+    clients, _, _ = runner.train(cfg, world)
     return cfg.inversion, world, clients[0]
 
 

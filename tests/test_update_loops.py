@@ -7,7 +7,8 @@ from the public forward_pass, backprop and sgd_step and the reference
 cross-entropy and softmax in helpers: every step
 builds a new net and checks it. Over small random worlds both must end with
 bitwise equal parameters and the same RNG state, or both must fail with
-DivergedError.
+DivergedError. The updates draw from a fork of the input's stream and
+return it as the new state's, so the input's own stream must not move.
 """
 
 import math
@@ -114,9 +115,13 @@ LRS = st.sampled_from([0.0, 0.05, 0.5, 5.0, 1e150])
 
 
 @st.composite
-def client_worlds(draw):
+def client_worlds(draw, always_pull=False):
     """A small client with a random mapping, batch size and epoch count,
-    plus an optional broadcast classifier and prototype pull."""
+    plus an optional broadcast classifier and prototype pull.
+
+    always_pull makes every draw one whose prototype pull moves the
+    parameters: lam > 0, a finite non-zero lr, at least one epoch and a
+    prototype for every label."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(RM_KINDS))
     unified = draw(st.integers(1, 3))
@@ -136,13 +141,16 @@ def client_worlds(draw):
         train=train,
         test=train.subset([]),
         rng=np.random.default_rng(draw(st.integers(0, 2**16))),
-        lr=draw(LRS),
+        lr=draw(st.sampled_from([0.01, 0.05]) if always_pull else LRS),
         batch_size=draw(st.integers(1, n + 2)),
-        epochs=draw(st.integers(0, 3)),
+        epochs=draw(st.integers(1 if always_pull else 0, 3)),
     )
     broadcast = protocol.make_classifier(unified, num_classes, rng) if draw(st.booleans()) else None
     proto_reg = None
-    if draw(st.booleans()):
+    if always_pull:
+        lam = draw(st.sampled_from([0.1, 1.0]))
+        proto_reg = (lam, {c: rng.normal(size=unified) for c in range(num_classes)})
+    elif draw(st.booleans()):
         cats = draw(st.sets(st.integers(0, num_classes - 1)))
         proto_reg = (draw(st.sampled_from([0.0, 0.1, 1.0])), {c: rng.normal(size=unified) for c in cats})
     return client, broadcast, proto_reg
@@ -178,13 +186,13 @@ def twin_rngs(state_holder):
 # ------------------------------------------------------------- properties
 
 
-@settings(max_examples=80, deadline=None)
-@given(client_worlds())
-def test_client_local_update_equals_the_per_step_loop(world):
+def check_client_update(world):
     client, broadcast, proto_reg = world
     rng_a, rng_b = twin_rngs(client)
+    before = rng_a.bit_generator.state
     got = outcome(protocol.client_local_update, replace(client, rng=rng_a), broadcast, proto_reg)
     want = outcome(reference_client_update, replace(client, rng=rng_b), broadcast, proto_reg)
+    assert rng_a.bit_generator.state == before
     if want is nets.DivergedError:
         assert got is nets.DivergedError
         return
@@ -194,9 +202,24 @@ def test_client_local_update_equals_the_per_step_loop(world):
     assert net_params_equal(got.classifier, classifier)
     if rm.kind == FC:
         assert net_params_equal(got.rm.net, rm.net)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert got.rng is not rng_a
+    assert got.rng.bit_generator.state == rng_b.bit_generator.state
     # the input state's parameters are untouched
     assert got.extractor.layers[0].weight is not client.extractor.layers[0].weight
+
+
+@settings(max_examples=80, deadline=None)
+@given(client_worlds())
+def test_client_local_update_equals_the_per_step_loop(world):
+    check_client_update(world)
+
+
+@settings(max_examples=30, deadline=None)
+@given(client_worlds(always_pull=True))
+def test_client_local_update_pulls_toward_every_prototype(world):
+    """Every draw here has a pull that moves the parameters, so a pull
+    dropped for any category shows as a parameter mismatch."""
+    check_client_update(world)
 
 
 @settings(max_examples=80, deadline=None)
@@ -205,17 +228,19 @@ def test_server_update_equals_the_per_step_loop(world):
     server, packets = world
     before = nets.clone(server.classifier)
     rng_a, rng_b = twin_rngs(server)
+    state = rng_a.bit_generator.state
     R = np.stack([p.r_tilde for p in packets])
     Y = np.stack([p.y_tilde for p in packets])
     got = outcome(protocol.server_update, replace(server, rng=rng_a), R, Y)
     want = outcome(reference_server_update, replace(server, rng=rng_b), packets)
     assert net_params_equal(server.classifier, before)
+    assert rng_a.bit_generator.state == state
     if want is nets.DivergedError:
         assert got is nets.DivergedError
         return
     assert got is not nets.DivergedError
     assert net_params_equal(got.classifier, want)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert got.rng.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_parameters_overflowing_on_the_last_step_raise_diverged_error():
