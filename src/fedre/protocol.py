@@ -31,6 +31,7 @@ from .nets import DivergedError, ShapeError
 REPRESENTATION_ONLY = "representation_only"
 REPRESENTATION_PLUS_LABEL = "representation_plus_label"
 CONVENTIONS = (REPRESENTATION_ONLY, REPRESENTATION_PLUS_LABEL)
+_FORK_SEED = np.random.SeedSequence(0)  # fork_rng seeds from this, then overwrites it
 
 
 @dataclass(eq=False)
@@ -122,7 +123,7 @@ def count_round(ledger, num_clients, unified_dim, num_classes):
 
 def fork_rng(rng):
     """A new generator in rng's state: drawing from it leaves rng as it is."""
-    fork = np.random.Generator(type(rng.bit_generator)())
+    fork = np.random.Generator(type(rng.bit_generator)(_FORK_SEED))
     fork.bit_generator.state = rng.bit_generator.state
     return fork
 

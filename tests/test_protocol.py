@@ -372,6 +372,33 @@ def test_participation_rejects_bad_rate():
         protocol.participation_sample([1], 1.5, np.random.default_rng(0))
 
 
+# ---------------------------------------------------------------- rng forks
+
+
+def draws(rng):
+    """A mix of draws: 64-bit floats and integers, a permutation, and a
+    32-bit float, which leaves half a 64-bit word buffered in some sources."""
+    return [rng.standard_normal(5), rng.integers(0, 1000, 7), rng.permutation(9),
+            rng.random(3, dtype=np.float32), rng.random(4)]
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64],
+    ids=lambda bg: bg.__name__,
+)
+def test_fork_rng_draws_what_its_source_would_and_leaves_it_unchanged(bit_generator):
+    rng = np.random.Generator(bit_generator(7))
+    rng.random(1, dtype=np.float32)  # fork mid-stream, with a half word buffered
+    state = rng.bit_generator.state
+    fork = protocol.fork_rng(rng)
+    assert type(fork.bit_generator) is bit_generator
+    forked = draws(fork)
+    np.testing.assert_equal(rng.bit_generator.state, state)
+    for got, want in zip(forked, draws(rng)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(fork.bit_generator.state, rng.bit_generator.state)
+
+
 # ---------------------------------------------------------------- full round
 
 
