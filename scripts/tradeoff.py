@@ -6,6 +6,8 @@ sent per round, then the rs - fs gap. Then the attack of
 presets.toy_inversion_config on raw, prototype and entangled uploads: mean
 and quartiles of MSE and PSNR. Exits 1 unless entangled packets are the
 hardest to invert by mean (highest MSE, lowest PSNR) and raw ones the easiest.
+Every config is built and checked before any training: a bad option exits 2
+with one error line, as the fedre CLI does.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import sys
 import numpy as np
 
 from fedre import baselines, presets, runner
+from fedre.config import ConfigError
 
 POLICIES = [
     ("fed_all_rep", dict(strategy=baselines.FED_ALL_REP)),
@@ -40,10 +43,19 @@ def main(argv=None):
     args = ap.parse_args(argv)
     scale = dict(num_seeds=args.seeds, rounds=args.rounds)
     scale = {k: v for k, v in scale.items() if v is not None}  # unset: the preset's own
+    try:
+        configs = [(name, presets.toy_comparison_config(**scale, **kw)) for name, kw in POLICIES]
+        study_cfg = presets.toy_inversion_config(**scale)
+        for knob in ("steps", "restarts"):
+            if getattr(args, knob) is not None:
+                setattr(study_cfg.inversion, knob, getattr(args, knob))
+        study_cfg.inversion.validate()
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     acc = {}
-    for name, kwargs in POLICIES:
-        cfg = presets.toy_comparison_config(**scale, **kwargs)
+    for name, cfg in configs:
         summary = runner.run_experiment(cfg)
         acc[name] = 100 * summary.mean_acc
         rounds = cfg.rounds or 1
@@ -57,11 +69,7 @@ def main(argv=None):
             print(f"  wrote {args.output}")
     print(f"gap (rs - fs): {acc['fedre (rs)'] - acc['fedre (fs)']:.2f} points")
 
-    cfg = presets.toy_inversion_config(**scale)
-    for knob in ("steps", "restarts"):
-        if getattr(args, knob) is not None:
-            setattr(cfg.inversion, knob, getattr(args, knob))
-    study = runner.run_inversion_study(cfg)
+    study = runner.run_inversion_study(study_cfg)
     mse, psnr = study.mean_mse, study.mean_psnr
     print(f"{'attack on':10s} {'mse: mean':>10s} {'q1':>9s} {'median':>9s} {'q3':>9s}"
           f"   {'psnr dB: mean':>13s} {'q1':>7s} {'median':>7s} {'q3':>7s}")

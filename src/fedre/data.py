@@ -72,12 +72,9 @@ def make_blobs(num_classes, per_class, dim, spread, seed):
         raise ValueError("spread must be positive")
     rng = np.random.default_rng(seed)
     means = _circle_means(num_classes, dim, 3.0 * spread)
-    X = np.empty((num_classes * per_class, dim))
-    y = np.empty(num_classes * per_class, dtype=int)
-    for c in range(num_classes):
-        rows = slice(c * per_class, (c + 1) * per_class)
-        X[rows] = means[c] + spread * rng.standard_normal((per_class, dim))
-        y[rows] = c
+    noise = rng.standard_normal((num_classes * per_class, dim))
+    y = np.repeat(np.arange(num_classes), per_class)
+    X = means[y] + spread * noise
     return Dataset(X, y, num_classes)
 
 
@@ -123,6 +120,11 @@ def _dirichlet(alpha, size, rng):
             return g / g.sum()
 
 
+def _shard(ds, index_arrays):
+    """The subset of ds at the sorted union of disjoint index arrays."""
+    return ds.subset(np.sort(np.concatenate([np.empty(0, dtype=int), *index_arrays])))
+
+
 def _partition_pra(ds, num_clients, alpha, rng):
     per_client = [[] for _ in range(num_clients)]
     for c in range(ds.num_classes):
@@ -131,12 +133,10 @@ def _partition_pra(ds, num_clients, alpha, rng):
             continue
         shares = _dirichlet(alpha, num_clients, rng)
         counts = _largest_remainder(shares, idx.size)
-        shuffled = rng.permutation(idx)
-        start = 0
-        for k in range(num_clients):
-            per_client[k].extend(shuffled[start : start + counts[k]])
-            start += counts[k]
-    return [ds.subset(np.sort(np.asarray(ix, dtype=int))) for ix in per_client]
+        shards = np.split(rng.permutation(idx), np.cumsum(counts)[:-1])
+        for ix, shard in zip(per_client, shards):
+            ix.append(shard)
+    return [_shard(ds, ix) for ix in per_client]
 
 
 def _partition_pat(ds, num_clients, categories_per_client, rng):
@@ -153,8 +153,7 @@ def _partition_pat(ds, num_clients, categories_per_client, rng):
             f" = {total_slots} is not divisible by {C}"
         )
     shards_per_cat = total_slots // C
-    counts = ds.class_counts()
-    starved = [c for c in range(C) if counts[c] < shards_per_cat]
+    starved = np.flatnonzero(ds.class_counts() < shards_per_cat).tolist()
     if starved:
         raise ValueError(
             f"categories {starved} have fewer samples than the {shards_per_cat}"
@@ -162,11 +161,9 @@ def _partition_pat(ds, num_clients, categories_per_client, rng):
         )
     cat_perm = rng.permutation(C)
     client_perm = rng.permutation(num_clients)
-    holders = [[] for _ in range(C)]  # clients holding each category, in deal order
-    for k in range(num_clients):
-        for j in range(cpc):
-            cat = cat_perm[(k * cpc + j) % C]
-            holders[cat].append(client_perm[k])
+    slots = np.arange(total_slots)  # slot k * cpc + j deals client k its j-th category
+    dealt = cat_perm[slots % C]
+    holders = client_perm[slots // cpc]
     per_client = [[] for _ in range(num_clients)]
     for c in range(C):
         idx = rng.permutation(ds.class_indices(c))
@@ -174,11 +171,9 @@ def _partition_pat(ds, num_clients, categories_per_client, rng):
         while (sizes == 0).any():  # every dealt shard must be nonempty
             sizes[int(np.argmax(sizes == 0))] += 1
             sizes[int(np.argmax(sizes))] -= 1
-        start = 0
-        for s, k in enumerate(holders[c]):
-            per_client[k].extend(idx[start : start + sizes[s]])
-            start += sizes[s]
-    return [ds.subset(np.sort(np.asarray(ix, dtype=int))) for ix in per_client]
+        for k, shard in zip(holders[dealt == c], np.split(idx, np.cumsum(sizes)[:-1])):
+            per_client[k].append(shard)
+    return [_shard(ds, ix) for ix in per_client]
 
 
 def apply_longtail(ds, imbalance_factor, seed):
@@ -197,8 +192,8 @@ def apply_longtail(ds, imbalance_factor, seed):
             continue
         target = max(1, int(round(n_max * imbalance_factor ** (-c / (C - 1)))))
         target = min(target, idx.size)
-        keep.extend(rng.permutation(idx)[:target])
-    return ds.subset(np.sort(np.asarray(keep, dtype=int)))
+        keep.append(rng.permutation(idx)[:target])
+    return _shard(ds, keep)
 
 
 def partition(ds, spec):
@@ -230,15 +225,10 @@ def train_test_split(ds, train_fraction, seed):
     if n == 0 or total_train == 0:
         return ds.subset([]), ds.subset(np.arange(n))
     train_counts = _largest_remainder(counts / n, total_train)
-    train_idx, test_idx = [], []
-    for c in range(ds.num_classes):
-        idx = rng.permutation(ds.class_indices(c))
-        train_idx.extend(idx[: train_counts[c]])
-        test_idx.extend(idx[train_counts[c] :])
-    return (
-        ds.subset(np.sort(np.asarray(train_idx, dtype=int))),
-        ds.subset(np.sort(np.asarray(test_idx, dtype=int))),
-    )
+    perms = [rng.permutation(ds.class_indices(c)) for c in range(ds.num_classes)]
+    train_idx = [idx[:k] for idx, k in zip(perms, train_counts)]
+    test_idx = [idx[k:] for idx, k in zip(perms, train_counts)]
+    return _shard(ds, train_idx), _shard(ds, test_idx)
 
 
 def load_csv(path):

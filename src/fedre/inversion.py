@@ -23,9 +23,6 @@ import numpy as np
 from .entangle import FC, rm_apply, rm_backward
 from .nets import ShapeError, _backward, forward_pass
 
-PSNR_CAP = 99.0
-
-
 class InversionFailure(RuntimeError):
     """Every start of some attack target diverged."""
 
@@ -146,8 +143,8 @@ def score(reconstructed, originals, data_range):
     """Best-case (mse, psnr) of a reconstruction against its originals.
 
     mse is the minimum mean squared error over the original samples; psnr is
-    10*log10(data_range^2 / mse), reported as the 99 dB sentinel for an
-    exact hit.
+    10*log10(data_range^2 / mse). An exact hit scores the PSNR of the least
+    positive mse, so psnr never rises as mse falls.
     """
     rec = np.asarray(reconstructed, dtype=float)
     O = np.asarray(originals, dtype=float)
@@ -161,7 +158,7 @@ def score(reconstructed, originals, data_range):
         raise ValueError("data_range must be positive")
     mse = float(((O - rec) ** 2).mean(axis=1).min())
     if mse == 0.0:
-        return 0.0, PSNR_CAP
+        return 0.0, float(20.0 * np.log10(data_range) - 10.0 * np.log10(np.nextafter(0, 1)))
     return mse, float(10.0 * np.log10(data_range**2 / mse))
 
 

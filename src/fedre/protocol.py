@@ -143,15 +143,6 @@ def make_classifier(unified_dim, num_classes, rng):
     return nets.init_dense([unified_dim, num_classes], [nets.IDENTITY], rng)
 
 
-def receive_classifier(client, classifier):
-    """Replace the client's classifier with a copy of the broadcast one."""
-    if classifier.input_dim != client.classifier.input_dim or (
-        classifier.output_dim != client.classifier.output_dim
-    ):
-        raise ShapeError("broadcast classifier dimensions do not match")
-    return replace(client, classifier=nets.clone(classifier))
-
-
 def client_representation_set(client):
     """Raw representations of the client's training samples, current extractor."""
     reps, _ = nets.forward_pass(client.extractor, client.train.X)
@@ -193,27 +184,28 @@ def client_local_update(client, global_classifier, proto_reg=None):
     """Sync the broadcast classifier (if any), then run local SGD epochs.
 
     proto_reg is (lam, {category: prototype}) for prototype-regularized
-    training. Returns a new ClientState and leaves the input unchanged: the
-    batches are shuffled by a fork of the input's stream, which becomes the
-    new state's stream. The one-hot targets and prototype rows are built
-    once per update and gathered per batch. Every step updates private
-    clones of the nets in place; their parameters are checked once, at the
-    end.
+    training. Returns a new ClientState and leaves the input and the
+    broadcast unchanged: the batches are shuffled by a fork of the input's
+    stream, which becomes the new state's stream, and training steps a
+    clone of the broadcast classifier (else of the client's own). The
+    one-hot targets and prototype rows are built once per update and
+    gathered per batch. Every step updates private clones of the nets in
+    place; their parameters are checked once, at the end.
     """
-    c = (
-        receive_classifier(client, global_classifier)
-        if global_classifier is not None
-        else client
-    )
-    if len(c.train) == 0:
-        raise ValueError(f"client {c.client_id} has no training samples")
-    if c.lr < 0:
+    synced = client.classifier if global_classifier is None else global_classifier
+    if (synced.input_dim, synced.output_dim) != (
+        client.classifier.input_dim, client.classifier.output_dim
+    ):
+        raise ShapeError("broadcast classifier dimensions do not match")
+    if len(client.train) == 0:
+        raise ValueError(f"client {client.client_id} has no training samples")
+    if client.lr < 0:
         raise ValueError("learning rate must be nonnegative")
-    extractor, classifier = nets.clone(c.extractor), nets.clone(c.classifier)
-    rm = RMSpec(FC, nets.clone(c.rm.net)) if c.rm.kind == FC else c.rm
-    rng = fork_rng(c.rng)
-    n = len(c.train)
-    y = c.train.y
+    extractor, classifier = nets.clone(client.extractor), nets.clone(synced)
+    rm = RMSpec(FC, nets.clone(client.rm.net)) if client.rm.kind == FC else client.rm
+    rng = fork_rng(client.rng)
+    n = len(client.train)
+    y = client.train.y
     onehot = nets.one_hot_matrix(y, classifier.output_dim)
     reg = None
     if proto_reg is not None:
@@ -223,26 +215,26 @@ def client_local_update(client, global_classifier, proto_reg=None):
         for label, proto in protos.items():
             rows[y == label] = proto
             mask[y == label] = 1.0
-    for _ in range(c.epochs):
+    for _ in range(client.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, c.batch_size):
-            idx = order[start : start + c.batch_size]
+        for start in range(0, n, client.batch_size):
+            idx = order[start : start + client.batch_size]
             if proto_reg is not None:
                 reg = (lam, rows[idx], mask[idx])
             loss, ext_grads, cls_grads, fc_grads = local_gradients(
-                extractor, rm, classifier, c.train.X[idx], onehot[idx], proto_reg=reg
+                extractor, rm, classifier, client.train.X[idx], onehot[idx], proto_reg=reg
             )
             if not math.isfinite(loss):
                 raise DivergedError(
-                    f"client {c.client_id} local loss is non-finite"
+                    f"client {client.client_id} local loss is non-finite"
                 )
-            nets._sgd(extractor, ext_grads, c.lr)
-            nets._sgd(classifier, cls_grads, c.lr)
+            nets._sgd(extractor, ext_grads, client.lr)
+            nets._sgd(classifier, cls_grads, client.lr)
             if fc_grads is not None:
-                nets._sgd(rm.net, fc_grads, c.lr)
+                nets._sgd(rm.net, fc_grads, client.lr)
     trained = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
     nets._check_trained(*trained)
-    return replace(c, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
+    return replace(client, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
 
 
 def client_make_packet(client, mech, unified_dim, weights=None):

@@ -378,3 +378,109 @@ def reference_train(cfg, world):
         )
         records.append(metrics)
     return clients, server, records, fs_weights
+
+
+# ------------------------------------------------------- reference data
+
+
+def reference_make_blobs(num_classes, per_class, dim, spread, seed):
+    """make_blobs with one noise draw per class, written into each class's rows."""
+    rng = np.random.default_rng(seed)
+    means = data._circle_means(num_classes, dim, 3.0 * spread)
+    X = np.empty((num_classes * per_class, dim))
+    y = np.empty(num_classes * per_class, dtype=int)
+    for c in range(num_classes):
+        rows = slice(c * per_class, (c + 1) * per_class)
+        X[rows] = means[c] + spread * rng.standard_normal((per_class, dim))
+        y[rows] = c
+    return data.Dataset(X, y, num_classes)
+
+
+def reference_partition_pra(ds, num_clients, alpha, rng):
+    """Dirichlet shares per category, dealt from each class's permutation
+    with a running cursor into per-client lists of indices."""
+    per_client = [[] for _ in range(num_clients)]
+    for c in range(ds.num_classes):
+        idx = ds.class_indices(c)
+        if idx.size == 0:
+            continue
+        shares = data._dirichlet(alpha, num_clients, rng)
+        counts = data._largest_remainder(shares, idx.size)
+        shuffled = rng.permutation(idx)
+        start = 0
+        for k in range(num_clients):
+            per_client[k].extend(shuffled[start : start + counts[k]])
+            start += counts[k]
+    return [ds.subset(np.sort(np.asarray(ix, dtype=int))) for ix in per_client]
+
+
+def reference_partition_pat(ds, num_clients, categories_per_client, rng):
+    """Shard dealing with a running cursor into per-client lists of indices."""
+    C = ds.num_classes
+    cpc = categories_per_client
+    if cpc > C:
+        raise ValueError(f"categories_per_client {cpc} exceeds {C} categories")
+    total_slots = num_clients * cpc
+    if total_slots % C != 0:
+        raise ValueError(f"cannot deal {C} categories evenly")
+    shards_per_cat = total_slots // C
+    counts = ds.class_counts()
+    if any(counts[c] < shards_per_cat for c in range(C)):
+        raise ValueError("some category has fewer samples than its shards")
+    cat_perm = rng.permutation(C)
+    client_perm = rng.permutation(num_clients)
+    holders = [[] for _ in range(C)]
+    for k in range(num_clients):
+        for j in range(cpc):
+            cat = cat_perm[(k * cpc + j) % C]
+            holders[cat].append(client_perm[k])
+    per_client = [[] for _ in range(num_clients)]
+    for c in range(C):
+        idx = rng.permutation(ds.class_indices(c))
+        sizes = data._largest_remainder(data._dirichlet(1.0, shards_per_cat, rng), idx.size)
+        while (sizes == 0).any():
+            sizes[int(np.argmax(sizes == 0))] += 1
+            sizes[int(np.argmax(sizes))] -= 1
+        start = 0
+        for s, k in enumerate(holders[c]):
+            per_client[k].extend(idx[start : start + sizes[s]])
+            start += sizes[s]
+    return [ds.subset(np.sort(np.asarray(ix, dtype=int))) for ix in per_client]
+
+
+def reference_apply_longtail(ds, imbalance_factor, seed):
+    """Long-tail subsample collected sample by sample into one list."""
+    C = ds.num_classes
+    if C == 1 or imbalance_factor == 1:
+        return ds.subset(np.arange(len(ds)))
+    rng = np.random.default_rng(seed)
+    n_max = int(ds.class_counts().max())
+    keep = []
+    for c in range(C):
+        idx = ds.class_indices(c)
+        if idx.size == 0:
+            continue
+        target = max(1, int(round(n_max * imbalance_factor ** (-c / (C - 1)))))
+        target = min(target, idx.size)
+        keep.extend(rng.permutation(idx)[:target])
+    return ds.subset(np.sort(np.asarray(keep, dtype=int)))
+
+
+def reference_train_test_split(ds, train_fraction, seed):
+    """Stratified split collected sample by sample into two lists."""
+    n = len(ds)
+    rng = np.random.default_rng(seed)
+    total_train = int(round(train_fraction * n))
+    counts = ds.class_counts()
+    if n == 0 or total_train == 0:
+        return ds.subset([]), ds.subset(np.arange(n))
+    train_counts = data._largest_remainder(counts / n, total_train)
+    train_idx, test_idx = [], []
+    for c in range(ds.num_classes):
+        idx = rng.permutation(ds.class_indices(c))
+        train_idx.extend(idx[: train_counts[c]])
+        test_idx.extend(idx[train_counts[c] :])
+    return (
+        ds.subset(np.sort(np.asarray(train_idx, dtype=int))),
+        ds.subset(np.sort(np.asarray(test_idx, dtype=int))),
+    )

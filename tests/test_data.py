@@ -1,5 +1,7 @@
 """Tests for synthetic data, partitioners, splits, and CSV round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 
 from fedre import data
 
-from helpers import save_csv
+from helpers import (
+    reference_apply_longtail,
+    reference_make_blobs,
+    reference_partition_pat,
+    reference_partition_pra,
+    reference_train_test_split,
+    save_csv,
+)
 
 
 def rows_multiset(ds):
@@ -272,6 +281,98 @@ def test_train_test_split_property(num_classes, per_class, frac, seed):
     assert len(train) == int(round(frac * len(ds)))
     assert len(train) + len(test) == len(ds)
     np.testing.assert_array_equal(union_multiset([train, test]), rows_multiset(ds))
+
+
+# ------------------------------------- index arrays against per-sample lists
+
+
+def assert_bitwise_equal(new, old):
+    """Datasets, or lists of them, equal in shape, dtype and every byte."""
+    if isinstance(old, data.Dataset):
+        new, old = [new], [old]
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.num_classes == b.num_classes
+        assert a.X.shape == b.X.shape and a.X.dtype == b.X.dtype
+        assert a.X.tobytes() == b.X.tobytes()
+        assert a.y.shape == b.y.shape and a.y.dtype == b.y.dtype
+        assert a.y.tobytes() == b.y.tobytes()
+
+
+def outcome(fn, *args):
+    """fn's result, or ValueError if it rejected its arguments."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def labelled_datasets(draw):
+    """A dataset with drawn class sizes, empty classes and empty datasets
+    included, its rows in shuffled label order; and a SeedSequence."""
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=6))
+    entropy = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(entropy)
+    y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    X = rng.standard_normal((y.size, 2))
+    return data.Dataset(X, y, len(sizes)), np.random.SeedSequence(entropy)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_make_blobs_equals_the_per_class_loop(num_classes, per_class, dim, spread, entropy):
+    seq = np.random.SeedSequence(entropy)
+    assert_bitwise_equal(
+        data.make_blobs(num_classes, per_class, dim, spread, seq),
+        reference_make_blobs(num_classes, per_class, dim, spread, seq),
+    )
+
+
+@given(
+    labelled_datasets(),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.01, max_value=10.0),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=200.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_shards_and_splits_equal_the_per_sample_lists(
+    labelled, num_clients, alpha, categories_per_client, deals, imbalance_factor, train_fraction
+):
+    ds, seq = labelled
+    # pat needs num_clients * categories_per_client to be a multiple of the
+    # class count; the smallest such client count times `deals` is one
+    C = ds.num_classes
+    pat_clients = C // math.gcd(C, categories_per_client) * deals
+    for new, old, args in [
+        (data._partition_pra, reference_partition_pra, (num_clients, alpha)),
+        (data._partition_pat, reference_partition_pat, (pat_clients, categories_per_client)),
+    ]:
+        new_rng, old_rng = np.random.default_rng(seq), np.random.default_rng(seq)
+        got, want = outcome(new, ds, *args, new_rng), outcome(old, ds, *args, old_rng)
+        if want is ValueError:
+            assert got is ValueError
+        else:
+            assert_bitwise_equal(got, want)
+            assert len(got) == args[0]
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert_bitwise_equal(
+        data.apply_longtail(ds, imbalance_factor, seq),
+        reference_apply_longtail(ds, imbalance_factor, seq),
+    )
+    assert_bitwise_equal(
+        data.train_test_split(ds, train_fraction, seq),
+        reference_train_test_split(ds, train_fraction, seq),
+    )
 
 
 # ---------------------------------------------------------------- csv

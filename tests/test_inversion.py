@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedre import inversion, nets
 from fedre.entangle import AP, RMSpec, rm_apply
@@ -139,12 +141,6 @@ def test_invert_multi_rejects_zero_restarts():
 # ---------------------------------------------------------------- scoring
 
 
-def test_score_exact_hit_reports_cap():
-    mse, psnr = inversion.score(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1.0)
-    assert mse == 0.0
-    assert psnr == inversion.PSNR_CAP
-
-
 def test_score_known_values_and_min_over_originals():
     originals = np.array([[1.0, 1.0], [3.0, 3.0]])
     mse, psnr = inversion.score(np.zeros(2), originals, data_range=2.0)
@@ -155,8 +151,43 @@ def test_score_known_values_and_min_over_originals():
 def test_score_near_miss_is_finite_not_capped():
     mse, psnr = inversion.score(np.array([1.0 + 1e-8, 2.0]), np.array([1.0, 2.0]), 1.0)
     assert 0 < mse < 1e-15
-    assert psnr != inversion.PSNR_CAP
     assert np.isfinite(psnr)
+
+
+# offsets of a reconstruction from its original: exact, tiny, close, far
+OFFSETS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e-150, max_value=1e-150),
+    st.floats(min_value=-1e-6, max_value=1e-6),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@given(
+    st.lists(st.tuples(OFFSETS, OFFSETS), min_size=2, max_size=6),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+@settings(max_examples=200, deadline=None)
+def test_psnr_never_rises_as_mse_falls(offsets, data_range):
+    """For MSEs a < b whose PSNRs are finite, psnr(a) >= psnr(b); an exact
+    hit (MSE 0) is always among them."""
+    original = np.zeros(2)  # so a hit's error is exactly its offset
+    hits = [original] + [original + np.array(o) for o in offsets]
+    scores = [inversion.score(hit, original, data_range) for hit in hits]
+    assert scores[0][0] == 0.0
+    finite = [(mse, psnr) for mse, psnr in scores if np.isfinite(psnr)]
+    for mse_a, psnr_a in finite:
+        for mse_b, psnr_b in finite:
+            if mse_a < mse_b:
+                assert psnr_a >= psnr_b
+
+
+def test_an_exact_hit_scores_the_psnr_of_the_least_positive_mse():
+    mse, psnr = inversion.score(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 10.0)
+    assert mse == 0.0
+    assert psnr == pytest.approx(20.0 + 3233.1, abs=0.1)
+    near = inversion.score(np.array([1e-150, 2.0]), np.array([0.0, 2.0]), 10.0)
+    assert 0.0 < near[0] and np.isfinite(near[1]) and psnr > near[1]
 
 
 def test_score_validates_inputs():

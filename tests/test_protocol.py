@@ -1,6 +1,8 @@
 """Tests for the round protocol: sync, local training, packets, server
 updates, accounting, and the atomicity of the paper's round."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,21 +47,28 @@ def test_ledger_rejects_unknown_convention_and_negative_counts():
 # ---------------------------------------------------------------- sync
 
 
-def test_receive_classifier_copies_broadcast():
+def test_client_local_update_trains_a_copy_of_the_broadcast():
     client = make_client(rng_seed=0)
     server = make_server()
-    synced = protocol.receive_classifier(client, server.classifier)
-    assert net_params_equal(synced.classifier, server.classifier)
+    sent = nets.clone(server.classifier)
+    for epochs in (0, 1):
+        trained = protocol.client_local_update(replace(client, epochs=epochs), server.classifier)
+        assert trained.classifier is not server.classifier
+        assert net_params_equal(server.classifier, sent)  # the broadcast is unchanged
+        assert net_params_equal(trained.classifier, sent) == (epochs == 0)
     # the copy is independent of the broadcast original
-    synced.classifier.layers[0].weight[0, 0] += 1.0
-    assert not net_params_equal(synced.classifier, server.classifier)
+    trained.classifier.layers[0].weight[0, 0] += 1.0
+    assert net_params_equal(server.classifier, sent)
 
 
-def test_receive_classifier_rejects_dim_mismatch():
+def test_client_local_update_rejects_a_broadcast_of_other_dimensions():
     client = make_client(rng_seed=0, unified_dim=4)
-    wrong = protocol.make_classifier(5, 3, np.random.default_rng(0))
-    with pytest.raises(nets.ShapeError):
-        protocol.receive_classifier(client, wrong)
+    for wrong in (
+        protocol.make_classifier(5, 3, np.random.default_rng(0)),
+        protocol.make_classifier(4, 2, np.random.default_rng(0)),
+    ):
+        with pytest.raises(nets.ShapeError):
+            protocol.client_local_update(client, wrong)
 
 
 def test_client_representation_set_matches_extractor_output():
@@ -227,8 +236,6 @@ def test_client_local_update_raises_on_divergence():
 def test_client_local_update_requires_training_data():
     client = make_client(rng_seed=7)
     empty = client.train.subset([])
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         protocol.client_local_update(replace(client, train=empty), None)
 
@@ -337,8 +344,6 @@ def test_evaluate_client_argmax_accuracy():
 
 def test_evaluate_client_none_on_empty_test():
     client = make_client(rng_seed=11)
-    from dataclasses import replace
-
     empty = client.test.subset([])
     assert protocol.evaluate_client(replace(client, test=empty)) is None
 
@@ -475,8 +480,6 @@ def test_run_round_does_not_mutate_inputs():
 
 
 def test_run_round_skips_trainless_clients_but_still_scores_them():
-    from dataclasses import replace
-
     clients, server = fresh_world()
     clients[1] = replace(clients[1], train=clients[1].train.subset([]))
     _, _, metrics = fedre_round(clients, server, ReMechanism("var"))

@@ -93,3 +93,22 @@ def test_tradeoff_reads_traffic_from_the_first_seed_that_did_not_fail(monkeypatc
     lines = capsys.readouterr().out.splitlines()
     (row,) = [line for line in lines if line.startswith("fedre (rs)")]
     assert row.split("upload/round")[1].split() == ["16", "broadcast/round", "180"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seeds", "0"], ["--rounds", "-1"], ["--steps", "-1"], ["--restarts", "0"]],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_tradeoff_exits_2_on_a_bad_option_before_any_training(monkeypatch, capsys, argv):
+    def no_training(cfg):
+        raise AssertionError("trained on a config that should have been rejected")
+
+    monkeypatch.setattr(runner, "run_experiment", no_training)
+    monkeypatch.setattr(runner, "run_inversion_study", no_training)
+    tradeoff = load(ROOT / "scripts" / "tradeoff.py")
+    assert tradeoff.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -49,7 +49,7 @@ def reference_local_gradients(extractor, rm, classifier, Xb, targets, proto_reg)
 def reference_client_update(client, global_classifier, proto_reg=None):
     c = client
     if global_classifier is not None:
-        c = protocol.receive_classifier(client, global_classifier)
+        c = replace(client, classifier=nets.clone(global_classifier))
     extractor, classifier, rm = c.extractor, c.classifier, c.rm
     n = len(c.train)
     for _ in range(c.epochs):
