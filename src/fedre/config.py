@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DatasetConfig:
-    kind: str = "blobs"  # "blobs" | "csv"
+    kind: typing.Literal["blobs", "csv"] = "blobs"
     classes: int = 10
     per_class: int = 50
     dim: int = 2
@@ -29,8 +29,6 @@ class DatasetConfig:
     path: str | None = None
 
     def validate(self):
-        if self.kind not in ("blobs", "csv"):
-            raise ConfigError(f"dataset.kind {self.kind!r} is not blobs or csv")
         if self.kind == "csv" and not self.path:
             raise ConfigError("dataset.kind csv needs dataset.path")
         if self.kind == "blobs":
@@ -42,14 +40,12 @@ class DatasetConfig:
 
 @dataclass
 class PartitionConfig:
-    mode: str = data.PRA
+    mode: typing.Literal[data.PARTITION_MODES] = data.PRA
     alpha: float = 0.1
     categories_per_client: int = 2
     imbalance_factor: float = 100.0
 
     def validate(self):
-        if self.mode not in data.PARTITION_MODES:
-            raise ConfigError(f"partition.mode {self.mode!r} unknown")
         if self.alpha <= 0:
             raise ConfigError("partition.alpha must be positive")
         if self.categories_per_client < 1:
@@ -87,11 +83,11 @@ class ExperimentConfig:
     num_clients: int = 10
     participation_rate: float = 1.0
     rounds: int = 100
-    strategy: str = baselines.FEDRE
-    mechanism: str = entangle.RAP
-    weight_distribution: str = entangle.UNIFORM
-    resample: str = baselines.RESAMPLED
-    rm_op: str = entangle.AP
+    strategy: typing.Literal[baselines.STRATEGIES] = baselines.FEDRE
+    mechanism: typing.Literal[entangle.MECHANISMS] = entangle.RAP
+    weight_distribution: typing.Literal[entangle.DISTRIBUTIONS] = entangle.UNIFORM
+    resample: typing.Literal[baselines.RESAMPLE_MODES] = baselines.RESAMPLED
+    rm_op: typing.Literal[entangle.RM_KINDS] = entangle.AP
     unified_dim: int = 8
     architectures: list | None = None  # hidden sizes per client; last is d_k
     client_lr: float = 0.05
@@ -101,13 +97,19 @@ class ExperimentConfig:
     server_batch_size: int = 10
     server_epochs: int = 5
     train_fraction: float = 0.75
-    comm_convention: str = protocol.REPRESENTATION_ONLY
+    comm_convention: typing.Literal[protocol.CONVENTIONS] = protocol.REPRESENTATION_ONLY
     lambda_proto: float = 0.1
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     output_path: str = "runs/metrics.jsonl"
     inversion: InversionConfig = field(default_factory=InversionConfig)
 
     def validate(self):
+        for prefix, group in (("", self), ("dataset.", self.dataset), ("partition.", self.partition)):
+            for f in dataclasses.fields(group):
+                value = getattr(group, f.name)
+                choices = typing.get_args(f.type)
+                if typing.get_origin(f.type) is typing.Literal and value not in choices:
+                    raise ConfigError(f"{prefix}{f.name} must be one of {choices}, not {value!r}")
         self.dataset.validate()
         self.partition.validate()
         self.inversion.validate()
@@ -117,20 +119,6 @@ class ExperimentConfig:
             raise ConfigError("participation_rate must lie in (0, 1]")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
-        if self.strategy not in baselines.STRATEGIES:
-            raise ConfigError(
-                f"strategy {self.strategy!r} not one of {baselines.STRATEGIES}"
-            )
-        if self.mechanism not in entangle.MECHANISMS:
-            raise ConfigError(f"mechanism {self.mechanism!r} unknown")
-        if self.weight_distribution not in entangle.DISTRIBUTIONS:
-            raise ConfigError(
-                f"weight_distribution {self.weight_distribution!r} unknown"
-            )
-        if self.resample not in baselines.RESAMPLE_MODES:
-            raise ConfigError(f"resample {self.resample!r} not rs or fs")
-        if self.rm_op not in entangle.RM_KINDS:
-            raise ConfigError(f"rm_op {self.rm_op!r} unknown")
         if self.unified_dim < 1:
             raise ConfigError("unified_dim must be positive")
         if self.architectures is None:
@@ -164,14 +152,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} is out of range")
         if not 0.0 <= self.train_fraction <= 1.0:
             raise ConfigError("train_fraction must lie in [0, 1]")
-        if self.comm_convention not in protocol.CONVENTIONS:
-            raise ConfigError(
-                f"comm_convention {self.comm_convention!r} unknown"
-            )
         if self.lambda_proto < 0:
             raise ConfigError("lambda_proto must be nonnegative")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("seeds must list at least one seed, none negative")
+        if not self.output_path or "\0" in self.output_path:
+            raise ConfigError("output_path must be a nonempty path without NUL bytes")
         if self.dataset.kind == "blobs" and self.partition.mode == data.PAT:
             if self.partition.categories_per_client > self.dataset.classes:
                 raise ConfigError(
@@ -216,6 +202,8 @@ def _checked(name, value, kind):
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list of lists of integers")
         return [_int_list(f"{name}[{k}]", hidden) for k, hidden in enumerate(value)]
+    if typing.get_origin(kind) is typing.Literal:
+        kind = str  # validate checks the choice
     kinds = typing.get_args(kind) or (kind,)
     accepted = kinds + (int,) if float in kinds else kinds
     if isinstance(value, bool) or not isinstance(value, accepted):

@@ -72,10 +72,11 @@ def make_blobs(num_classes, per_class, dim, spread, seed):
         raise ValueError("spread must be positive")
     rng = np.random.default_rng(seed)
     means = _circle_means(num_classes, dim, 3.0 * spread)
-    noise = rng.standard_normal((num_classes * per_class, dim))
-    y = np.repeat(np.arange(num_classes), per_class)
-    X = means[y] + spread * noise
-    return Dataset(X, y, num_classes)
+    # in place, a class block at a time: means[y] + spread * noise, no temporaries
+    X = rng.standard_normal((num_classes * per_class, dim))
+    X *= spread
+    X.reshape(num_classes, per_class, dim)[...] += means[:, None, :]
+    return Dataset(X, np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
 @dataclass

@@ -204,32 +204,6 @@ def _positive_draw(distribution, size, rng):
             return u
 
 
-def rar_weights_from_draws(u):
-    """Normalize raw nonnegative draws into sample weights."""
-    u = np.asarray(u, dtype=float)
-    if u.sum() <= 0:
-        raise ValueError("draws must have positive sum")
-    return u / u.sum()
-
-
-def rap_weights_from_draws(labels, categories, draws):
-    """Spread one normalized draw per category evenly over its samples.
-
-    Sample i of category c gets u_c / (n_c * sum_j u_j), so the per-category
-    weight mass is u_c / sum_j u_j. categories is sorted, as np.unique
-    returns it.
-    """
-    labels = np.asarray(labels, dtype=int)
-    draws = np.asarray(draws, dtype=float)
-    if draws.shape[0] != len(categories):
-        raise ShapeError("one draw per category required")
-    if draws.sum() <= 0:
-        raise ValueError("draws must have positive sum")
-    counts = np.bincount(labels)
-    total = draws.sum()
-    return draws[np.searchsorted(categories, labels)] / (counts[labels] * total)
-
-
 def re_weights(rep_set, mech, rng):
     """Draw a normalized weight vector over the set's samples."""
     n = len(rep_set)
@@ -244,9 +218,8 @@ def re_weights(rep_set, mech, rng):
     if kind == VAR:
         return np.full(n, 1.0 / n)
     if kind == RAR:
-        return rar_weights_from_draws(
-            _positive_draw(mech.weight_distribution, n, rng)
-        )
+        u = _positive_draw(mech.weight_distribution, n, rng)
+        return u / u.sum()
     categories = np.unique(labels)  # sorted; fixes the draw order
     counts = np.bincount(labels)
     if kind == RSP:
@@ -255,9 +228,9 @@ def re_weights(rep_set, mech, rng):
         return w
     if kind == VAP:
         return 1.0 / (categories.size * counts[labels])
-    # rap
+    # rap: category c's weight mass u_c / sum(u), spread evenly over its samples
     u = _positive_draw(mech.weight_distribution, categories.size, rng)
-    return rap_weights_from_draws(labels, categories, u)
+    return u[np.searchsorted(categories, labels)] / (counts[labels] * u.sum())
 
 
 def entangle(rep_set, w, rm, unified_dim):

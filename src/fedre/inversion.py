@@ -159,7 +159,11 @@ def score(reconstructed, originals, data_range):
     mse = float(((O - rec) ** 2).mean(axis=1).min())
     if mse == 0.0:
         return 0.0, float(20.0 * np.log10(data_range) - 10.0 * np.log10(np.nextafter(0, 1)))
-    return mse, float(10.0 * np.log10(data_range**2 / mse))
+    ratio = data_range**2 / mse
+    if ratio == np.inf:  # a subnormal mse: score in logs, no lower than any finite ratio
+        log_score = 20.0 * np.log10(data_range) - 10.0 * np.log10(mse)
+        return mse, float(max(log_score, 10.0 * np.log10(np.finfo(float).max)))
+    return mse, float(10.0 * np.log10(ratio))
 
 
 def dataset_range(X):

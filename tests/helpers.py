@@ -113,6 +113,44 @@ def random_simplex(rng, n):
     return u / u.sum()
 
 
+class FixedDraws:
+    """A generator stand-in whose uniform draws are the given values,
+    broadcast to the requested size: re_weights' rar and rap under the
+    uniform distribution draw nothing else."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return np.broadcast_to(self.values, (size,)).copy()
+
+
+def reference_rar_weights_from_draws(u):
+    """Normalize raw nonnegative draws into sample weights."""
+    u = np.asarray(u, dtype=float)
+    if u.sum() <= 0:
+        raise ValueError("draws must have positive sum")
+    return u / u.sum()
+
+
+def reference_rap_weights_from_draws(labels, categories, draws):
+    """Spread one normalized draw per category evenly over its samples.
+
+    Sample i of category c gets u_c / (n_c * sum_j u_j), so the per-category
+    weight mass is u_c / sum_j u_j. categories is sorted, as np.unique
+    returns it.
+    """
+    labels = np.asarray(labels, dtype=int)
+    draws = np.asarray(draws, dtype=float)
+    if draws.shape[0] != len(categories):
+        raise nets.ShapeError("one draw per category required")
+    if draws.sum() <= 0:
+        raise ValueError("draws must have positive sum")
+    counts = np.bincount(labels)
+    total = draws.sum()
+    return draws[np.searchsorted(categories, labels)] / (counts[labels] * total)
+
+
 def make_client(
     rng_seed=0,
     num_classes=3,

@@ -129,15 +129,19 @@ def test_4_entanglement_property_suite():
                 )
         # equal raw draws collapse the random mechanisms onto their
         # deterministic counterparts
-        cats = np.unique(labels)
         var_w = entangle.re_weights(
             rep_set, entangle.ReMechanism(entangle.VAR, "uniform"), rng
         )
         vap_w = entangle.re_weights(
             rep_set, entangle.ReMechanism(entangle.VAP, "uniform"), rng
         )
-        rar_eq = entangle.rar_weights_from_draws(np.full(n, 0.37))
-        rap_eq = entangle.rap_weights_from_draws(labels, cats, np.full(cats.size, 0.37))
+        equal_draws = helpers.FixedDraws(0.37)
+        rar_eq = entangle.re_weights(
+            rep_set, entangle.ReMechanism(entangle.RAR, "uniform"), equal_draws
+        )
+        rap_eq = entangle.re_weights(
+            rep_set, entangle.ReMechanism(entangle.RAP, "uniform"), equal_draws
+        )
         worst["collapse"] = max(
             worst["collapse"],
             float(np.abs(rar_eq - var_w).max()),

@@ -140,8 +140,10 @@ def test_data_dependent_config_errors_exit_2_on_every_verb(
 
 
 def write_config(tmp_path, mapping):
+    """mapping as a config file, writing to tmp_path/out.jsonl unless it
+    names another output_path."""
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(dict(mapping, output_path=str(tmp_path / "out.jsonl"))))
+    p.write_text(json.dumps({"output_path": str(tmp_path / "out.jsonl"), **mapping}))
     return p
 
 
@@ -179,6 +181,27 @@ def test_ill_typed_configs_exit_2_on_every_verb(tmp_path, capsys, verb, override
     p = write_config(tmp_path, dict({"rounds": 1, "seeds": [0]}, **overrides))
     assert_config_error(capsys, verb, p)
     assert not (tmp_path / "out.jsonl").exists()
+
+
+BAD_OUTPUT_PATHS = ["", "out\0.jsonl"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
+@pytest.mark.parametrize("output_path", BAD_OUTPUT_PATHS, ids=["empty", "NUL byte"])
+def test_a_bad_output_path_exits_2_before_any_training(
+    tmp_path, capsys, monkeypatch, verb, output_path
+):
+    def no_training(cfg, world):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    p = write_config(tmp_path, {"rounds": 1, "seeds": [0], "output_path": output_path})
+    sweep = ["--key", "rounds", "--values", "1"] if verb == "sweep" else []
+    assert cli.main([verb, str(p), *sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output_path")
 
 
 @pytest.mark.parametrize("verb", ["validate", "run", "invert"])
@@ -361,8 +384,9 @@ def tiny_configs(draw):
     mapping, partition mode, batch sizes and epoch counts (out-of-range ones
     included) and sane or diverging learning rates, the attack's included;
     some have one field, top-level or nested, swapped for a value from
-    ODD_VALUES. Returns (mapping, csv text or None, whether the csv has a
-    malformed row)."""
+    ODD_VALUES, and some an empty output_path or one with a NUL byte.
+    Returns (mapping, csv text or None, whether the csv has a malformed
+    row)."""
 
     def pick(options):
         return draw(st.sampled_from(options))
@@ -419,6 +443,8 @@ def tiny_configs(draw):
         if isinstance(mapping[key], dict) and draw(st.booleans()):
             node, key = mapping[key], pick(sorted(mapping[key]))
         node[key] = pick(ODD_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        mapping["output_path"] = pick(BAD_OUTPUT_PATHS)
     return mapping, text, malformed
 
 
@@ -470,5 +496,5 @@ def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(drawn):
                 codes[verb] = cli.main([verb, str(path)])
     assert set(codes.values()) <= {0, 2}, codes
     assert (codes["validate"] == 2) == (codes["run"] == 2), codes
-    if csv_intact and malformed:
+    if (csv_intact and malformed) or mapping.get("output_path") in BAD_OUTPUT_PATHS:
         assert set(codes.values()) == {2}, codes

@@ -1,6 +1,7 @@
 """Tests for synthetic data, partitioners, splits, and CSV round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_make_blobs_deterministic_per_seed():
     c = data.make_blobs(3, 5, 2, 0.5, 43)
     np.testing.assert_array_equal(a.X, b.X)
     assert not np.array_equal(a.X, c.X)
+
+
+def test_make_blobs_peak_memory_stays_near_its_output():
+    # the wide world's shape; whole-array temporaries would peak near 3x
+    tracemalloc.start()
+    try:
+        ds = data.make_blobs(10, 300, 32, 1.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.X.nbytes
 
 
 def test_make_blobs_clusters_sit_near_their_means():

@@ -4,6 +4,8 @@ The vectorized paths are checked against slow per-sample loops, and the
 mapping backward passes against central finite differences.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,14 @@ from hypothesis import strategies as st
 from fedre import entangle as en
 from fedre import nets
 
-from helpers import check_label_encoding, mixup_pair, random_simplex
+from helpers import (
+    FixedDraws,
+    check_label_encoding,
+    mixup_pair,
+    random_simplex,
+    reference_rap_weights_from_draws,
+    reference_rar_weights_from_draws,
+)
 
 
 def rm_row(r, rm, unified_dim):
@@ -189,24 +198,22 @@ def test_vap_known_example():
 
 
 def test_rar_collapses_to_var_under_equal_draws():
-    w = en.rar_weights_from_draws(np.full(6, 3.7))
+    rep = make_rep_set(np.random.default_rng(9), n=6)
+    w = en.re_weights(rep, en.ReMechanism(en.RAR), FixedDraws(3.7))
     np.testing.assert_allclose(w, np.full(6, 1.0 / 6.0), atol=1e-12)
 
 
 def test_rap_collapses_to_vap_under_equal_draws():
     rng = np.random.default_rng(9)
-    labels = np.array([0, 0, 1, 2, 2, 2])
-    rep = make_rep_set(rng, n=6, labels=labels)
-    cats = np.unique(labels)
-    w = en.rap_weights_from_draws(labels, cats, np.full(cats.size, 0.42))
+    rep = make_rep_set(rng, n=6, labels=[0, 0, 1, 2, 2, 2])
+    w = en.re_weights(rep, en.ReMechanism(en.RAP), FixedDraws(0.42))
     vap = en.re_weights(rep, en.ReMechanism(en.VAP), rng)
     np.testing.assert_allclose(w, vap, atol=1e-12)
 
 
 def test_rap_category_mass_is_normalized_draw():
-    labels = np.array([0, 0, 0, 1, 1])
-    draws = np.array([3.0, 1.0])
-    w = en.rap_weights_from_draws(labels, np.array([0, 1]), draws)
+    rep = make_rep_set(np.random.default_rng(9), n=5, labels=[0, 0, 0, 1, 1])
+    w = en.re_weights(rep, en.ReMechanism(en.RAP), FixedDraws([3.0, 1.0]))
     assert w[:3].sum() == pytest.approx(0.75, abs=1e-12)
     assert w[3:].sum() == pytest.approx(0.25, abs=1e-12)
     # equal within category
@@ -228,9 +235,40 @@ def test_rap_and_vap_weights_equal_the_per_sample_loop(labels, scale, seed):
     rap_loop = [draws[pos[c]] / (counts[c] * draws.sum()) for c in labels]
     vap_loop = [1.0 / (cats.size * counts[c]) for c in labels]
     rep = make_rep_set(np.random.default_rng(seed), n=labels.size, labels=labels, num_classes=6)
+    rap = en.re_weights(rep, en.ReMechanism(en.RAP), FixedDraws(draws))
     vap = en.re_weights(rep, en.ReMechanism(en.VAP), np.random.default_rng(seed))
-    np.testing.assert_array_equal(en.rap_weights_from_draws(labels, cats, draws), rap_loop)
+    np.testing.assert_array_equal(rap, rap_loop)
     np.testing.assert_array_equal(vap, vap_loop)
+
+
+@st.composite
+def label_vectors(draw):
+    """Labels over 1-4 distinct class ids out of 0-7: gaps in the ids and a
+    single category included."""
+    present = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    return np.array(draw(st.lists(st.sampled_from(present), min_size=1, max_size=30)))
+
+
+@given(
+    label_vectors(),
+    st.sampled_from([en.RAR, en.RAP]),
+    st.sampled_from(en.DISTRIBUTIONS),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_weights_equal_the_reference_on_the_same_draws(labels, kind, dist, seed):
+    rep = make_rep_set(np.random.default_rng(seed), n=labels.size, labels=labels, num_classes=8)
+    rng = np.random.default_rng(seed)
+    twin = copy.deepcopy(rng)
+    w = en.re_weights(rep, en.ReMechanism(kind, dist), rng)
+    if kind == en.RAR:
+        expected = reference_rar_weights_from_draws(en._positive_draw(dist, labels.size, twin))
+    else:
+        cats = np.unique(labels)
+        u = en._positive_draw(dist, cats.size, twin)
+        expected = reference_rap_weights_from_draws(labels, cats, u)
+    np.testing.assert_array_equal(w, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_weight_draws_are_deterministic_per_rng_state():
@@ -255,8 +293,8 @@ def test_all_mechanisms_yield_simplex_weights(kind, dist):
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_rar_weights_property(n, seed):
-    u = en._positive_draw(en.LAPLACE, n, np.random.default_rng(seed))
-    w = en.rar_weights_from_draws(u)
+    rep = make_rep_set(np.random.default_rng(seed), n=n)
+    w = en.re_weights(rep, en.ReMechanism(en.RAR, en.LAPLACE), np.random.default_rng(seed))
     assert abs(w.sum() - 1.0) < 1e-9
     assert (w >= 0).all()
 

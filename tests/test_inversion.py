@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedre import inversion, nets
@@ -167,17 +167,18 @@ OFFSETS = st.one_of(
     st.lists(st.tuples(OFFSETS, OFFSETS), min_size=2, max_size=6),
     st.floats(min_value=1e-6, max_value=1e6),
 )
+@example([(1e-160, 0.0), (1e-150, 0.0)], 10.0)  # a subnormal mse overflows the ratio
 @settings(max_examples=200, deadline=None)
 def test_psnr_never_rises_as_mse_falls(offsets, data_range):
-    """For MSEs a < b whose PSNRs are finite, psnr(a) >= psnr(b); an exact
-    hit (MSE 0) is always among them."""
+    """Every PSNR is finite, and for MSEs a < b, psnr(a) >= psnr(b); an
+    exact hit (MSE 0) is always among them."""
     original = np.zeros(2)  # so a hit's error is exactly its offset
     hits = [original] + [original + np.array(o) for o in offsets]
     scores = [inversion.score(hit, original, data_range) for hit in hits]
     assert scores[0][0] == 0.0
-    finite = [(mse, psnr) for mse, psnr in scores if np.isfinite(psnr)]
-    for mse_a, psnr_a in finite:
-        for mse_b, psnr_b in finite:
+    for mse_a, psnr_a in scores:
+        assert np.isfinite(psnr_a)
+        for mse_b, psnr_b in scores:
             if mse_a < mse_b:
                 assert psnr_a >= psnr_b
 
