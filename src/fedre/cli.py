@@ -23,9 +23,15 @@ OUTPUT_DIR_ENV = "FEDRE_OUTPUT_DIR"
 
 
 def resolve_output_path(path):
+    """The output file's path, re-rooted into FEDRE_OUTPUT_DIR when that is
+    set. Every verb resolves it before any training: ConfigError if it names
+    an existing directory."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     path = Path(path)
-    return Path(override) / path.name if override else path
+    out = Path(override) / path.name if override else path
+    if out.is_dir():
+        raise ConfigError(f"output path {str(out)!r} is a directory")
+    return out
 
 
 def _format_from(path, explicit):
@@ -78,8 +84,8 @@ def cmd_sweep(args):
 
 def cmd_invert(args):
     cfg = load_config(args.config)
-    study = run_inversion_study(cfg)
     out = resolve_output_path(args.output or cfg.output_path)
+    study = run_inversion_study(cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         for record in study.records():
@@ -97,6 +103,7 @@ def cmd_invert(args):
 
 def cmd_validate(args):
     cfg = load_config(args.config)
+    resolve_output_path(cfg.output_path)
     # checks that need the data (pat dealing, csv contents) run on world build
     for seed in cfg.seeds:
         build_world(cfg, seed)

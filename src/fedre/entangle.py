@@ -142,8 +142,10 @@ def rm_apply(R, rm, unified_dim):
     m = raw_dim // unified_dim
     blocks = R.reshape(R.shape[:-1] + (unified_dim, m))
     if rm.kind == AP:
-        # the arithmetic of blocks.mean(axis=-1), at about half its call cost
-        return blocks.sum(axis=-1) / m, RMCache(AP, m=m)
+        # the arithmetic of blocks.mean(axis=-1), in two cheap calls
+        mapped = np.add.reduce(blocks, axis=-1)
+        mapped /= m
+        return mapped, RMCache(AP, m=m)
     winners = blocks.argmax(axis=-1)
     mapped = np.take_along_axis(blocks, winners[..., None], axis=-1)[..., 0]
     return mapped, RMCache(MP, m=m, argmax=winners)
@@ -166,10 +168,10 @@ def rm_backward(grad_mapped, rm, cache, param_grads=True):
         return grad_in, fc_grads
     m = cache.m
     if cache.kind == AP:
-        grad_blocks = np.repeat(g[..., None] / m, m, axis=-1)
-    else:
-        grad_blocks = np.zeros(g.shape + (m,))
-        np.put_along_axis(grad_blocks, cache.argmax[..., None], g[..., None], axis=-1)
+        # each of a block's m entries gets g / m
+        return (g / m).repeat(m, axis=-1), None
+    grad_blocks = np.zeros(g.shape + (m,))
+    np.put_along_axis(grad_blocks, cache.argmax[..., None], g[..., None], axis=-1)
     return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,)), None
 
 

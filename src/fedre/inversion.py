@@ -50,7 +50,8 @@ def _objective_and_grad(extractor, rm, X, target):
     obj = (resid @ resid.swapaxes(-1, -2))[:, 0, 0]
     if overflowed is not None:
         obj[overflowed] = np.nan
-    grad_reps, _ = rm_backward(2.0 * resid, rm, rm_cache, param_grads=False)
+    resid *= 2.0
+    grad_reps, _ = rm_backward(resid, rm, rm_cache, param_grads=False)
     _, grad_x = _backward(extractor, ext_cache, grad_reps, param_grads=False)
     return obj, grad_x
 
@@ -66,18 +67,20 @@ def _descend(extractor, rm, X, target, steps, lr):
     non-finite input, and its objective reads inf.
     """
     best_x, best_obj = X.copy(), np.full(X.shape[0], math.inf)
-    live = np.ones(X.shape[0], dtype=bool)
+    live, all_live = np.ones(X.shape[0], dtype=bool), True
     for _ in range(steps):
         obj, grad = _objective_and_grad(extractor, rm, X, target)
         better = obj < best_obj
         np.copyto(best_obj, obj, where=better)
         np.copyto(best_x, X, where=better[:, None, None])
-        X_next = X - lr * grad
+        grad *= lr
+        X_next = X - grad
         # the per-row masks cost about 5% of a toy attack step: skip them
         # until some start is dropped
-        if not (live.all() and np.isfinite(obj).all() and np.isfinite(X_next).all()):
+        if not (all_live and np.isfinite(obj).all() and np.isfinite(X_next).all()):
             live &= np.isfinite(obj) & np.isfinite(X_next).all(axis=(1, 2))
             X_next = np.where(live[:, None, None], X_next, X)
+            all_live = bool(live.all())
         X = X_next
     final_obj, _ = _objective_and_grad(extractor, rm, X, target)
     live &= np.isfinite(final_obj)
@@ -144,7 +147,9 @@ def score(reconstructed, originals, data_range):
 
     mse is the minimum mean squared error over the original samples; psnr is
     10*log10(data_range^2 / mse). An exact hit scores the PSNR of the least
-    positive mse, so psnr never rises as mse falls.
+    positive mse, so psnr never rises as mse falls. A ratio that overflows,
+    from a subnormal mse or a data_range past about 1.3e154, is scored in
+    logs instead.
     """
     rec = np.asarray(reconstructed, dtype=float)
     O = np.asarray(originals, dtype=float)
@@ -159,8 +164,11 @@ def score(reconstructed, originals, data_range):
     mse = float(((O - rec) ** 2).mean(axis=1).min())
     if mse == 0.0:
         return 0.0, float(20.0 * np.log10(data_range) - 10.0 * np.log10(np.nextafter(0, 1)))
-    ratio = data_range**2 / mse
-    if ratio == np.inf:  # a subnormal mse: score in logs, no lower than any finite ratio
+    try:
+        ratio = data_range**2 / mse
+    except OverflowError:  # a float data_range whose square overflows
+        ratio = math.inf
+    if ratio == np.inf:  # the ratio overflows: score in logs, no lower than any finite ratio
         log_score = 20.0 * np.log10(data_range) - 10.0 * np.log10(mse)
         return mse, float(max(log_score, 10.0 * np.log10(np.finfo(float).max)))
     return mse, float(10.0 * np.log10(ratio))

@@ -18,6 +18,13 @@ gradient, or both), ``_ce_value_and_grads`` and the in-place ``_sgd``
 ``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are thin wrappers that
 validate their inputs and call them.
 
+In-place rule: a kernel writes in place only to arrays it allocated itself,
+never to one it is given (inputs, targets, a gradient to propagate), so its
+caller may reuse a returned array in place. ``_sgd`` alone updates the net
+and consumes its gradients. Small batches make the kernels bound by per-call
+numpy overhead, so they do their arithmetic in few calls (``ufunc.reduce``,
+in-place updates), bitwise equal to the plain formulas the tests keep.
+
 Validation boundary: ``Layer``/``DenseNet`` validate on construction and the
 public functions here validate their inputs; the kernels check nothing. The
 update loops in ``protocol`` clone each net once, step the clone's layer
@@ -42,6 +49,11 @@ import numpy as np
 RELU = "relu"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, IDENTITY)
+
+# zero as a 0-d array: an array operand spares numpy the conversion of a
+# Python scalar, about a third of a small elementwise call; never written
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 class ShapeError(ValueError):
@@ -149,12 +161,6 @@ def clone(net):
     return DenseNet(layers)
 
 
-def _apply_activation(z, activation):
-    if activation == RELU:
-        return np.maximum(z, 0.0)
-    return z
-
-
 def _check_trained(*trained):
     """DivergedError unless every parameter of the trained nets is finite."""
     if not all(l.finite() for net in trained for l in net.layers):
@@ -167,9 +173,10 @@ def _forward(net, X):
     pre, layer_inputs = [], []
     for l in net.layers:
         layer_inputs.append(a)
-        z = a @ l.weight.T + l.bias
+        z = a @ l.weight.T
+        z += l.bias
         pre.append(z)
-        a = _apply_activation(z, l.activation)
+        a = np.maximum(z, _ZERO) if l.activation == RELU else z
     return a, BatchCache(X, pre, layer_inputs)
 
 
@@ -181,10 +188,10 @@ def _backward(net, cache, delta, param_grads=True, input_grad=True):
     for i in reversed(range(n)):
         l = net.layers[i]
         if l.activation == RELU:
-            delta = delta * (cache.pre_activations[i] > 0)
+            delta = delta * (cache.pre_activations[i] > _ZERO)
         if param_grads:
             weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
-            bias_grads[i] = delta.sum(axis=-2)
+            bias_grads[i] = np.add.reduce(delta, axis=-2)
         if i or input_grad:
             delta = delta @ l.weight
     grads = GradientSet(weight_grads, bias_grads) if param_grads else None
@@ -257,13 +264,22 @@ def backprop(net, cache, grad_output):
 def _ce(z, t):
     """Kernel: (mean soft cross-entropy of the logit rows z against the
     targets t, its gradient with respect to z), with no checks."""
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    losses = m[:, 0] + np.log(s[:, 0]) - (t * z).sum(axis=1)
+    m = np.maximum.reduce(z, axis=1, keepdims=True)
+    e = z - m
+    np.exp(e, out=e)
+    s = np.add.reduce(e, axis=1, keepdims=True)
+    # row losses m + log(s) - t.z, clamped at zero; sum / n is the
+    # arithmetic of mean()
+    losses = np.log(s)
+    losses += m
+    losses -= np.add.reduce(t * z, axis=1, keepdims=True)
+    np.maximum(losses, _ZERO, out=losses)
     n = z.shape[0]
-    # sum / n is the arithmetic of mean(), at about half its call cost
-    return float(np.maximum(losses, 0.0).sum() / n), (e / s - t) / n
+    # the gradient (e / s - t) / n, built in place on e
+    e /= s
+    e -= t
+    e /= n
+    return float(np.add.reduce(losses, axis=None)) / n, e
 
 
 def _ce_value_and_grads(net, X, targets):

@@ -128,6 +128,13 @@ def fork_rng(rng):
     return fork
 
 
+def _epoch_orders(rng, n, epochs):
+    """Every epoch's shuffle of range(n), shape (epochs, n), from one draw:
+    the orders, and the state rng is left in, of one rng.permutation(n)
+    per epoch."""
+    return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+
+
 def _require_finite(values, what):
     """Non-finite activations mean the parameters behind them diverged."""
     if not np.isfinite(values).all():
@@ -188,9 +195,11 @@ def client_local_update(client, global_classifier, proto_reg=None):
     broadcast unchanged: the batches are shuffled by a fork of the input's
     stream, which becomes the new state's stream, and training steps a
     clone of the broadcast classifier (else of the client's own). The
-    one-hot targets and prototype rows are built once per update and
-    gathered per batch. Every step updates private clones of the nets in
-    place; their parameters are checked once, at the end.
+    one-hot targets and prototype rows are built once per update; every
+    epoch's order comes from one draw (_epoch_orders), and each epoch
+    gathers its rows once and takes its batches as slices. Every step
+    updates private clones of the nets in place; their parameters are
+    checked once, at the end.
     """
     synced = client.classifier if global_classifier is None else global_classifier
     if (synced.input_dim, synced.output_dim) != (
@@ -207,7 +216,6 @@ def client_local_update(client, global_classifier, proto_reg=None):
     n = len(client.train)
     y = client.train.y
     onehot = nets.one_hot_matrix(y, classifier.output_dim)
-    reg = None
     if proto_reg is not None:
         lam, protos = proto_reg
         rows = np.zeros((n, classifier.input_dim))
@@ -215,23 +223,25 @@ def client_local_update(client, global_classifier, proto_reg=None):
         for label, proto in protos.items():
             rows[y == label] = proto
             mask[y == label] = 1.0
-    for _ in range(client.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, client.batch_size):
-            idx = order[start : start + client.batch_size]
-            if proto_reg is not None:
-                reg = (lam, rows[idx], mask[idx])
+    bs, lr = client.batch_size, np.array(client.lr, dtype=float)  # see nets._ZERO
+    for order in _epoch_orders(rng, n, client.epochs):
+        X, T = client.train.X.take(order, axis=0), onehot.take(order, axis=0)
+        if proto_reg is not None:
+            P, M = rows.take(order, axis=0), mask.take(order)
+        for start in range(0, n, bs):
+            batch = slice(start, start + bs)
+            reg = None if proto_reg is None else (lam, P[batch], M[batch])
             loss, ext_grads, cls_grads, fc_grads = local_gradients(
-                extractor, rm, classifier, client.train.X[idx], onehot[idx], proto_reg=reg
+                extractor, rm, classifier, X[batch], T[batch], proto_reg=reg
             )
             if not math.isfinite(loss):
                 raise DivergedError(
                     f"client {client.client_id} local loss is non-finite"
                 )
-            nets._sgd(extractor, ext_grads, client.lr)
-            nets._sgd(classifier, cls_grads, client.lr)
+            nets._sgd(extractor, ext_grads, lr)
+            nets._sgd(classifier, cls_grads, lr)
             if fc_grads is not None:
-                nets._sgd(rm.net, fc_grads, client.lr)
+                nets._sgd(rm.net, fc_grads, lr)
     trained = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
     nets._check_trained(*trained)
     return replace(client, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
@@ -259,7 +269,8 @@ def server_update(server, reps, labels):
     participants' upload blocks concatenated. Steps a private clone of the
     classifier in place; its parameters are checked once, at the end. The
     batches are shuffled by a fork of the server's stream, which becomes the
-    new state's stream, so the input is left unchanged.
+    new state's stream, so the input is left unchanged. As in the client
+    update, each epoch gathers its rows once and slices its batches.
     """
     reps = np.asarray(reps, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -274,14 +285,16 @@ def server_update(server, reps, labels):
     _require_finite(reps, "uploaded packets")
     classifier = nets.clone(server.classifier)
     rng = fork_rng(server.rng)
-    for _ in range(server.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, server.batch_size):
-            idx = order[start : start + server.batch_size]
-            loss, grads = nets._ce_value_and_grads(classifier, reps[idx], labels[idx])
+    bs, lr = server.batch_size, np.array(server.lr, dtype=float)  # see nets._ZERO
+    for order in _epoch_orders(rng, n, server.epochs):
+        R, Y = reps.take(order, axis=0), labels.take(order, axis=0)
+        for start in range(0, n, bs):
+            loss, grads = nets._ce_value_and_grads(
+                classifier, R[start : start + bs], Y[start : start + bs]
+            )
             if not math.isfinite(loss):
                 raise DivergedError("server loss is non-finite")
-            nets._sgd(classifier, grads, server.lr)
+            nets._sgd(classifier, grads, lr)
     nets._check_trained(classifier)
     return replace(server, classifier=classifier, rng=rng)
 

@@ -27,6 +27,75 @@ def batch_mean_ce(logits, targets):
     return float(np.maximum(lse - (t * z).sum(axis=1), 0.0).mean())
 
 
+# The plain formulas of the nets and entangle kernels, the oracles that the
+# kernels must equal byte for byte: same shapes, same caches, same bits.
+
+
+def reference_forward(net, X):
+    """nets._forward as one expression per layer: (outputs, BatchCache)."""
+    a = X
+    pre, layer_inputs = [], []
+    for l in net.layers:
+        layer_inputs.append(a)
+        z = a @ l.weight.T + l.bias
+        pre.append(z)
+        a = np.maximum(z, 0.0) if l.activation == nets.RELU else z
+    return a, nets.BatchCache(X, pre, layer_inputs)
+
+
+def reference_backward(net, cache, delta, param_grads=True, input_grad=True):
+    """nets._backward with bias gradients from ndarray.sum."""
+    n = len(net.layers)
+    weight_grads, bias_grads = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        l = net.layers[i]
+        if l.activation == nets.RELU:
+            delta = delta * (cache.pre_activations[i] > 0)
+        if param_grads:
+            weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
+            bias_grads[i] = delta.sum(axis=-2)
+        if i or input_grad:
+            delta = delta @ l.weight
+    grads = nets.GradientSet(weight_grads, bias_grads) if param_grads else None
+    return grads, delta if input_grad else None
+
+
+def reference_ce(z, t):
+    """nets._ce with fresh temporaries: (mean loss, gradient wrt z)."""
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    losses = m[:, 0] + np.log(s[:, 0]) - (t * z).sum(axis=1)
+    n = z.shape[0]
+    return float(np.maximum(losses, 0.0).sum() / n), (e / s - t) / n
+
+
+def reference_rm_apply(R, rm, unified_dim):
+    """entangle.rm_apply on an (..., n, raw) batch of valid shape:
+    (mapped, the fc forward cache or the mp winners or None)."""
+    if rm.kind == "fc":
+        return reference_forward(rm.net, R)
+    blocks = R.reshape(R.shape[:-1] + (unified_dim, R.shape[-1] // unified_dim))
+    if rm.kind == "ap":
+        return blocks.sum(axis=-1) / blocks.shape[-1], None
+    winners = blocks.argmax(axis=-1)
+    return np.take_along_axis(blocks, winners[..., None], axis=-1)[..., 0], winners
+
+
+def reference_rm_backward(g, rm, m, aux):
+    """entangle.rm_backward given reference_rm_apply's aux and the block
+    size m: (gradient wrt the raw rows, fc GradientSet or None)."""
+    if rm.kind == "fc":
+        fc_grads, grad_in = reference_backward(rm.net, aux, g)
+        return grad_in, fc_grads
+    if rm.kind == "ap":
+        grad_blocks = np.repeat(g[..., None] / m, m, axis=-1)
+    else:
+        grad_blocks = np.zeros(g.shape + (m,))
+        np.put_along_axis(grad_blocks, aux[..., None], g[..., None], axis=-1)
+    return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,)), None
+
+
 def check_label_encoding(p, atol=1e-9):
     """ValueError unless p is a finite probability vector."""
     p = np.asarray(p, dtype=float)

@@ -109,6 +109,17 @@ def test_invert_writes_attack_records(cfg_path, tmp_path, capsys):
     assert {r["target_kind"] for r in records} == {"raw", "prototype", "entangled"}
 
 
+def test_invert_scores_a_data_range_whose_square_overflows(cfg_path, tmp_path, capsys):
+    mapping = json.loads(cfg_path.read_text())
+    mapping["inversion"]["data_range"] = 1e200
+    cfg_path.write_text(json.dumps(mapping))
+    target = tmp_path / "attack.jsonl"
+    assert cli.main(["invert", str(cfg_path), "--output", str(target)]) == 0
+    capsys.readouterr()
+    records = [json.loads(l) for l in target.read_text().splitlines()]
+    assert records and all(r["psnr"] > 3000.0 for r in records)
+
+
 @pytest.mark.parametrize("verb", ["run", "validate", "invert"])
 @pytest.mark.parametrize(
     "categories_per_client, num_clients, per_class",
@@ -202,6 +213,45 @@ def test_a_bad_output_path_exits_2_before_any_training(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: output_path")
+
+
+@pytest.mark.parametrize(
+    "verb, named_by",
+    [
+        (verb, named_by)
+        for verb in ("validate", "run", "invert", "sweep")
+        for named_by in ("config", "--output", cli.OUTPUT_DIR_ENV)
+        if (verb, named_by) != ("validate", "--output")  # validate has no --output
+    ],
+)
+def test_an_output_path_naming_a_directory_exits_2_before_any_training(
+    tmp_path, capsys, monkeypatch, verb, named_by
+):
+    """Whatever names it, the config, --output or the re-rooting by
+    FEDRE_OUTPUT_DIR, a resolved output path that is an existing directory
+    fails every verb with one error line before a seed trains."""
+
+    def no_training(cfg, world):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    output_path = str(tmp_path / "out.jsonl")
+    flags = ["--key", "rounds", "--values", "1"] if verb == "sweep" else []
+    if named_by == "config":
+        output_path = str(taken)
+    elif named_by == "--output":
+        flags += ["--output", str(taken)]
+    else:
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+        output_path = "elsewhere/taken"
+    p = write_config(tmp_path, {"rounds": 1, "seeds": [0], "output_path": output_path})
+    assert cli.main([verb, str(p), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error: output path {str(taken)!r} is a directory"]
 
 
 @pytest.mark.parametrize("verb", ["validate", "run", "invert"])

@@ -165,9 +165,10 @@ OFFSETS = st.one_of(
 
 @given(
     st.lists(st.tuples(OFFSETS, OFFSETS), min_size=2, max_size=6),
-    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=1e-6, max_value=1e200),
 )
 @example([(1e-160, 0.0), (1e-150, 0.0)], 10.0)  # a subnormal mse overflows the ratio
+@example([(0.5, 0.0), (1e-150, 0.0)], 1e200)  # data_range**2 overflows
 @settings(max_examples=200, deadline=None)
 def test_psnr_never_rises_as_mse_falls(offsets, data_range):
     """Every PSNR is finite, and for MSEs a < b, psnr(a) >= psnr(b); an
@@ -189,6 +190,16 @@ def test_an_exact_hit_scores_the_psnr_of_the_least_positive_mse():
     assert psnr == pytest.approx(20.0 + 3233.1, abs=0.1)
     near = inversion.score(np.array([1e-150, 2.0]), np.array([0.0, 2.0]), 10.0)
     assert 0.0 < near[0] and np.isfinite(near[1]) and psnr > near[1]
+
+
+def test_a_data_range_whose_square_overflows_scores_in_logs():
+    """data_range**2 overflows a Python float past about 1.3e154: the score
+    is taken in logs, as for a subnormal mse, instead of raising."""
+    mse, psnr = inversion.score([0.5], [0.0], 1e200)
+    assert mse == 0.25
+    assert psnr == 20.0 * np.log10(1e200) - 10.0 * np.log10(0.25)
+    # a finite ratio keeps the plain formula's bits
+    assert inversion.score([0.5], [0.0], 1e150) == (0.25, float(10.0 * np.log10(1e150**2 / 0.25)))
 
 
 def test_score_validates_inputs():

@@ -222,9 +222,7 @@ def test_client_local_update_pulls_toward_every_prototype(world):
     check_client_update(world)
 
 
-@settings(max_examples=80, deadline=None)
-@given(server_worlds())
-def test_server_update_equals_the_per_step_loop(world):
+def check_server_update(world):
     server, packets = world
     before = nets.clone(server.classifier)
     rng_a, rng_b = twin_rngs(server)
@@ -241,6 +239,41 @@ def test_server_update_equals_the_per_step_loop(world):
     assert got is not nets.DivergedError
     assert net_params_equal(got.classifier, want)
     assert got.rng.bit_generator.state == rng_b.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(server_worlds())
+def test_server_update_equals_the_per_step_loop(world):
+    check_server_update(world)
+
+
+def test_server_update_equals_the_per_step_loop_at_the_toy_shape():
+    """The toy preset's server: 2 packets of dimension 8 over 10 classes,
+    lr 0.5, batch 100 and 100 epochs, 100 steps from one batched draw of
+    the epoch orders (server_worlds draws at most 4 epochs)."""
+    rng = np.random.default_rng(15)
+    packets = [EntangledPacket(rng.normal(size=8), y / y.sum()) for y in rng.random((2, 10))]
+    server = protocol.ServerState(
+        classifier=protocol.make_classifier(8, 10, rng),
+        rng=np.random.default_rng(16),
+        lr=0.5,
+        batch_size=100,
+        epochs=100,
+    )
+    check_server_update((server, packets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_epoch_orders_are_one_permutation_per_epoch(n, epochs, seed):
+    """One batched draw gives the orders, and leaves the stream in the
+    state, of one rng.permutation(n) per epoch."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    orders = protocol._epoch_orders(a, n, epochs)
+    assert orders.shape == (epochs, n)
+    for order in orders:
+        assert np.array_equal(order, b.permutation(n))
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_parameters_overflowing_on_the_last_step_raise_diverged_error():
