@@ -49,7 +49,7 @@ def main(argv=None):
         for knob in ("steps", "restarts"):
             if getattr(args, knob) is not None:
                 setattr(study_cfg.inversion, knob, getattr(args, knob))
-        study_cfg.inversion.validate()
+        study_cfg.validate()
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

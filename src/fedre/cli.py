@@ -25,12 +25,17 @@ OUTPUT_DIR_ENV = "FEDRE_OUTPUT_DIR"
 def resolve_output_path(path):
     """The output file's path, re-rooted into FEDRE_OUTPUT_DIR when that is
     set. Every verb resolves it before any training: ConfigError if it names
-    an existing directory."""
+    an existing directory or lies below something that is not one."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     path = Path(path)
     out = Path(override) / path.name if override else path
     if out.is_dir():
         raise ConfigError(f"output path {str(out)!r} is a directory")
+    ancestor = next(p for p in out.parents if p.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(
+            f"output path {str(out)!r} lies below {str(ancestor)!r}, not a directory"
+        )
     return out
 
 
@@ -68,7 +73,7 @@ def cmd_sweep(args):
         base = json.load(fh)
     try:
         values = [json.loads(v) for v in args.values]
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad syntax or too many digits
         raise ConfigError(f"--values must be JSON literals: {e}") from e
     out_base = resolve_output_path(args.output or cfg.output_path)
     for value, sweep_cfg, summary in run_sweep(base, args.key, values):

@@ -4,11 +4,14 @@ Configs are plain JSON objects. Every field has a default except the ones a
 run cannot invent (nothing, currently: a minimal ``{}`` runs the default
 blob experiment). Unknown keys are rejected by name so typos never silently
 fall back to defaults, and every value is checked against its field's type
-before validation compares it with anything.
+before validation compares it with anything. A numeric field's range is
+stated once, on the field, and every number must be finite.
 """
 
 import dataclasses
 import json
+import math
+import sys
 import typing
 from dataclasses import dataclass, field
 
@@ -19,108 +22,71 @@ class ConfigError(ValueError):
     """A config file failed validation."""
 
 
+def _bounded(default, lo, hi=math.inf, open_below=False):
+    """A field whose value must lie in [lo, hi], or in (lo, hi] when
+    open_below; validate checks it."""
+    return field(default=default, metadata={"bound": (lo, hi, open_below)})
+
+
 @dataclass
 class DatasetConfig:
     kind: typing.Literal["blobs", "csv"] = "blobs"
-    classes: int = 10
-    per_class: int = 50
-    dim: int = 2
-    spread: float = 1.0
+    classes: int = _bounded(10, 1)
+    per_class: int = _bounded(50, 1)
+    dim: int = _bounded(2, 1)
+    spread: float = _bounded(1.0, 0, open_below=True)
     path: str | None = None
-
-    def validate(self):
-        if self.kind == "csv" and not self.path:
-            raise ConfigError("dataset.kind csv needs dataset.path")
-        if self.kind == "blobs":
-            if min(self.classes, self.per_class, self.dim) < 1:
-                raise ConfigError("dataset sizes must be positive")
-            if self.spread <= 0:
-                raise ConfigError("dataset.spread must be positive")
 
 
 @dataclass
 class PartitionConfig:
     mode: typing.Literal[data.PARTITION_MODES] = data.PRA
-    alpha: float = 0.1
-    categories_per_client: int = 2
-    imbalance_factor: float = 100.0
-
-    def validate(self):
-        if self.alpha <= 0:
-            raise ConfigError("partition.alpha must be positive")
-        if self.categories_per_client < 1:
-            raise ConfigError("partition.categories_per_client must be positive")
-        if self.imbalance_factor < 1:
-            raise ConfigError("partition.imbalance_factor must be >= 1")
+    alpha: float = _bounded(0.1, 0, open_below=True)
+    categories_per_client: int = _bounded(2, 1)
+    imbalance_factor: float = _bounded(100.0, 1)
 
 
 @dataclass
 class InversionConfig:
-    steps: int = 300
-    lr: float = 0.05
+    steps: int = _bounded(300, 0)
+    lr: float = _bounded(0.05, 0, open_below=True)
     init_scale: float = 1.0
-    num_targets: int = 3
-    restarts: int = 1  # independent attack starts per target, best kept
-    data_range: float | None = None  # None: empirical range of the client data
-
-    def validate(self):
-        if self.steps < 0:
-            raise ConfigError("inversion.steps must be nonnegative")
-        if self.lr <= 0:
-            raise ConfigError("inversion.lr must be positive")
-        if self.num_targets < 1:
-            raise ConfigError("inversion.num_targets must be positive")
-        if self.restarts < 1:
-            raise ConfigError("inversion.restarts must be positive")
-        if self.data_range is not None and self.data_range <= 0:
-            raise ConfigError("inversion.data_range must be positive")
+    num_targets: int = _bounded(3, 1)
+    restarts: int = _bounded(1, 1)  # independent attack starts per target, best kept
+    data_range: float | None = _bounded(None, 0, open_below=True)  # None: the data's own range
 
 
 @dataclass
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     partition: PartitionConfig = field(default_factory=PartitionConfig)
-    num_clients: int = 10
-    participation_rate: float = 1.0
-    rounds: int = 100
+    num_clients: int = _bounded(10, 1)
+    participation_rate: float = _bounded(1.0, 0, 1, open_below=True)
+    rounds: int = _bounded(100, 0)
     strategy: typing.Literal[baselines.STRATEGIES] = baselines.FEDRE
     mechanism: typing.Literal[entangle.MECHANISMS] = entangle.RAP
     weight_distribution: typing.Literal[entangle.DISTRIBUTIONS] = entangle.UNIFORM
     resample: typing.Literal[baselines.RESAMPLE_MODES] = baselines.RESAMPLED
     rm_op: typing.Literal[entangle.RM_KINDS] = entangle.AP
-    unified_dim: int = 8
+    unified_dim: int = _bounded(8, 1)
     architectures: list | None = None  # hidden sizes per client; last is d_k
-    client_lr: float = 0.05
-    client_batch_size: int = 16
-    client_epochs: int = 1
-    server_lr: float = 0.01
-    server_batch_size: int = 10
-    server_epochs: int = 5
-    train_fraction: float = 0.75
+    client_lr: float = _bounded(0.05, 0)
+    client_batch_size: int = _bounded(16, 1)
+    client_epochs: int = _bounded(1, 0)
+    server_lr: float = _bounded(0.01, 0)
+    server_batch_size: int = _bounded(10, 1)
+    server_epochs: int = _bounded(5, 0)
+    train_fraction: float = _bounded(0.75, 0, 1)
     comm_convention: typing.Literal[protocol.CONVENTIONS] = protocol.REPRESENTATION_ONLY
-    lambda_proto: float = 0.1
+    lambda_proto: float = _bounded(0.1, 0)
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     output_path: str = "runs/metrics.jsonl"
     inversion: InversionConfig = field(default_factory=InversionConfig)
 
     def validate(self):
-        for prefix, group in (("", self), ("dataset.", self.dataset), ("partition.", self.partition)):
-            for f in dataclasses.fields(group):
-                value = getattr(group, f.name)
-                choices = typing.get_args(f.type)
-                if typing.get_origin(f.type) is typing.Literal and value not in choices:
-                    raise ConfigError(f"{prefix}{f.name} must be one of {choices}, not {value!r}")
-        self.dataset.validate()
-        self.partition.validate()
-        self.inversion.validate()
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be positive")
-        if not 0.0 < self.participation_rate <= 1.0:
-            raise ConfigError("participation_rate must lie in (0, 1]")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be nonnegative")
-        if self.unified_dim < 1:
-            raise ConfigError("unified_dim must be positive")
+        _check_fields(self)
+        if self.dataset.kind == "csv" and not self.dataset.path:
+            raise ConfigError("dataset.kind csv needs dataset.path")
         if self.architectures is None:
             self.architectures = [[2 * self.unified_dim]] * self.num_clients
         if len(self.architectures) != self.num_clients:
@@ -139,21 +105,6 @@ class ExperimentConfig:
                     f"divisible by unified_dim {self.unified_dim} under "
                     f"{self.rm_op} mapping"
                 )
-        for name in ("client_lr", "server_lr"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        for name in (
-            "client_batch_size",
-            "client_epochs",
-            "server_batch_size",
-            "server_epochs",
-        ):
-            if getattr(self, name) < (0 if name.endswith("epochs") else 1):
-                raise ConfigError(f"{name} is out of range")
-        if not 0.0 <= self.train_fraction <= 1.0:
-            raise ConfigError("train_fraction must lie in [0, 1]")
-        if self.lambda_proto < 0:
-            raise ConfigError("lambda_proto must be nonnegative")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("seeds must list at least one seed, none negative")
         if not self.output_path or "\0" in self.output_path:
@@ -162,6 +113,31 @@ class ExperimentConfig:
             if self.partition.categories_per_client > self.dataset.classes:
                 raise ConfigError(
                     "partition.categories_per_client exceeds dataset.classes"
+                )
+
+
+def _check_fields(group, prefix=""):
+    """Check every field of group and its sub-configs against its
+    annotation: a Literal's choices, a float's finiteness (NaN, infinities
+    and integers past the float range fail) and a bounded field's range,
+    written so that NaN fails it too."""
+    for f in dataclasses.fields(group):
+        name, value = prefix + f.name, getattr(group, f.name)
+        kinds = typing.get_args(f.type) or (f.type,)
+        if dataclasses.is_dataclass(value):
+            _check_fields(value, name + ".")
+        elif typing.get_origin(f.type) is typing.Literal and value not in kinds:
+            raise ConfigError(f"{name} must be one of {kinds}, not {value!r}")
+        elif value is None:
+            continue
+        elif float in kinds and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be a finite number, not {json.dumps(value)}")
+        elif "bound" in f.metadata:
+            lo, hi, open_below = f.metadata["bound"]
+            if not (lo < value <= hi if open_below else lo <= value <= hi):
+                left, right = "(" if open_below else "[", "]" if hi < math.inf else ")"
+                raise ConfigError(
+                    f"{name} must lie in {left}{lo}, {hi}{right}, not {json.dumps(value)}"
                 )
 
 
@@ -236,7 +212,7 @@ def load_config(path):
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad syntax, too many digits, or not UTF-8
             raise ConfigError(f"{path} is not valid JSON: {e}") from e
     return parse_config(raw)
 

@@ -91,13 +91,13 @@ class PartitionSpec:
     def __post_init__(self):
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.num_clients < 1:
+        if not self.num_clients >= 1:
             raise ValueError("num_clients must be positive")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.categories_per_client < 1:
+        if not self.categories_per_client >= 1:
             raise ValueError("categories_per_client must be positive")
-        if self.imbalance_factor < 1:
+        if not self.imbalance_factor >= 1:
             raise ValueError("imbalance_factor must be >= 1")
 
 
@@ -114,11 +114,17 @@ def _largest_remainder(shares, total):
 
 
 def _dirichlet(alpha, size, rng):
-    # Gamma(alpha, 1) normalization; redraw the (measure-zero) all-zero case.
-    while True:
-        g = rng.gamma(alpha, 1.0, size)
-        if g.sum() > 0:
-            return g / g.sum()
+    """Dirichlet(alpha) shares by Gamma(alpha, 1) normalization. A huge
+    alpha's draws are scaled first, so that their sum cannot overflow. A
+    tiny alpha can underflow every draw to 0; that draw returns the
+    alpha -> 0 limit, all of the mass on one client drawn uniformly."""
+    g = rng.gamma(alpha, 1.0, size)
+    if g.max() > np.finfo(float).max / size:
+        g = g / g.max()
+    total = g.sum()
+    if total > 0:
+        return g / total
+    return np.eye(size)[rng.integers(size)]
 
 
 def _shard(ds, index_arrays):
@@ -179,7 +185,7 @@ def _partition_pat(ds, num_clients, categories_per_client, rng):
 
 def apply_longtail(ds, imbalance_factor, seed):
     """Subsample category c to max(1, round(n_max * IF^(-c/(C-1)))) samples."""
-    if imbalance_factor < 1:
+    if not imbalance_factor >= 1:
         raise ValueError("imbalance_factor must be >= 1")
     C = ds.num_classes
     if C == 1 or imbalance_factor == 1:

@@ -148,8 +148,8 @@ def score(reconstructed, originals, data_range):
     mse is the minimum mean squared error over the original samples; psnr is
     10*log10(data_range^2 / mse). An exact hit scores the PSNR of the least
     positive mse, so psnr never rises as mse falls. A ratio that overflows,
-    from a subnormal mse or a data_range past about 1.3e154, is scored in
-    logs instead.
+    from a subnormal mse or a data_range past about 1.3e154, or underflows,
+    from a tiny data_range, is scored in logs instead.
     """
     rec = np.asarray(reconstructed, dtype=float)
     O = np.asarray(originals, dtype=float)
@@ -168,9 +168,12 @@ def score(reconstructed, originals, data_range):
         ratio = data_range**2 / mse
     except OverflowError:  # a float data_range whose square overflows
         ratio = math.inf
-    if ratio == np.inf:  # the ratio overflows: score in logs, no lower than any finite ratio
+    if ratio == np.inf or ratio == 0.0:  # the ratio over- or underflows: score in logs
         log_score = 20.0 * np.log10(data_range) - 10.0 * np.log10(mse)
-        return mse, float(max(log_score, 10.0 * np.log10(np.finfo(float).max)))
+        if ratio:  # no lower than any finite ratio
+            return mse, float(max(log_score, 10.0 * np.log10(np.finfo(float).max)))
+        # no higher than any positive ratio
+        return mse, float(min(log_score, 10.0 * np.log10(np.nextafter(0, 1))))
     return mse, float(10.0 * np.log10(ratio))
 
 

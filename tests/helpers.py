@@ -1,7 +1,9 @@
-"""Shared test utilities: oracles and small world builders."""
+"""Shared test utilities: oracles, small world builders and a time limit."""
 
+import contextlib
 import csv
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -591,3 +593,28 @@ def reference_train_test_split(ds, train_fraction, seed):
         ds.subset(np.sort(np.asarray(train_idx, dtype=int))),
         ds.subset(np.sort(np.asarray(test_idx, dtype=int))),
     )
+
+
+# ------------------------------------------------------- time limit
+
+
+class TookTooLong(Exception):
+    """A time_limit ran out."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TookTooLong inside the block once seconds of wall-clock time
+    have passed, so that a hang fails its test instead of stalling the
+    suite. Uses SIGALRM on the calling (main) thread."""
+
+    def expire(signum, frame):
+        raise TookTooLong(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedre import baselines, cli, data, entangle, protocol, runner
+
+from helpers import time_limit
 
 
 @pytest.fixture
@@ -74,6 +77,23 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
+@pytest.mark.parametrize(
+    "text",
+    [b"{not json", b'{"client_lr": ' + b"1" * 5000 + b"}", b'{"output_path": "\xff"}'],
+    ids=["bad syntax", "an integer of 5000 digits", "not UTF-8"],
+)
+def test_a_config_file_that_is_not_json_exits_2(tmp_path, capsys, verb, text):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(text)
+    sweep = ["--key", "rounds", "--values", "1"] if verb == "sweep" else []
+    assert cli.main([verb, str(p), *sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {p} is not valid JSON")
+
+
 def test_sweep_writes_one_file_per_value(cfg_path, tmp_path, capsys):
     rc = cli.main(
         ["sweep", str(cfg_path), "--key", "mechanism", "--values", '"var"', '"rap"']
@@ -87,8 +107,8 @@ def test_sweep_writes_one_file_per_value(cfg_path, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, values",
-    [("rounds.x", ["1"]), ("rounds", ["notjson"])],
-    ids=["key descends into a number", "value is not JSON"],
+    [("rounds.x", ["1"]), ("rounds", ["notjson"]), ("rounds", ["1" * 5000])],
+    ids=["key descends into a number", "value is not JSON", "value has 5000 digits"],
 )
 def test_sweep_with_a_bad_key_or_value_exits_2(cfg_path, tmp_path, capsys, key, values):
     assert cli.main(["sweep", str(cfg_path), "--key", key, "--values", *values]) == 2
@@ -252,6 +272,69 @@ def test_an_output_path_naming_a_directory_exits_2_before_any_training(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert lines == [f"error: output path {str(taken)!r} is a directory"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
+def test_an_output_path_below_a_regular_file_exits_2_before_any_training(
+    tmp_path, capsys, monkeypatch, verb
+):
+    def no_training(cfg, world):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    below = tmp_path / "cfg.json" / "sub" / "x.jsonl"  # cfg.json is the config file
+    p = write_config(tmp_path, {"rounds": 1, "seeds": [0], "output_path": str(below)})
+    sweep = ["--key", "rounds", "--values", "1"] if verb == "sweep" else []
+    assert cli.main([verb, str(p), *sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: output path {str(below)!r} lies below {str(p)!r}, not a directory"
+    ]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"partition": {"alpha": math.nan}},
+        {"partition": {"alpha": 10**400}},
+        {"inversion": {"data_range": math.nan}},
+        {"inversion": {"init_scale": math.nan}},
+        {"client_lr": math.nan},
+        {"client_lr": 10**400},
+        {"server_lr": math.inf},
+        {"lambda_proto": math.nan},
+    ],
+    ids=lambda o: json.dumps(o)[:40],
+)
+def test_a_number_no_float_holds_exits_2_before_any_training(
+    tmp_path, capsys, monkeypatch, verb, overrides
+):
+    def no_training(cfg, world):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    p = write_config(tmp_path, dict({"rounds": 1, "seeds": [0]}, **overrides))
+    with time_limit(10):
+        line = assert_config_error(capsys, verb, p)
+    assert "must be a finite number" in line
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert"])
+def test_an_alpha_whose_gamma_draws_underflow_ends_on_every_verb(tmp_path, capsys, verb):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "partition": {"mode": "pra", "alpha": 1e-30},
+        "num_clients": 2,
+        "rounds": 1,
+        "seeds": [0, 1],
+        "inversion": {"steps": 2},
+    })
+    with time_limit(30):
+        assert cli.main([verb, str(p)]) in (0, 2)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("verb", ["validate", "run", "invert"])
@@ -426,6 +509,14 @@ def test_invert_fails_the_seeds_whose_attack_diverges(tmp_path, capsys):
 
 # JSON values of the wrong type for most fields (and of the right type for some)
 ODD_VALUES = [None, True, "x", "8", 1.5, 2.0, -1, [], [True], ["a"], [[1.5]], {}, {"a": 1}]
+# floats no config may hold (NaN, infinities) and tiny and huge ones it may
+EXTREME_FLOATS = [math.nan, math.inf, -math.inf, 1e-300, 1e300]
+
+
+def has_nonfinite(node):
+    if isinstance(node, dict):
+        return any(has_nonfinite(v) for v in node.values())
+    return isinstance(node, float) and not math.isfinite(node)
 
 
 @st.composite
@@ -433,13 +524,18 @@ def tiny_configs(draw):
     """One- or two-seed configs over blob or csv data, every strategy,
     mapping, partition mode, batch sizes and epoch counts (out-of-range ones
     included) and sane or diverging learning rates, the attack's included;
-    some have one field, top-level or nested, swapped for a value from
+    every float field may instead draw a value from EXTREME_FLOATS; some
+    have one field, top-level or nested, swapped for a value from
     ODD_VALUES, and some an empty output_path or one with a NUL byte.
     Returns (mapping, csv text or None, whether the csv has a malformed
     row)."""
 
     def pick(options):
         return draw(st.sampled_from(options))
+
+    def number(*sane):
+        """One of the sane values, or about one draw in ten an extreme float."""
+        return pick(sane) if draw(st.integers(0, 9)) < 9 else pick(EXTREME_FLOATS)
 
     num_clients = draw(st.integers(1, 4))
     unified_dim = pick([1, 2])
@@ -448,15 +544,16 @@ def tiny_configs(draw):
             "classes": draw(st.integers(1, 4)),
             "per_class": draw(st.integers(1, 6)),
             "dim": draw(st.integers(1, 3)),
+            "spread": number(1.0, 0.5),
         },
         "partition": {
             "mode": pick(data.PARTITION_MODES),
-            "alpha": pick([0.05, 1.0]),
+            "alpha": number(0.05, 1.0),
             "categories_per_client": draw(st.integers(1, 3)),
-            "imbalance_factor": pick([1.0, 10.0]),
+            "imbalance_factor": number(1.0, 10.0),
         },
         "num_clients": num_clients,
-        "participation_rate": pick([0.3, 0.5, 1.0]),
+        "participation_rate": number(0.3, 0.5, 1.0),
         "rounds": draw(st.integers(0, 2)),
         "strategy": pick(baselines.STRATEGIES),
         "mechanism": pick(entangle.MECHANISMS),
@@ -467,9 +564,10 @@ def tiny_configs(draw):
         "architectures": [
             [unified_dim * draw(st.integers(1, 3))] for _ in range(num_clients)
         ],
-        "train_fraction": pick([0.0, 0.1, 0.5, 1.0]),
-        "client_lr": pick([0.05, 1e300]),
-        "server_lr": pick([0.05, 1e300]),
+        "train_fraction": number(0.0, 0.1, 0.5, 1.0),
+        "client_lr": number(0.05, 1e300),
+        "server_lr": number(0.05, 1e300),
+        "lambda_proto": number(0.0, 0.1),
         "client_batch_size": pick([0, 1, 3, 64]),
         "client_epochs": pick([-1, 0, 1, 2]),
         "server_batch_size": pick([0, 1, 3, 64]),
@@ -478,9 +576,11 @@ def tiny_configs(draw):
         "seeds": draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2)),
         "inversion": {
             "steps": draw(st.integers(0, 2)),
-            "lr": pick([0.05, 1e8, 1e30]),
+            "lr": number(0.05, 1e8, 1e30),
+            "init_scale": number(1.0, 0.5),
             "num_targets": draw(st.integers(1, 2)),
             "restarts": draw(st.integers(1, 2)),
+            "data_range": number(None, 1.0),
         },
     }
     text, malformed = None, False
@@ -542,9 +642,11 @@ def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(drawn):
             csv_intact = dataset.get("kind") == "csv"
         path = write_config(Path(tmp), mapping)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for verb in ("validate", "run", "invert"):
-                codes[verb] = cli.main([verb, str(path)])
+            with time_limit(30):
+                for verb in ("validate", "run", "invert"):
+                    codes[verb] = cli.main([verb, str(path)])
     assert set(codes.values()) <= {0, 2}, codes
     assert (codes["validate"] == 2) == (codes["run"] == 2), codes
-    if (csv_intact and malformed) or mapping.get("output_path") in BAD_OUTPUT_PATHS:
+    bad_output = mapping.get("output_path") in BAD_OUTPUT_PATHS
+    if (csv_intact and malformed) or bad_output or has_nonfinite(mapping):
         assert set(codes.values()) == {2}, codes

@@ -1,6 +1,9 @@
 """Tests for config parsing, defaults, validation, and persistence."""
 
+import dataclasses
 import json
+import math
+import typing
 
 import pytest
 
@@ -118,10 +121,55 @@ def test_seed_and_architecture_coercion():
         {"num_clients": 2, "architectures": [[8]]},  # count mismatch
         {"num_clients": 1, "architectures": [[]]},
         {"dataset": {"classes": 3}, "partition": {"mode": "pat", "categories_per_client": 5}},
+        # a blob-only size is checked under csv data too
+        {"dataset": {"kind": "csv", "path": "data.csv", "spread": 0.0}},
+        {"client_lr": math.nan},
+        {"server_lr": math.inf},
+        {"lambda_proto": -math.inf},
+        {"participation_rate": math.nan},
+        {"partition": {"alpha": math.nan}},
+        {"partition": {"imbalance_factor": math.inf}},
+        {"inversion": {"init_scale": math.nan}},
+        {"inversion": {"data_range": -math.inf}},
     ],
 )
 def test_validation_rejects_bad_values(mapping):
     with pytest.raises(config.ConfigError):
+        config.parse_config(mapping)
+
+
+def float_fields(cls=config.ExperimentConfig, prefix=()):
+    """The key path of every float-annotated field, sub-configs included."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from float_fields(f.type, prefix + (f.name,))
+        elif float in (typing.get_args(f.type) or (f.type,)):
+            yield prefix + (f.name,)
+
+
+def test_every_float_field_rejects_a_number_no_float_holds():
+    paths = list(float_fields())
+    assert {path[:-1] for path in paths} == {(), ("dataset",), ("partition",), ("inversion",)}
+    for path in paths:
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            mapping = value
+            for key in reversed(path):
+                mapping = {key: mapping}
+            with pytest.raises(config.ConfigError, match=f"^{'.'.join(path)} must be a finite"):
+                config.parse_config(mapping)
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ({"participation_rate": 0}, r"^participation_rate must lie in \(0, 1\], not 0$"),
+        ({"train_fraction": 1.5}, r"^train_fraction must lie in \[0, 1\], not 1.5$"),
+        ({"num_clients": 0}, r"^num_clients must lie in \[1, inf\), not 0$"),
+        ({"inversion": {"lr": 0.0}}, r"^inversion.lr must lie in \(0, inf\), not 0.0$"),
+    ],
+)
+def test_a_range_error_names_the_field_and_its_range(mapping, message):
+    with pytest.raises(config.ConfigError, match=message):
         config.parse_config(mapping)
 
 

@@ -17,6 +17,7 @@ from helpers import (
     reference_partition_pra,
     reference_train_test_split,
     save_csv,
+    time_limit,
 )
 
 
@@ -168,6 +169,46 @@ def test_pra_alpha_controls_concentration():
             vals.append(np.mean([label_entropy(p) for p in parts if len(p)]))
         mean_entropy[alpha] = np.mean(vals)
     assert mean_entropy[0.1] < mean_entropy[10.0]
+
+
+def test_dirichlet_keeps_a_draw_that_does_not_underflow():
+    g = np.random.default_rng(3).gamma(0.5, 1.0, 4)
+    shares = data._dirichlet(0.5, 4, np.random.default_rng(3))
+    assert shares.tobytes() == (g / g.sum()).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1e-30, 5e-324])
+def test_dirichlet_of_an_underflowing_alpha_is_the_one_client_limit(alpha):
+    # every Gamma(alpha) draw underflows to 0: all the mass goes to one
+    # client, picked uniformly from the same stream
+    rng = np.random.default_rng(0)
+    with time_limit(10):
+        draws = [data._dirichlet(alpha, 3, rng) for _ in range(300)]
+        ds = data.make_blobs(4, 10, 2, 1.0, 0)
+        parts = data.partition(ds, data.PartitionSpec(data.PRA, 3, seed=1, alpha=alpha))
+    assert all(sorted(s.tolist()) == [0.0, 0.0, 1.0] for s in draws)
+    assert np.bincount([int(np.argmax(s)) for s in draws], minlength=3).min() > 60
+    holders = [sum(c in p.y for p in parts) for c in range(4)]
+    assert holders == [1] * 4
+
+
+@pytest.mark.parametrize("alpha", [1e308, np.finfo(float).max])
+def test_dirichlet_of_a_huge_alpha_sums_without_overflow(alpha):
+    # the draws are finite but their sum is not; the shares tend to uniform
+    with np.errstate(all="raise"):
+        shares = data._dirichlet(alpha, 4, np.random.default_rng(0))
+        ds = data.make_blobs(3, 8, 2, 1.0, 0)
+        parts = data.partition(ds, data.PartitionSpec(data.PRA, 4, seed=0, alpha=alpha))
+    np.testing.assert_allclose(shares, 0.25)
+    np.testing.assert_array_equal(union_multiset(parts), rows_multiset(ds))
+
+
+@pytest.mark.parametrize(
+    "field", ["alpha", "imbalance_factor", "num_clients", "categories_per_client"]
+)
+def test_partition_spec_rejects_nan(field):
+    with pytest.raises(ValueError):
+        data.PartitionSpec(data.PRA, **{"num_clients": 2, field: math.nan})
 
 
 # ---------------------------------------------------------------- pat

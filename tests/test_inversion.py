@@ -165,10 +165,11 @@ OFFSETS = st.one_of(
 
 @given(
     st.lists(st.tuples(OFFSETS, OFFSETS), min_size=2, max_size=6),
-    st.floats(min_value=1e-6, max_value=1e200),
+    st.floats(min_value=1e-300, max_value=1e200),
 )
 @example([(1e-160, 0.0), (1e-150, 0.0)], 10.0)  # a subnormal mse overflows the ratio
 @example([(0.5, 0.0), (1e-150, 0.0)], 1e200)  # data_range**2 overflows
+@example([(0.5, 0.0), (1e-150, 0.0)], 1e-300)  # data_range**2 underflows
 @settings(max_examples=200, deadline=None)
 def test_psnr_never_rises_as_mse_falls(offsets, data_range):
     """Every PSNR is finite, and for MSEs a < b, psnr(a) >= psnr(b); an
@@ -200,6 +201,14 @@ def test_a_data_range_whose_square_overflows_scores_in_logs():
     assert psnr == 20.0 * np.log10(1e200) - 10.0 * np.log10(0.25)
     # a finite ratio keeps the plain formula's bits
     assert inversion.score([0.5], [0.0], 1e150) == (0.25, float(10.0 * np.log10(1e150**2 / 0.25)))
+
+
+def test_a_data_range_whose_square_underflows_scores_in_logs():
+    """data_range**2 underflows to 0 below about 1e-162: the score is taken
+    in logs, finite, instead of reading -inf."""
+    mse, psnr = inversion.score([0.5], [0.0], 1e-300)
+    assert mse == 0.25
+    assert psnr == 20.0 * np.log10(1e-300) - 10.0 * np.log10(0.25)
 
 
 def test_score_validates_inputs():
