@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, config_to_dict, load_config
-from .runner import build_world, export_summary, run_experiment, run_inversion_study, run_sweep
+from .runner import TARGET_KINDS, build_worlds, export_summary, run_experiment
+from .runner import run_inversion_study, run_sweep
 
 OUTPUT_DIR_ENV = "FEDRE_OUTPUT_DIR"
 
@@ -95,7 +96,7 @@ def cmd_invert(args):
     with open(out, "w", encoding="utf-8") as fh:
         for record in study.records():
             fh.write(json.dumps(record) + "\n")
-    for kind in ("raw", "prototype", "entangled"):
+    for kind in TARGET_KINDS:
         print(
             f"{kind:>10}: mean mse {study.mean_mse[kind]:.4f}, "
             f"mean psnr {study.mean_psnr[kind]:.2f} dB"
@@ -109,9 +110,7 @@ def cmd_invert(args):
 def cmd_validate(args):
     cfg = load_config(args.config)
     resolve_output_path(cfg.output_path)
-    # checks that need the data (pat dealing, csv contents) run on world build
-    for seed in cfg.seeds:
-        build_world(cfg, seed)
+    build_worlds(cfg)  # the checks that need the data (pat dealing, csv contents)
     print(f"{args.config} is valid; effective settings:")
     print(json.dumps(config_to_dict(cfg), indent=2))
     return 0

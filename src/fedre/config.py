@@ -119,8 +119,8 @@ class ExperimentConfig:
 def _check_fields(group, prefix=""):
     """Check every field of group and its sub-configs against its
     annotation: a Literal's choices, a float's finiteness (NaN, infinities
-    and integers past the float range fail) and a bounded field's range,
-    written so that NaN fails it too."""
+    and integers past the float range fail), an int's fit in an index
+    (sys.maxsize) and a bounded field's range, NaN failing it too."""
     for f in dataclasses.fields(group):
         name, value = prefix + f.name, getattr(group, f.name)
         kinds = typing.get_args(f.type) or (f.type,)
@@ -132,6 +132,8 @@ def _check_fields(group, prefix=""):
             continue
         elif float in kinds and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{name} must be a finite number, not {json.dumps(value)}")
+        elif int in kinds and value > sys.maxsize:
+            raise ConfigError(f"{name} must be at most {sys.maxsize}, not {value}")
         elif "bound" in f.metadata:
             lo, hi, open_below = f.metadata["bound"]
             if not (lo < value <= hi if open_below else lo <= value <= hi):

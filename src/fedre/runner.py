@@ -3,9 +3,11 @@
 Every random choice in a run flows from one master seed through a fixed
 SeedSequence spawn order (dataset, partition, per-client splits, server,
 participation, attack, per-client init+stream), so replaying a config and
-seed reproduces traces bit for bit. Seeds run sequentially and in isolation;
-a seed that aborts is marked failed without touching the others. A seed runs
-under np.errstate(all="ignore"): a diverging seed reports its failure through
+seed reproduces traces bit for bit. Each entry point builds every seed's
+world (build_worlds), so a config error raises before any seed trains, then
+runs the seeds one after another in one loop (_run_seeds); a seed that
+aborts is marked failed without touching the others. A seed runs under
+np.errstate(all="ignore"): a diverging seed reports its failure through
 failed_seeds and SeedTrace.error, not through numpy warnings.
 """
 
@@ -57,15 +59,13 @@ class RunSummary:
     std_acc: float
     failed_seeds: list
 
-    @property
-    def upload_total(self):
-        ok = [t for t in self.traces if not t.failed]
-        return sum(m.upload_scalars for m in ok[0].records) if ok else 0
+    def _total(self, scalars):
+        """The first seed that did not fail: its scalars summed over rounds."""
+        ok = next((t for t in self.traces if not t.failed), None)
+        return sum(getattr(m, scalars) for m in ok.records) if ok else 0
 
-    @property
-    def broadcast_total(self):
-        ok = [t for t in self.traces if not t.failed]
-        return sum(m.broadcast_scalars for m in ok[0].records) if ok else 0
+    upload_total = property(lambda self: self._total("upload_scalars"))
+    broadcast_total = property(lambda self: self._total("broadcast_scalars"))
 
 
 def _spawn_streams(seed, num_clients):
@@ -122,15 +122,10 @@ def build_world(cfg, seed):
         init_rng = np.random.default_rng(init_ss)
         hidden = cfg.architectures[k]
         extractor = protocol.make_extractor(ds.dim, hidden, init_rng)
+        fc_net = None
         if cfg.rm_op == FC:
-            rm = RMSpec(
-                FC,
-                nets.init_dense(
-                    [hidden[-1], cfg.unified_dim], [nets.IDENTITY], init_rng
-                ),
-            )
-        else:
-            rm = RMSpec(cfg.rm_op)
+            fc_net = nets.init_dense([hidden[-1], cfg.unified_dim], [nets.IDENTITY], init_rng)
+        rm = RMSpec(cfg.rm_op, fc_net)
         classifier = protocol.make_classifier(cfg.unified_dim, num_classes, init_rng)
         clients.append(
             ClientState(
@@ -204,41 +199,50 @@ def train(cfg, world):
     return clients, server, records
 
 
-def run_single_seed(cfg, seed):
-    """All rounds for one seed; returns the trace."""
-    clients, _, records = train(cfg, build_world(cfg, seed))
-    if records:
-        final = records[-1].mean_acc
-    else:
-        final = protocol.mean_accuracy(
-            [protocol.evaluate_client(c) for c in clients]
-        )
-    return SeedTrace(seed, records, final)
+def build_worlds(cfg):
+    """[(seed, world)] for each of cfg's seeds, in order. Every world is
+    built, and so every ConfigError raised, before any seed trains."""
+    return [(seed, build_world(cfg, seed)) for seed in cfg.seeds]
+
+
+def _run_seeds(worlds, fn):
+    """The one loop over seeds: fn(world) for each (seed, world) in turn.
+
+    Returns [(seed, result, error)]. A seed whose fn raises RuntimeError is
+    failed: result None, error "Type: message"; the other seeds go on.
+    """
+    out = []
+    for seed, world in worlds:
+        try:
+            with np.errstate(all="ignore"):
+                out.append((seed, fn(world), None))
+        except RuntimeError as e:
+            out.append((seed, None, f"{type(e).__name__}: {e}"))
+    return out
 
 
 def run_experiment(cfg):
     """Run every seed; failed seeds are recorded, not fatal."""
-    traces = []
-    for seed in cfg.seeds:
-        try:
-            with np.errstate(all="ignore"):
-                traces.append(run_single_seed(cfg, seed))
-        except RuntimeError as e:
-            traces.append(
-                SeedTrace(
-                    seed,
-                    [],
-                    float("nan"),
-                    failed=True,
-                    error=f"{type(e).__name__}: {e}",
-                )
-            )
-    finals = [None if t.failed else t.final_mean_acc for t in traces]
-    ok = [a for a in finals if a is not None]
+    return _experiment(cfg, build_worlds(cfg))
+
+
+def _experiment(cfg, worlds):
+    def one_seed(world):
+        clients, _, records = train(cfg, world)
+        if records:
+            return records, records[-1].mean_acc
+        return records, protocol.mean_accuracy([protocol.evaluate_client(c) for c in clients])
+
+    traces = [
+        SeedTrace(seed, *result) if error is None
+        else SeedTrace(seed, [], float("nan"), failed=True, error=error)
+        for seed, result, error in _run_seeds(worlds, one_seed)
+    ]
+    ok = [t.final_mean_acc for t in traces if not t.failed]
     return RunSummary(
         seeds=list(cfg.seeds),
         traces=traces,
-        per_seed_final_acc=finals,
+        per_seed_final_acc=[None if t.failed else t.final_mean_acc for t in traces],
         mean_acc=float(np.mean(ok)) if ok else float("nan"),
         std_acc=float(np.std(ok)) if ok else float("nan"),
         failed_seeds=[t.seed for t in traces if t.failed],
@@ -295,17 +299,18 @@ def apply_override(mapping, dotted_key, value):
 
 
 def run_sweep(base_mapping, dotted_key, values):
-    """Re-run the experiment once per override value.
+    """Re-run the experiment once per override value. Every value's config
+    is parsed and its worlds built before the first value runs.
 
     Returns [(value, ExperimentConfig, RunSummary)].
     """
-    results = []
+    built = []
     for value in values:
         mapping = json.loads(json.dumps(base_mapping))
         apply_override(mapping, dotted_key, value)
         cfg = parse_config(mapping)
-        results.append((value, cfg, run_experiment(cfg)))
-    return results
+        built.append((value, cfg, build_worlds(cfg)))
+    return [(value, cfg, _experiment(cfg, worlds)) for value, cfg, worlds in built]
 
 
 TARGET_KINDS = ("raw", "prototype", "entangled")
@@ -319,15 +324,8 @@ class InversionStudy:
     failed_seeds: list
 
     def records(self):
-        return [
-            {
-                "target_kind": r.target_kind,
-                "mse": r.mse,
-                "psnr": r.psnr,
-                "iterations": r.iterations,
-            }
-            for r in self.results
-        ]
+        keys = ("target_kind", "mse", "psnr", "iterations")
+        return [{k: getattr(r, k) for k in keys} for r in self.results]
 
 
 def _attack_client(inv, world, client):
@@ -377,24 +375,25 @@ def run_inversion_study(cfg):
     For every seed the attacked client is client 0. Raw targets score
     against their single source sample, prototypes against their category's
     samples, entangled packets against the whole local training set. Raises
-    ConfigError, before the seed trains, when a seed leaves client 0 without
+    ConfigError, before any seed trains, when a seed leaves client 0 without
     training samples. A seed whose training or attack aborts is recorded in
     failed_seeds and contributes no results. The attack descends every
     target of a seed as one stack (see _attack_client).
     """
-    results, failed_seeds = [], []
-    for seed in cfg.seeds:
-        world = build_world(cfg, seed)
+    worlds = build_worlds(cfg)
+    for seed, world in worlds:
         if len(world.clients[0].train) == 0:
             raise ConfigError(
                 f"seed {seed}: client 0, the attacked client, has no training samples"
             )
-        try:
-            with np.errstate(all="ignore"):
-                clients, _, _ = train(cfg, world)
-                results += _attack_client(cfg.inversion, world, clients[0])
-        except RuntimeError:
-            failed_seeds.append(seed)
+
+    def attack(world):
+        clients, _, _ = train(cfg, world)
+        return _attack_client(cfg.inversion, world, clients[0])
+
+    runs = _run_seeds(worlds, attack)
+    results = [r for _, found, error in runs if error is None for r in found]
+    failed_seeds = [seed for seed, _, error in runs if error is not None]
 
     def mean_of(attr, kind):
         values = [getattr(r, attr) for r in results if r.target_kind == kind]

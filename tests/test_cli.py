@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -33,6 +34,16 @@ def cfg_path(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(mapping))
     return p
+
+
+@pytest.fixture
+def untrained(monkeypatch):
+    """Fail the test if any seed trains."""
+
+    def no_training(cfg, world):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr(runner, "train", no_training)
 
 
 def test_run_writes_metrics_and_reports(cfg_path, tmp_path, capsys):
@@ -220,12 +231,8 @@ BAD_OUTPUT_PATHS = ["", "out\0.jsonl"]
 @pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
 @pytest.mark.parametrize("output_path", BAD_OUTPUT_PATHS, ids=["empty", "NUL byte"])
 def test_a_bad_output_path_exits_2_before_any_training(
-    tmp_path, capsys, monkeypatch, verb, output_path
+    tmp_path, capsys, untrained, verb, output_path
 ):
-    def no_training(cfg, world):
-        raise AssertionError("a seed trained")
-
-    monkeypatch.setattr(runner, "train", no_training)
     p = write_config(tmp_path, {"rounds": 1, "seeds": [0], "output_path": output_path})
     sweep = ["--key", "rounds", "--values", "1"] if verb == "sweep" else []
     assert cli.main([verb, str(p), *sweep]) == 2
@@ -245,16 +252,12 @@ def test_a_bad_output_path_exits_2_before_any_training(
     ],
 )
 def test_an_output_path_naming_a_directory_exits_2_before_any_training(
-    tmp_path, capsys, monkeypatch, verb, named_by
+    tmp_path, capsys, monkeypatch, untrained, verb, named_by
 ):
     """Whatever names it, the config, --output or the re-rooting by
     FEDRE_OUTPUT_DIR, a resolved output path that is an existing directory
     fails every verb with one error line before a seed trains."""
 
-    def no_training(cfg, world):
-        raise AssertionError("a seed trained")
-
-    monkeypatch.setattr(runner, "train", no_training)
     taken = tmp_path / "taken"
     taken.mkdir()
     output_path = str(tmp_path / "out.jsonl")
@@ -276,12 +279,8 @@ def test_an_output_path_naming_a_directory_exits_2_before_any_training(
 
 @pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
 def test_an_output_path_below_a_regular_file_exits_2_before_any_training(
-    tmp_path, capsys, monkeypatch, verb
+    tmp_path, capsys, untrained, verb
 ):
-    def no_training(cfg, world):
-        raise AssertionError("a seed trained")
-
-    monkeypatch.setattr(runner, "train", no_training)
     below = tmp_path / "cfg.json" / "sub" / "x.jsonl"  # cfg.json is the config file
     p = write_config(tmp_path, {"rounds": 1, "seeds": [0], "output_path": str(below)})
     sweep = ["--key", "rounds", "--values", "1"] if verb == "sweep" else []
@@ -309,17 +308,72 @@ def test_an_output_path_below_a_regular_file_exits_2_before_any_training(
     ids=lambda o: json.dumps(o)[:40],
 )
 def test_a_number_no_float_holds_exits_2_before_any_training(
-    tmp_path, capsys, monkeypatch, verb, overrides
+    tmp_path, capsys, untrained, verb, overrides
 ):
-    def no_training(cfg, world):
-        raise AssertionError("a seed trained")
-
-    monkeypatch.setattr(runner, "train", no_training)
     p = write_config(tmp_path, dict({"rounds": 1, "seeds": [0]}, **overrides))
     with time_limit(10):
         line = assert_config_error(capsys, verb, p)
     assert "must be a finite number" in line
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
+@pytest.mark.parametrize("key", ["num_clients", "rounds", "inversion.steps"])
+def test_an_integer_past_sys_maxsize_exits_2_before_any_training(
+    tmp_path, capsys, untrained, verb, key
+):
+    mapping = {"rounds": 1, "seeds": [0]}
+    runner.apply_override(mapping, key, 2**63)
+    sweep = ["--key", "mechanism", "--values", '"rap"'] if verb == "sweep" else []
+    assert cli.main([verb, str(write_config(tmp_path, mapping)), *sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {key} must be at most {sys.maxsize}, not {2**63}"]
+
+
+# Each config is bad only in a later seed or sweep value: the verb must build
+# every world, and parse every value, before the first seed trains.
+LATE_FAULTS = {
+    "run, seed 2 gives no client a training sample": ("run", {
+        "dataset": {"classes": 2, "per_class": 2, "dim": 2},
+        "partition": {"mode": "pra", "alpha": 1.0},
+        "num_clients": 2,
+        "train_fraction": 0.2,
+        "seeds": list(range(10)),
+    }, []),
+    "invert, seed 2 leaves client 0 empty": ("invert", {
+        "dataset": {"classes": 2, "per_class": 4, "dim": 2},
+        "partition": {"mode": "pra", "alpha": 1e-30},
+        "num_clients": 2,
+        "seeds": list(range(8)),
+    }, []),
+    "sweep, the second client_lr is negative": ("sweep", {}, ["client_lr", "0.1", "-5"]),
+    "sweep, the second train_fraction leaves no training sample": (
+        "sweep", {}, ["train_fraction", "0.75", "0.01"]
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+def test_a_fault_in_a_later_seed_or_value_exits_2_before_any_training(
+    tmp_path, capsys, untrained, fault
+):
+    verb, overrides, sweep = LATE_FAULTS[fault]
+    mapping = {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 1,
+        "seeds": [0],
+        "inversion": {"steps": 2},
+        **overrides,
+    }
+    flags = ["--key", sweep[0], "--values", *sweep[1:]] if sweep else []
+    assert cli.main([verb, str(write_config(tmp_path, mapping)), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("verb", ["validate", "run", "invert"])
@@ -632,8 +686,14 @@ def csv_texts(draw):
 @given(tiny_configs())
 def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(drawn):
     mapping, text, malformed = drawn
-    codes = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    codes, trained, train = {}, set(), runner.train
+
+    def counted(cfg, world):
+        trained.add(verb)
+        return train(cfg, world)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "train", counted)
         dataset = mapping["dataset"]
         csv_intact = isinstance(dataset, dict) and dataset.get("path") == CSV_PLACEHOLDER
         if csv_intact:
@@ -647,6 +707,7 @@ def test_verbs_exit_0_or_2_and_validate_rejects_what_run_rejects(drawn):
                     codes[verb] = cli.main([verb, str(path)])
     assert set(codes.values()) <= {0, 2}, codes
     assert (codes["validate"] == 2) == (codes["run"] == 2), codes
+    assert not {verb for verb in trained if codes[verb] == 2}, (codes, trained)
     bad_output = mapping.get("output_path") in BAD_OUTPUT_PATHS
     if (csv_intact and malformed) or bad_output or has_nonfinite(mapping):
         assert set(codes.values()) == {2}, codes

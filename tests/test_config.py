@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 import typing
 
 import pytest
@@ -138,25 +139,39 @@ def test_validation_rejects_bad_values(mapping):
         config.parse_config(mapping)
 
 
-def float_fields(cls=config.ExperimentConfig, prefix=()):
-    """The key path of every float-annotated field, sub-configs included."""
+def annotated_fields(kind, cls=config.ExperimentConfig, prefix=()):
+    """The key path of every field annotated with kind, sub-configs included."""
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.type):
-            yield from float_fields(f.type, prefix + (f.name,))
-        elif float in (typing.get_args(f.type) or (f.type,)):
+            yield from annotated_fields(kind, f.type, prefix + (f.name,))
+        elif kind in (typing.get_args(f.type) or (f.type,)):
             yield prefix + (f.name,)
 
 
+def nested(path, value):
+    """{path[0]: {path[1]: ... value}}"""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
 def test_every_float_field_rejects_a_number_no_float_holds():
-    paths = list(float_fields())
+    paths = list(annotated_fields(float))
     assert {path[:-1] for path in paths} == {(), ("dataset",), ("partition",), ("inversion",)}
     for path in paths:
         for value in (math.nan, math.inf, -math.inf, 10**400):
-            mapping = value
-            for key in reversed(path):
-                mapping = {key: mapping}
             with pytest.raises(config.ConfigError, match=f"^{'.'.join(path)} must be a finite"):
-                config.parse_config(mapping)
+                config.parse_config(nested(path, value))
+
+
+def test_every_int_field_rejects_a_value_past_sys_maxsize():
+    # only 2**63 is probed: a huge count that does fit makes a run allocate for it
+    paths = list(annotated_fields(int))
+    assert {path[:-1] for path in paths} == {(), ("dataset",), ("partition",), ("inversion",)}
+    for path in paths:
+        name = ".".join(path)
+        with pytest.raises(config.ConfigError, match=f"^{name} must be at most {sys.maxsize}, not"):
+            config.parse_config(nested(path, 2**63))
 
 
 @pytest.mark.parametrize(

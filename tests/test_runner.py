@@ -105,6 +105,15 @@ def test_run_experiment_is_reproducible():
         assert [m.upload_scalars for m in ta.records] == [m.upload_scalars for m in tb.records]
 
 
+def test_a_repeated_seed_runs_again_on_a_world_of_its_own():
+    # training advances a world's participation stream, so a shared world
+    # would give the second run of seed 1 other rounds than the first
+    cfg = tiny_config(seeds=[1, 0, 1], participation_rate=0.5, rounds=3)
+    records = runner.summary_records(runner.run_experiment(cfg))
+    assert [r["seed"] for r in records] == [1] * 3 + [0] * 3 + [1] * 3
+    assert records[:3] == records[6:]
+
+
 def test_run_experiment_aggregates_over_seeds():
     cfg = tiny_config()
     summary = runner.run_experiment(cfg)

@@ -80,14 +80,14 @@ def test_tradeoff_exits_1_exactly_when_the_attack_ordering_fails(monkeypatch, ms
 
 
 def test_tradeoff_reads_traffic_from_the_first_seed_that_did_not_fail(monkeypatch, capsys):
-    run_single_seed = runner.run_single_seed
+    train = runner.train
 
-    def seed_0_fails(cfg, seed):
-        if seed == 0:
+    def seed_0_fails(cfg, world):
+        if world.attack_seed.entropy == 0:  # every stream of a world carries its seed
             raise nets.DivergedError("injected")
-        return run_single_seed(cfg, seed)
+        return train(cfg, world)
 
-    monkeypatch.setattr(runner, "run_single_seed", seed_0_fails)
+    monkeypatch.setattr(runner, "train", seed_0_fails)
     tradeoff = load(ROOT / "scripts" / "tradeoff.py")
     tradeoff.main(["--seeds", "2", "--rounds", "2", "--steps", "0", "--restarts", "1"])
     lines = capsys.readouterr().out.splitlines()
