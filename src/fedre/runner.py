@@ -6,14 +6,17 @@ participation, attack, per-client init+stream), so replaying a config and
 seed reproduces traces bit for bit. Each entry point builds every seed's
 world (build_worlds), so a config error raises before any seed trains, then
 runs the seeds one after another in one loop (_run_seeds); a seed that
-aborts is marked failed without touching the others. A seed runs under
+aborts is marked failed without touching the others. A world holds data,
+streams and each client's init seed; its client nets are drawn, in one
+place (init_clients), when its seed starts training. A seed runs under
 np.errstate(all="ignore"): a diverging seed reports its failure through
 failed_seeds and SeedTrace.error, not through numpy warnings.
 """
 
 import csv
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,7 @@ class World:
     part_rng: np.random.Generator
     attack_seed: object
     unified_dim: int
+    init_seeds: list  # each client's SeedSequence for its nets (init_clients)
 
 
 @dataclass
@@ -86,11 +90,16 @@ def build_dataset(cfg, seed_seq):
     )
 
 
-def build_world(cfg, seed):
-    """Materialize clients, server, and strategy for one seed.
+_MAX_WEIGHTS = sys.maxsize // 8  # the most float64s one numpy array can hold
 
-    Raises ConfigError when the dataset cannot be read or cannot be
-    partitioned as configured, or when no client gets a training sample.
+
+def build_world(cfg, seed):
+    """One seed's data, streams, server and strategy, with None where each
+    client's nets go: init_clients draws them from world.init_seeds.
+
+    Raises ConfigError when the dataset cannot be read or partitioned as
+    configured, when a layer of a client's nets would not fit in one array,
+    or when no client gets a training sample.
     """
     streams = _spawn_streams(seed, cfg.num_clients)
     spec = data.PartitionSpec(
@@ -112,35 +121,25 @@ def build_world(cfg, seed):
     except ValueError as e:
         # the config asks for what its data cannot supply, e.g. a pat deal
         raise ConfigError(f"dataset and partition do not fit: {e}") from e
-    num_classes = ds.num_classes
+    for k, hidden in enumerate(cfg.architectures):
+        sizes = [ds.dim, *hidden] + ([cfg.unified_dim] if cfg.rm_op == FC else [])
+        layers = [*zip(sizes, sizes[1:]), (cfg.unified_dim, ds.num_classes)]  # and the classifier
+        weights = max(a * b for a, b in layers)
+        if weights > _MAX_WEIGHTS:
+            raise ConfigError(
+                f"architectures[{k}], unified_dim and {ds.num_classes} classes give client {k} "
+                f"a layer of {weights} weights; one array holds at most {_MAX_WEIGHTS}"
+            )
     clients = []
     for k in range(cfg.num_clients):
         train, test = data.train_test_split(
             parts[k], cfg.train_fraction, streams["splits"][k]
         )
-        init_ss, stream_ss = streams["clients"][k]
-        init_rng = np.random.default_rng(init_ss)
-        hidden = cfg.architectures[k]
-        extractor = protocol.make_extractor(ds.dim, hidden, init_rng)
-        fc_net = None
-        if cfg.rm_op == FC:
-            fc_net = nets.init_dense([hidden[-1], cfg.unified_dim], [nets.IDENTITY], init_rng)
-        rm = RMSpec(cfg.rm_op, fc_net)
-        classifier = protocol.make_classifier(cfg.unified_dim, num_classes, init_rng)
-        clients.append(
-            ClientState(
-                client_id=k,
-                extractor=extractor,
-                rm=rm,
-                classifier=classifier,
-                train=train,
-                test=test,
-                rng=np.random.default_rng(stream_ss),
-                lr=cfg.client_lr,
-                batch_size=cfg.client_batch_size,
-                epochs=cfg.client_epochs,
-            )
-        )
+        clients.append(ClientState(
+            client_id=k, extractor=None, rm=None, classifier=None, train=train, test=test,
+            rng=np.random.default_rng(streams["clients"][k][1]),
+            lr=cfg.client_lr, batch_size=cfg.client_batch_size, epochs=cfg.client_epochs,
+        ))
     if not any(len(c.train) for c in clients):
         raise ConfigError(
             f"no client holds a training sample at train_fraction {cfg.train_fraction}"
@@ -148,7 +147,7 @@ def build_world(cfg, seed):
     server_init, server_stream = streams["server"].spawn(2)
     server = ServerState(
         classifier=protocol.make_classifier(
-            cfg.unified_dim, num_classes, np.random.default_rng(server_init)
+            cfg.unified_dim, ds.num_classes, np.random.default_rng(server_init)
         ),
         rng=np.random.default_rng(server_stream),
         lr=cfg.server_lr,
@@ -168,11 +167,34 @@ def build_world(cfg, seed):
         part_rng=np.random.default_rng(streams["participation"]),
         attack_seed=streams["attack"],
         unified_dim=cfg.unified_dim,
+        init_seeds=[init_ss for init_ss, _ in streams["clients"]],
     )
 
 
+def init_clients(cfg, world):
+    """world's clients with their nets drawn, world left as it was.
+
+    The one place client nets are drawn: each client's extractor, then its
+    fc mapping (under fc), then its classifier, from a generator on its
+    init seed. So every call draws the same nets.
+    """
+    num_classes = world.server.classifier.output_dim
+    clients = []
+    for client, init_ss, hidden in zip(world.clients, world.init_seeds, cfg.architectures):
+        rng = np.random.default_rng(init_ss)
+        extractor = protocol.make_extractor(client.train.dim, hidden, rng)
+        fc_net = None
+        if cfg.rm_op == FC:
+            fc_net = nets.init_dense([hidden[-1], cfg.unified_dim], [nets.IDENTITY], rng)
+        classifier = protocol.make_classifier(cfg.unified_dim, num_classes, rng)
+        clients.append(
+            replace(client, extractor=extractor, rm=RMSpec(cfg.rm_op, fc_net), classifier=classifier)
+        )
+    return clients
+
+
 def train(cfg, world):
-    """Run all of cfg's rounds on a freshly built world.
+    """Draw a fresh world's client nets (init_clients), then run cfg's rounds.
 
     Returns (clients, server, records), with the clients and server as the
     last round left them and one RoundMetrics per round, which also carries
@@ -180,20 +202,13 @@ def train(cfg, world):
     metrics, so it re-scores only the clients it trained. world's clients
     and server are left as they were; only world.part_rng advances.
     """
-    clients, server = world.clients, world.server
+    clients, server = init_clients(cfg, world), world.server
     records = []
     protos = {}
     for rnd in range(cfg.rounds):
         clients, server, protos, metrics = baselines.strategy_round(
-            world.strategy,
-            clients,
-            server,
-            protos,
-            rnd,
-            cfg.participation_rate,
-            world.part_rng,
-            records[-1] if records else None,
-            cfg.comm_convention,
+            world.strategy, clients, server, protos, rnd, cfg.participation_rate,
+            world.part_rng, records[-1] if records else None, cfg.comm_convention,
         )
         records.append(metrics)
     return clients, server, records

@@ -3,12 +3,13 @@
 import contextlib
 import csv
 import math
+import pickle
 import signal
 from pathlib import Path
 
 import numpy as np
 
-from fedre import data, nets, protocol
+from fedre import baselines, data, nets, protocol, runner
 from fedre.entangle import EntangledPacket, RMSpec
 
 # ------------------------------------------------------- reference math
@@ -479,7 +480,8 @@ def reference_round(strategy, clients, server, convention, rate, part_rng, proto
 def reference_train(cfg, world):
     """runner.train on reference_round: (clients, server, records, fs
     weights by client id)."""
-    clients, server, records, protos, fs_weights = world.clients, world.server, [], {}, {}
+    clients = runner.init_clients(cfg, world)
+    server, records, protos, fs_weights = world.server, [], {}, {}
     for rnd in range(cfg.rounds):
         clients, server, metrics, protos = reference_round(
             world.strategy, clients, server, cfg.comm_convention,
@@ -593,6 +595,37 @@ def reference_train_test_split(ds, train_fraction, seed):
         ds.subset(np.sort(np.asarray(train_idx, dtype=int))),
         ds.subset(np.sort(np.asarray(test_idx, dtype=int))),
     )
+
+
+# ------------------------------------------------------- resume
+
+
+def rounds_until(cfg, state, until):
+    """runner.train's round loop, from state (strategy, clients, server,
+    protos, part_rng, records) up to round `until`; returns the new state."""
+    strategy, clients, server, protos, part_rng, records = state
+    for rnd in range(len(records), until):
+        clients, server, protos, metrics = baselines.strategy_round(
+            strategy, clients, server, protos, rnd, cfg.participation_rate,
+            part_rng, records[-1] if records else None, cfg.comm_convention,
+        )
+        records = records + [metrics]
+    return strategy, clients, server, protos, part_rng, records
+
+
+def resume(stdin, stdout):
+    """Read a pickled [(cfg, start)], run each start to cfg.rounds and write
+    a pickled [(clients, server, records, part_rng)]. A start is a fresh
+    world, run by runner.train, or a rounds_until state."""
+    out = []
+    for cfg, start in pickle.load(stdin):
+        if isinstance(start, runner.World):
+            clients, server, records = runner.train(cfg, start)
+            out.append((clients, server, records, start.part_rng))
+        else:
+            _, clients, server, _, part_rng, records = rounds_until(cfg, start, cfg.rounds)
+            out.append((clients, server, records, part_rng))
+    pickle.dump(out, stdout)
 
 
 # ------------------------------------------------------- time limit

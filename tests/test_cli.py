@@ -331,6 +331,38 @@ def test_an_integer_past_sys_maxsize_exits_2_before_any_training(
     assert captured.err.splitlines() == [f"error: {key} must be at most {sys.maxsize}, not {2**63}"]
 
 
+# Layers no numpy array can hold: numpy refuses each before allocating.
+# Layers that fit an array but not memory are not probed here, as they
+# would start the allocation.
+UNALLOCATABLE = {
+    "width 2**63": {"unified_dim": 2, "architectures": [[2**63], [4]]},
+    "width 2**63 - 2": {"unified_dim": 2, "architectures": [[2**63 - 2], [4]]},
+    "classifier of 3 * (2**60 - 1)": {
+        "rm_op": "fc", "unified_dim": 2**60 - 1, "architectures": [[1], [1]]
+    },
+}
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "invert", "sweep"])
+@pytest.mark.parametrize("probe", sorted(UNALLOCATABLE))
+def test_a_layer_no_array_can_hold_exits_2_before_any_training(
+    tmp_path, capsys, untrained, verb, probe
+):
+    mapping = {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 1,
+        "seeds": [0],
+        **UNALLOCATABLE[probe],
+    }
+    sweep = ["--key", "mechanism", "--values", '"rap"'] if verb == "sweep" else []
+    assert cli.main([verb, str(write_config(tmp_path, mapping)), *sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: architectures[0], unified_dim and")
+
+
 # Each config is bad only in a later seed or sweep value: the verb must build
 # every world, and parse every value, before the first seed trains.
 LATE_FAULTS = {

@@ -118,11 +118,12 @@ def test_train_scores_every_client_first_then_only_the_trained(monkeypatch, kind
 def test_a_direct_round_without_a_previous_score_scores_every_client(monkeypatch):
     cfg = small_config("fed_all_rep", "rs", "ap", 0.5)
     world = runner.build_world(cfg, 0)
+    clients = runner.init_clients(cfg, world)
     calls = []
     real = protocol.evaluate_client
     monkeypatch.setattr(baselines, "evaluate_client", lambda c: calls.append(c) or real(c))
     clients, server, protos, _ = baselines.strategy_round(
-        world.strategy, world.clients, world.server, {}, 0, 0.5, world.part_rng, None, None
+        world.strategy, clients, world.server, {}, 0, 0.5, world.part_rng, None, None
     )
     assert len(calls) == cfg.num_clients
     calls.clear()
@@ -199,7 +200,7 @@ def after_first_round(cfg, seed):
     round 0's metrics)."""
     world = runner.build_world(cfg, seed)
     clients, server, protos, metrics = baselines.strategy_round(
-        world.strategy, world.clients, world.server, {}, 0,
+        world.strategy, runner.init_clients(cfg, world), world.server, {}, 0,
         cfg.participation_rate, world.part_rng, None, cfg.comm_convention,
     )
     return world.strategy, clients, server, protos, world.part_rng, metrics

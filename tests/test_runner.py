@@ -1,13 +1,24 @@
 """Tests for seeded runs, aggregation, export, sweeps, and the attack study."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedre import config, runner
+from fedre import baselines, config, runner
 
-from helpers import net_params_equal, save_csv
+from helpers import net_params_equal, rounds_until, save_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 
 def tiny_mapping(**overrides):
@@ -35,16 +46,17 @@ def tiny_config(**overrides):
 def test_build_world_respects_config():
     cfg = tiny_config()
     world = runner.build_world(cfg, seed=0)
-    assert [c.client_id for c in world.clients] == [0, 1]
-    assert world.clients[0].extractor.output_dim == 8
-    assert world.clients[1].extractor.output_dim == 12
+    clients = runner.init_clients(cfg, world)
+    assert [c.client_id for c in clients] == [0, 1]
+    assert clients[0].extractor.output_dim == 8
+    assert clients[1].extractor.output_dim == 12
     assert world.server.classifier.input_dim == 4
     assert world.server.classifier.output_dim == 3
-    total = sum(len(c.train) + len(c.test) for c in world.clients)
+    total = sum(len(c.train) + len(c.test) for c in clients)
     assert total == 24  # every blob sample lands on some client
     # heterogeneity: the two extractors are genuinely different shapes
-    assert world.clients[0].extractor.layers[0].weight.shape != (
-        world.clients[1].extractor.layers[0].weight.shape
+    assert clients[0].extractor.layers[0].weight.shape != (
+        clients[1].extractor.layers[0].weight.shape
     )
 
 
@@ -52,7 +64,7 @@ def test_build_world_same_seed_is_identical():
     cfg = tiny_config()
     a = runner.build_world(cfg, seed=3)
     b = runner.build_world(cfg, seed=3)
-    for ca, cb in zip(a.clients, b.clients):
+    for ca, cb in zip(runner.init_clients(cfg, a), runner.init_clients(cfg, b)):
         assert net_params_equal(ca.extractor, cb.extractor)
         np.testing.assert_array_equal(ca.train.X, cb.train.X)
     assert net_params_equal(a.server.classifier, b.server.classifier)
@@ -62,15 +74,16 @@ def test_build_world_different_seed_differs():
     cfg = tiny_config()
     a = runner.build_world(cfg, seed=3)
     b = runner.build_world(cfg, seed=4)
-    assert not np.array_equal(a.clients[0].train.X, b.clients[0].train.X)
-    assert not net_params_equal(a.clients[0].extractor, b.clients[0].extractor)
+    ca, cb = runner.init_clients(cfg, a), runner.init_clients(cfg, b)
+    assert not np.array_equal(ca[0].train.X, cb[0].train.X)
+    assert not net_params_equal(ca[0].extractor, cb[0].extractor)
 
 
 def test_build_world_fc_mapping_sizes():
     cfg = tiny_config(rm_op="fc", architectures=[[7], [9]])
-    world = runner.build_world(cfg, seed=0)
-    assert world.clients[0].rm.net.input_dim == 7
-    assert world.clients[0].rm.net.output_dim == 4
+    clients = runner.init_clients(cfg, runner.build_world(cfg, seed=0))
+    assert clients[0].rm.net.input_dim == 7
+    assert clients[0].rm.net.output_dim == 4
 
 
 def test_build_world_csv_dataset(tmp_path):
@@ -89,6 +102,60 @@ def test_build_world_rejects_an_unreadable_csv_path(tmp_path):
     cfg = tiny_config(dataset={"kind": "csv", "path": str(tmp_path)})
     with pytest.raises(config.ConfigError, match="cannot read dataset.path"):
         runner.build_world(cfg, seed=0)
+
+
+def test_fresh_worlds_hold_their_data_and_no_nets():
+    cfg = config.parse_config({**workloads.wide_all_rep_mapping(), "seeds": list(range(8))})
+    tracemalloc.start()
+    try:
+        worlds = runner.build_worlds(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10e6  # 32.7 MB when build_world drew the client nets
+    for _, world in worlds:
+        assert all(n is None for c in world.clients for n in (c.extractor, c.rm, c.classifier))
+    _, world = worlds[0]
+    data_bytes = sum(d.X.nbytes + d.y.nbytes for c in world.clients for d in (c.train, c.test))
+    assert len(pickle.dumps(world)) < 1.1 * data_bytes  # 4.1 MB with nets, against 0.8 MB
+
+
+RESUME = "import sys, helpers; helpers.resume(sys.stdin.buffer, sys.stdout.buffer)"
+
+
+def run_state(clients, server, records, part_rng):
+    """Everything a run leaves: its records, every parameter, fs weights
+    and RNG state, as comparable values."""
+    nets = [n for c in clients for n in (c.extractor, c.rm.net, c.classifier)] + [server.classifier]
+    return (
+        [repr(m.to_record(r)) for r, m in enumerate(records)],
+        [a.tobytes() for n in nets for layer in n.layers for a in (layer.weight, layer.bias)],
+        [None if c.weights is None else c.weights.tobytes() for c in clients],
+        [g.bit_generator.state for g in [c.rng for c in clients] + [server.rng, part_rng]],
+    )
+
+
+def test_a_pickled_world_or_mid_run_state_resumes_bitwise_in_a_fresh_process():
+    cases = [(kind, "fs") for kind in baselines.STRATEGIES] + [(baselines.FEDRE, "rs")]
+    jobs, wants = [], []
+    for seed, (kind, resample) in enumerate(cases):
+        cfg = tiny_config(
+            strategy=kind, resample=resample, rm_op="fc", rounds=4, participation_rate=0.5
+        )
+        world = runner.build_world(cfg, seed)
+        wants += [run_state(*runner.train(cfg, world), world.part_rng)] * 2
+        fresh = runner.build_world(cfg, seed)
+        start = (fresh.strategy, runner.init_clients(cfg, fresh), fresh.server, {}, fresh.part_rng, [])
+        jobs += [(cfg, runner.build_world(cfg, seed)), (cfg, rounds_until(cfg, start, 2))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    done = subprocess.run(
+        [sys.executable, "-c", RESUME], input=pickle.dumps(jobs),
+        capture_output=True, env=env, check=True, timeout=120,
+    )
+    got = [run_state(*run) for run in pickle.loads(done.stdout)]
+    assert len(got) == len(wants) == 2 * len(cases)
+    for g, w in zip(got, wants):
+        assert g == w
 
 
 # ---------------------------------------------------------------- runs
