@@ -17,19 +17,21 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, config_to_dict, load_config
-from .runner import TARGET_KINDS, build_worlds, export_summary, run_experiment
-from .runner import run_inversion_study, run_sweep
+from .runner import TARGET_KINDS, build_worlds, export_records, export_summary
+from .runner import run_experiment, run_inversion_study, run_sweep
 
 OUTPUT_DIR_ENV = "FEDRE_OUTPUT_DIR"
 
 
 def resolve_output_path(path):
     """The output file's path, re-rooted into FEDRE_OUTPUT_DIR when that is
-    set. Every verb resolves it before any training: ConfigError if it names
-    an existing directory or lies below something that is not one."""
+    set. Every verb resolves it before any training: ConfigError if it holds
+    a NUL byte, names a directory or lies below something that is not one."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     path = Path(path)
     out = Path(override) / path.name if override else path
+    if "\0" in str(out):
+        raise ConfigError(f"output path {str(out)!r} holds a NUL byte")
     if out.is_dir():
         raise ConfigError(f"output path {str(out)!r} is a directory")
     ancestor = next(p for p in out.parents if p.exists())
@@ -77,11 +79,18 @@ def cmd_sweep(args):
     except ValueError as e:  # bad syntax or too many digits
         raise ConfigError(f"--values must be JSON literals: {e}") from e
     out_base = resolve_output_path(args.output or cfg.output_path)
-    for value, sweep_cfg, summary in run_sweep(base, args.key, values):
+    key = args.key.replace(".", "-")
+    outs = {}  # value by output file, each checked before any value runs
+    for value in values:
         tag = str(value).replace("/", "_").replace(" ", "")
-        out = out_base.with_name(f"{out_base.stem}_{args.key.replace('.', '-')}-{tag}{out_base.suffix}")
-        fmt = _format_from(out, args.format)
-        export_summary(summary, fmt, out)
+        out = resolve_output_path(out_base.with_name(f"{out_base.stem}_{key}-{tag}{out_base.suffix}"))
+        if out in outs:
+            raise ConfigError(
+                f"--values {json.dumps(outs[out])} and {json.dumps(value)} both write {str(out)!r}"
+            )
+        outs[out] = value
+    for out, (value, _, summary) in zip(outs, run_sweep(base, args.key, values)):
+        export_summary(summary, _format_from(out, args.format), out)
         print(f"{args.key}={value}: ", end="")
         _print_summary(summary)
         print(f"  wrote {out}")
@@ -92,10 +101,7 @@ def cmd_invert(args):
     cfg = load_config(args.config)
     out = resolve_output_path(args.output or cfg.output_path)
     study = run_inversion_study(cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        for record in study.records():
-            fh.write(json.dumps(record) + "\n")
+    export_records(study.records(), "jsonl", out)
     for kind in TARGET_KINDS:
         print(
             f"{kind:>10}: mean mse {study.mean_mse[kind]:.4f}, "

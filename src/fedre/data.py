@@ -3,7 +3,8 @@
 Partitioning happens on the full dataset; each client then splits its own
 shard into train/test. Two heterogeneity modes are provided: Dirichlet
 proportions per category (pra) and fixed categories-per-client shard dealing
-(pat), plus an exponential long-tail subsampler that composes with pra.
+(pat), plus an exponential long-tail subsampler that composes with pra. Their
+settings are stated once, with defaults and bounds, on config.PartitionConfig.
 """
 
 import csv
@@ -77,28 +78,6 @@ def make_blobs(num_classes, per_class, dim, spread, seed):
     X *= spread
     X.reshape(num_classes, per_class, dim)[...] += means[:, None, :]
     return Dataset(X, np.repeat(np.arange(num_classes), per_class), num_classes)
-
-
-@dataclass
-class PartitionSpec:
-    mode: str
-    num_clients: int
-    seed: object = 0  # int or SeedSequence
-    alpha: float = 0.1
-    categories_per_client: int = 2
-    imbalance_factor: float = 100.0
-
-    def __post_init__(self):
-        if self.mode not in PARTITION_MODES:
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if not self.num_clients >= 1:
-            raise ValueError("num_clients must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.categories_per_client >= 1:
-            raise ValueError("categories_per_client must be positive")
-        if not self.imbalance_factor >= 1:
-            raise ValueError("imbalance_factor must be >= 1")
 
 
 def _largest_remainder(shares, total):
@@ -203,22 +182,26 @@ def apply_longtail(ds, imbalance_factor, seed):
     return _shard(ds, keep)
 
 
-def partition(ds, spec):
-    """Split a dataset into per-client shards; the union is sample-exact."""
+def partition(ds, part, num_clients, seed):
+    """Split a dataset into num_clients shards; the union is sample-exact.
+
+    part is a config.PartitionConfig; seed an int or a SeedSequence.
+    """
     if len(ds) == 0:
         raise ValueError("cannot partition an empty dataset")
-    rng = np.random.default_rng(spec.seed)
-    if spec.mode == PRA:
-        return _partition_pra(ds, spec.num_clients, spec.alpha, rng)
-    if spec.mode == PAT:
-        return _partition_pat(ds, spec.num_clients, spec.categories_per_client, rng)
+    if part.mode not in PARTITION_MODES:
+        raise ValueError(f"unknown partition mode {part.mode!r}")
+    rng = np.random.default_rng(seed)
+    if part.mode == PRA:
+        return _partition_pra(ds, num_clients, part.alpha, rng)
+    if part.mode == PAT:
+        return _partition_pat(ds, num_clients, part.categories_per_client, rng)
     # longtail: exponential subsample, then Dirichlet proportions
-    seq = spec.seed
-    if not isinstance(seq, np.random.SeedSequence):
-        seq = np.random.SeedSequence(seq)
-    sub_ss, pra_ss = seq.spawn(2)
-    tailed = apply_longtail(ds, spec.imbalance_factor, sub_ss)
-    return _partition_pra(tailed, spec.num_clients, spec.alpha, np.random.default_rng(pra_ss))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    sub_ss, pra_ss = seed.spawn(2)
+    tailed = apply_longtail(ds, part.imbalance_factor, sub_ss)
+    return _partition_pra(tailed, num_clients, part.alpha, np.random.default_rng(pra_ss))
 
 
 def train_test_split(ds, train_fraction, seed):

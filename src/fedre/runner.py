@@ -41,7 +41,6 @@ class World:
     strategy: baselines.Strategy
     part_rng: np.random.Generator
     attack_seed: object
-    unified_dim: int
     init_seeds: list  # each client's SeedSequence for its nets (init_clients)
 
 
@@ -81,15 +80,6 @@ def _spawn_streams(seed, num_clients):
     return children
 
 
-def build_dataset(cfg, seed_seq):
-    ds_cfg = cfg.dataset
-    if ds_cfg.kind == "csv":
-        return data.load_csv(ds_cfg.path)
-    return data.make_blobs(
-        ds_cfg.classes, ds_cfg.per_class, ds_cfg.dim, ds_cfg.spread, seed_seq
-    )
-
-
 _MAX_WEIGHTS = sys.maxsize // 8  # the most float64s one numpy array can hold
 
 
@@ -102,22 +92,18 @@ def build_world(cfg, seed):
     or when no client gets a training sample.
     """
     streams = _spawn_streams(seed, cfg.num_clients)
-    spec = data.PartitionSpec(
-        mode=cfg.partition.mode,
-        num_clients=cfg.num_clients,
-        seed=streams["partition"],
-        alpha=cfg.partition.alpha,
-        categories_per_client=cfg.partition.categories_per_client,
-        imbalance_factor=cfg.partition.imbalance_factor,
-    )
+    d = cfg.dataset
     try:
-        ds = build_dataset(cfg, streams["dataset"])
+        if d.kind == "csv":
+            ds = data.load_csv(d.path)
+        else:
+            ds = data.make_blobs(d.classes, d.per_class, d.dim, d.spread, streams["dataset"])
     except OSError as e:
         raise ConfigError(f"cannot read dataset.path: {e}") from e
     except ValueError as e:
         raise ConfigError(f"bad dataset: {e}") from e
     try:
-        parts = data.partition(ds, spec)
+        parts = data.partition(ds, cfg.partition, cfg.num_clients, streams["partition"])
     except ValueError as e:
         # the config asks for what its data cannot supply, e.g. a pat deal
         raise ConfigError(f"dataset and partition do not fit: {e}") from e
@@ -166,7 +152,6 @@ def build_world(cfg, seed):
         strategy=strategy,
         part_rng=np.random.default_rng(streams["participation"]),
         attack_seed=streams["attack"],
-        unified_dim=cfg.unified_dim,
         init_seeds=[init_ss for init_ss, _ in streams["clients"]],
     )
 
@@ -273,32 +258,32 @@ def summary_records(summary):
     ]
 
 
-def export_summary(summary, fmt, path):
-    """Write per-round metrics as jsonl or csv; returns the path."""
+def export_records(records, fmt, path):
+    """Write records as jsonl, each NaN or infinite float as null so that every
+    line is strict JSON, or, per-round records only, as csv; returns the path."""
+    if fmt not in ("jsonl", "csv"):
+        raise ValueError(f"unknown export format {fmt!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = summary_records(summary)
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-    elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "jsonl":
+            fh.writelines(json.dumps({
+                k: None if isinstance(v, float) and not np.isfinite(v) else v
+                for k, v in record.items()
+            }) + "\n" for record in records)
+        else:
             writer = csv.writer(fh)
             writer.writerow(["seed", "round", "mean_acc", "upload", "broadcast"])
-            for r in records:
-                writer.writerow(
-                    [
-                        r["seed"],
-                        r["round"],
-                        f"{r['mean_acc']:.6g}",
-                        r["upload_scalars"],
-                        r["broadcast_scalars"],
-                    ]
-                )
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+            writer.writerows([
+                r["seed"], r["round"], f"{r['mean_acc']:.6g}", r["upload_scalars"],
+                r["broadcast_scalars"],
+            ] for r in records)
     return path
+
+
+def export_summary(summary, fmt, path):
+    """Write per-round metrics as jsonl or csv (export_records); returns the path."""
+    return export_records(summary_records(summary), fmt, path)
 
 
 def apply_override(mapping, dotted_key, value):
@@ -355,7 +340,7 @@ def _attack_client(inv, world, client):
     """
     rng = np.random.default_rng(world.attack_seed)
     rep_set = protocol.client_representation_set(client)
-    mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
+    mapped, _ = rm_apply(rep_set.reps, client.rm, client.classifier.input_dim)
     X, y = client.train.X, client.train.y
     targets, inits = [], []
 
@@ -366,7 +351,7 @@ def _attack_client(inv, world, client):
 
     for i in rng.choice(len(X), size=min(inv.num_targets, len(X)), replace=False):
         add("raw", mapped[i], X[i])
-    protos = compute_prototypes(rep_set, client.rm, world.unified_dim)
+    protos = compute_prototypes(rep_set, client.rm, client.classifier.input_dim)
     for ci in rng.permutation(len(protos))[: inv.num_targets]:
         c, proto = protos[ci]
         add("prototype", proto, X[y == c])

@@ -366,7 +366,7 @@ def one_row_client_attack(inv, world, client):
     results = []
     rng = np.random.default_rng(world.attack_seed)
     rep_set = protocol.client_representation_set(client)
-    mapped, _ = rm_apply(rep_set.reps, client.rm, world.unified_dim)
+    mapped, _ = rm_apply(rep_set.reps, client.rm, client.classifier.input_dim)
     peak = inv.data_range if inv.data_range is not None else dataset_range(client.train.X)
 
     def attack(target, kind, originals):
@@ -384,7 +384,7 @@ def one_row_client_attack(inv, world, client):
     picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
     for i in picks:
         attack(mapped[i], "raw", client.train.X[i])
-    protos_list = compute_prototypes(rep_set, client.rm, world.unified_dim)
+    protos_list = compute_prototypes(rep_set, client.rm, client.classifier.input_dim)
     cats = rng.permutation(len(protos_list))[: inv.num_targets]
     for ci in cats:
         c, proto = protos_list[ci]

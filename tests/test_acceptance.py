@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fedre import baselines, data, entangle, nets, presets, protocol, runner
+from fedre.config import PartitionConfig
 from fedre.entangle import AP, RMSpec, RepresentationSet
 
 import helpers
@@ -220,10 +221,9 @@ def test_6_partitioner_suite():
     ds = data.make_blobs(10, 30, 3, 0.5, np.random.SeedSequence(41))
     checks = {}
 
-    pra = data.partition(ds, data.PartitionSpec(data.PRA, 5, np.random.SeedSequence(1), alpha=1.0))
+    pra = data.partition(ds, PartitionConfig(data.PRA, alpha=1.0), 5, np.random.SeedSequence(1))
     pat = data.partition(
-        ds,
-        data.PartitionSpec(data.PAT, 5, np.random.SeedSequence(2), categories_per_client=2),
+        ds, PartitionConfig(data.PAT, categories_per_client=2), 5, np.random.SeedSequence(2)
     )
     checks["multiset"] = np.array_equal(
         union_multiset(pra), rows_multiset(ds)
@@ -244,8 +244,7 @@ def test_6_partitioner_suite():
     for seed in range(20):
         for alpha, acc in ((0.1, lo), (10.0, hi)):
             parts = data.partition(
-                ds,
-                data.PartitionSpec(data.PRA, 5, np.random.SeedSequence(seed), alpha=alpha),
+                ds, PartitionConfig(data.PRA, alpha=alpha), 5, np.random.SeedSequence(seed)
             )
             acc.append(np.mean([label_entropy(p) for p in parts]))
     checks["pra_entropy"] = float(np.mean(lo)) < float(np.mean(hi))

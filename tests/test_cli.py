@@ -130,6 +130,76 @@ def test_sweep_with_a_bad_key_or_value_exits_2(cfg_path, tmp_path, capsys, key, 
     assert not list(tmp_path.glob("metrics*"))
 
 
+SWEEP_PROBES = {
+    "a NUL byte": ['"a\\u0000b"'],
+    "a 300-character file name": ['"' + "x" * 300 + '"'],
+    "two values, one file": ['"p/q"', '"p_q"'],
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SWEEP_PROBES))
+def test_a_sweep_file_that_cannot_be_written_exits_2_before_any_training(
+    cfg_path, tmp_path, capsys, untrained, probe
+):
+    # blobs data ignores dataset.path, so only the file names are at fault
+    values = SWEEP_PROBES[probe]
+    assert cli.main(["sweep", str(cfg_path), "--key", "dataset.path", "--values", *values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    if len(values) > 1:  # the error names both values
+        assert all(value in lines[0] for value in values)
+    assert not list(tmp_path.glob("metrics*"))
+
+
+def strict_json(line):
+    """line parsed as strict JSON, which has no NaN or infinities."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "invert"])
+def test_every_jsonl_line_is_strict_json(tmp_path, capsys, verb):
+    # train_fraction 1 leaves every client without a test sample: no client
+    # is scored, and mean_acc is null, not NaN
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 1,
+        "train_fraction": 1.0,
+        "seeds": [0],
+        "inversion": {"steps": 2},
+    })
+    sweep = ["--key", "rounds", "--values", "1", "2"] if verb == "sweep" else []
+    assert cli.main([verb, str(p), *sweep]) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.glob("out*.jsonl"))
+    assert len(files) == (2 if verb == "sweep" else 1)
+    records = [strict_json(line) for f in files for line in f.read_text().splitlines()]
+    assert records
+    if verb != "invert":
+        assert all(r["mean_acc"] is None for r in records)
+        assert all(r["per_client_acc"] == [None, None] for r in records)
+
+
+def test_csv_keeps_nan_for_a_round_with_no_scored_client(tmp_path, capsys):
+    p = write_config(tmp_path, {
+        "dataset": {"classes": 3, "per_class": 8, "dim": 2},
+        "num_clients": 2,
+        "rounds": 1,
+        "train_fraction": 1.0,
+        "seeds": [0],
+    })
+    assert cli.main(["run", str(p), "--output", str(tmp_path / "m.csv")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "m.csv").read_text().splitlines()
+    assert rows[1].split(",")[2] == "nan"
+
+
 def test_invert_writes_attack_records(cfg_path, tmp_path, capsys):
     target = tmp_path / "attack.jsonl"
     assert cli.main(["invert", str(cfg_path), "--output", str(target)]) == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedre import data
+from fedre.config import PartitionConfig
 
 from helpers import (
     reference_apply_longtail,
@@ -142,15 +143,15 @@ def test_largest_remainder_sums_and_bounds(shares, total):
 
 def test_pra_partition_is_exact_multiset_split():
     ds = data.make_blobs(5, 40, 2, 1.0, 3)
-    parts = data.partition(ds, data.PartitionSpec(data.PRA, 7, seed=1, alpha=0.5))
+    parts = data.partition(ds, PartitionConfig(data.PRA, alpha=0.5), 7, 1)
     assert len(parts) == 7
     np.testing.assert_array_equal(union_multiset(parts), rows_multiset(ds))
 
 
 def test_pra_deterministic_per_seed():
     ds = data.make_blobs(4, 30, 2, 1.0, 3)
-    a = data.partition(ds, data.PartitionSpec(data.PRA, 5, seed=9))
-    b = data.partition(ds, data.PartitionSpec(data.PRA, 5, seed=9))
+    a = data.partition(ds, PartitionConfig(data.PRA), 5, 9)
+    b = data.partition(ds, PartitionConfig(data.PRA), 5, 9)
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa.X, pb.X)
         np.testing.assert_array_equal(pa.y, pb.y)
@@ -163,9 +164,7 @@ def test_pra_alpha_controls_concentration():
     for alpha in (0.1, 10.0):
         vals = []
         for seed in range(20):
-            parts = data.partition(
-                ds, data.PartitionSpec(data.PRA, 6, seed=seed, alpha=alpha)
-            )
+            parts = data.partition(ds, PartitionConfig(data.PRA, alpha=alpha), 6, seed)
             vals.append(np.mean([label_entropy(p) for p in parts if len(p)]))
         mean_entropy[alpha] = np.mean(vals)
     assert mean_entropy[0.1] < mean_entropy[10.0]
@@ -185,7 +184,7 @@ def test_dirichlet_of_an_underflowing_alpha_is_the_one_client_limit(alpha):
     with time_limit(10):
         draws = [data._dirichlet(alpha, 3, rng) for _ in range(300)]
         ds = data.make_blobs(4, 10, 2, 1.0, 0)
-        parts = data.partition(ds, data.PartitionSpec(data.PRA, 3, seed=1, alpha=alpha))
+        parts = data.partition(ds, PartitionConfig(data.PRA, alpha=alpha), 3, 1)
     assert all(sorted(s.tolist()) == [0.0, 0.0, 1.0] for s in draws)
     assert np.bincount([int(np.argmax(s)) for s in draws], minlength=3).min() > 60
     holders = [sum(c in p.y for p in parts) for c in range(4)]
@@ -198,17 +197,9 @@ def test_dirichlet_of_a_huge_alpha_sums_without_overflow(alpha):
     with np.errstate(all="raise"):
         shares = data._dirichlet(alpha, 4, np.random.default_rng(0))
         ds = data.make_blobs(3, 8, 2, 1.0, 0)
-        parts = data.partition(ds, data.PartitionSpec(data.PRA, 4, seed=0, alpha=alpha))
+        parts = data.partition(ds, PartitionConfig(data.PRA, alpha=alpha), 4, 0)
     np.testing.assert_allclose(shares, 0.25)
     np.testing.assert_array_equal(union_multiset(parts), rows_multiset(ds))
-
-
-@pytest.mark.parametrize(
-    "field", ["alpha", "imbalance_factor", "num_clients", "categories_per_client"]
-)
-def test_partition_spec_rejects_nan(field):
-    with pytest.raises(ValueError):
-        data.PartitionSpec(data.PRA, **{"num_clients": 2, field: math.nan})
 
 
 # ---------------------------------------------------------------- pat
@@ -216,9 +207,7 @@ def test_partition_spec_rejects_nan(field):
 
 def test_pat_partition_exact_categories_per_client():
     ds = data.make_blobs(5, 40, 2, 1.0, 4)
-    parts = data.partition(
-        ds, data.PartitionSpec(data.PAT, 10, seed=2, categories_per_client=2)
-    )
+    parts = data.partition(ds, PartitionConfig(data.PAT, categories_per_client=2), 10, 2)
     # 10 clients * 2 slots = 20 shards over 5 categories: 4 shards each
     np.testing.assert_array_equal(union_multiset(parts), rows_multiset(ds))
     for p in parts:
@@ -235,16 +224,16 @@ def test_pat_rejects_impossible_configurations():
     ds = data.make_blobs(5, 40, 2, 1.0, 4)
     with pytest.raises(ValueError):
         # 5 categories cannot divide 3 clients * 2 slots
-        data.partition(ds, data.PartitionSpec(data.PAT, 3, seed=0, categories_per_client=2))
+        data.partition(ds, PartitionConfig(data.PAT, categories_per_client=2), 3, 0)
     with pytest.raises(ValueError):
-        data.partition(ds, data.PartitionSpec(data.PAT, 2, seed=0, categories_per_client=6))
+        data.partition(ds, PartitionConfig(data.PAT, categories_per_client=6), 2, 0)
 
 
 def test_pat_rejects_starved_categories():
     # 2 samples per category but 4 shards required from each
     ds = data.make_blobs(2, 2, 2, 1.0, 0)
     with pytest.raises(ValueError):
-        data.partition(ds, data.PartitionSpec(data.PAT, 4, seed=0, categories_per_client=2))
+        data.partition(ds, PartitionConfig(data.PAT, categories_per_client=2), 4, 0)
 
 
 # ---------------------------------------------------------------- longtail
@@ -267,8 +256,8 @@ def test_longtail_identity_when_factor_is_one():
 
 def test_longtail_partition_mode_subsamples_then_splits():
     ds = data.make_blobs(4, 50, 2, 1.0, 1)
-    spec = data.PartitionSpec(data.LONGTAIL, 3, seed=5, alpha=1.0, imbalance_factor=10.0)
-    parts = data.partition(ds, spec)
+    part = PartitionConfig(data.LONGTAIL, alpha=1.0, imbalance_factor=10.0)
+    parts = data.partition(ds, part, 3, 5)
     union = union_multiset(parts)
     sub_ss, _ = np.random.SeedSequence(5).spawn(2)
     tailed = data.apply_longtail(ds, 10.0, sub_ss)
@@ -281,12 +270,18 @@ def test_partition_takes_a_seed_sequence_as_its_int_entropy(mode):
     ds = data.make_blobs(4, 20, 2, 1.0, 1)
 
     def shards(seed):
-        spec = data.PartitionSpec(mode, 4, seed=seed, categories_per_client=2)
-        return data.partition(ds, spec)
+        return data.partition(ds, PartitionConfig(mode, categories_per_client=2), 4, seed)
 
     for by_int, by_seq in zip(shards(5), shards(np.random.SeedSequence(5))):
         np.testing.assert_array_equal(by_int.X, by_seq.X)
         np.testing.assert_array_equal(by_int.y, by_seq.y)
+
+
+def test_partition_rejects_an_unknown_mode():
+    # an unchecked config must not fall through into the longtail branch
+    ds = data.make_blobs(4, 20, 2, 1.0, 1)
+    with pytest.raises(ValueError, match="unknown partition mode 'tail'"):
+        data.partition(ds, PartitionConfig("tail"), 4, 0)
 
 
 # ---------------------------------------------------------------- split

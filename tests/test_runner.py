@@ -284,6 +284,12 @@ def test_export_csv_header_and_rows(tmp_path):
         runner.export_summary(summary, "yaml", tmp_path / "m.yaml")
 
 
+def test_export_writes_a_non_finite_float_as_null(tmp_path):
+    records = [{"a": float("nan"), "b": np.float64("inf"), "c": -np.inf, "d": 0.5, "e": [None, 1.0]}]
+    path = runner.export_records(records, "jsonl", tmp_path / "sub" / "r.jsonl")
+    assert path.read_text() == '{"a": null, "b": null, "c": null, "d": 0.5, "e": [null, 1.0]}\n'
+
+
 # ---------------------------------------------------------------- sweeps
 
 
