@@ -61,14 +61,6 @@ class Strategy:
     resample: str = RESAMPLED
     lambda_proto: float = 0.1
 
-    def __post_init__(self):
-        if self.kind not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.resample not in RESAMPLE_MODES:
-            raise ValueError(f"unknown resample mode {self.resample!r}")
-        if self.lambda_proto < 0:
-            raise ValueError("lambda_proto must be nonnegative")
-
 
 @dataclass(eq=False)
 class PacketBlock:
@@ -98,12 +90,13 @@ def packets_for(strategy, client, unified_dim):
     if strategy.kind == FED_ALL_REP:
         mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
         return PacketBlock(mapped, rep_set.labels_onehot)
-    # fedgh_style / fedproto_style: one prototype per present category
-    protos = compute_prototypes(rep_set, client.rm, unified_dim)
-    return PacketBlock(
-        np.stack([p for _, p in protos]),
-        one_hot_matrix([c for c, _ in protos], num_classes),
-    )
+    if strategy.kind in (FEDGH_STYLE, FEDPROTO_STYLE):  # one prototype per present category
+        protos = compute_prototypes(rep_set, client.rm, unified_dim)
+        return PacketBlock(
+            np.stack([p for _, p in protos]),
+            one_hot_matrix([c for c, _ in protos], num_classes),
+        )
+    raise ValueError(f"unknown strategy {strategy.kind!r}")
 
 
 def ledger_for(
@@ -139,9 +132,10 @@ def ledger_for(
     upload = sum(cats for _, cats in per_client_stats) * per_packet
     if strategy.kind == FEDGH_STYLE:
         return upload, num_clients * classifier_scalars
-    # fedproto_style: averaged prototypes go back out instead of a classifier
-    protos = num_classes if num_global_prototypes is None else num_global_prototypes
-    return upload, num_clients * protos * unified_dim
+    if strategy.kind == FEDPROTO_STYLE:  # averaged prototypes go back out, not a classifier
+        protos = num_classes if num_global_prototypes is None else num_global_prototypes
+        return upload, num_clients * protos * unified_dim
+    raise ValueError(f"unknown strategy {strategy.kind!r}")
 
 
 def average_prototypes(reps, labels):
@@ -197,6 +191,8 @@ def strategy_round(
         blocks.append(packets_for(strategy, trained, d))
         if strategy.resample == FIXED:
             trained = replace(trained, weights=blocks[-1].weights)
+        elif strategy.resample != RESAMPLED:
+            raise ValueError(f"unknown resample mode {strategy.resample!r}")
         updated[trained.client_id] = trained
         stats.append((len(trained.train), int(np.unique(trained.train.y).size)))
     new_server = server

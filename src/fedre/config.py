@@ -6,6 +6,14 @@ blob experiment). Unknown keys are rejected by name so typos never silently
 fall back to defaults, and every value is checked against its field's type
 before validation compares it with anything. A numeric field's range is
 stated once, on the field, and every number must be finite.
+
+Validation boundary: a rule a config can state is stated and checked here
+only, each ``Literal`` choice and each field's bound. The library below runs
+on validated configs and does not check them again; a dispatch on a kind
+ends in a ``ValueError`` for a kind it does not know, so a policy built
+directly cannot run another. The library checks only what a config cannot
+state: empty sets, shapes, the finiteness of computed arrays, weight
+vectors, the pat deal and csv contents.
 """
 
 import dataclasses

@@ -67,10 +67,6 @@ def _circle_means(num_classes, dim, radius):
 
 def make_blobs(num_classes, per_class, dim, spread, seed):
     """Isotropic Gaussian clusters with means on a circle of radius 3*spread."""
-    if num_classes < 1 or per_class < 1 or dim < 1:
-        raise ValueError("num_classes, per_class, and dim must be positive")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
     rng = np.random.default_rng(seed)
     means = _circle_means(num_classes, dim, 3.0 * spread)
     # in place, a class block at a time: means[y] + spread * noise, no temporaries
@@ -164,8 +160,6 @@ def _partition_pat(ds, num_clients, categories_per_client, rng):
 
 def apply_longtail(ds, imbalance_factor, seed):
     """Subsample category c to max(1, round(n_max * IF^(-c/(C-1)))) samples."""
-    if not imbalance_factor >= 1:
-        raise ValueError("imbalance_factor must be >= 1")
     C = ds.num_classes
     if C == 1 or imbalance_factor == 1:
         return ds.subset(np.arange(len(ds)))
@@ -206,8 +200,6 @@ def partition(ds, part, num_clients, seed):
 
 def train_test_split(ds, train_fraction, seed):
     """Stratified per-category split with an exact train total."""
-    if not 0.0 <= train_fraction <= 1.0:
-        raise ValueError("train_fraction must lie in [0, 1]")
     n = len(ds)
     rng = np.random.default_rng(seed)
     total_train = int(round(train_fraction * n))

@@ -50,8 +50,6 @@ class RMSpec:
     net: DenseNet | None = None  # fc only
 
     def __post_init__(self):
-        if self.kind not in RM_KINDS:
-            raise ValueError(f"unknown rm kind {self.kind!r}")
         if self.kind == FC and self.net is None:
             raise ValueError("fc mapping needs a net")
 
@@ -60,14 +58,6 @@ class RMSpec:
 class ReMechanism:
     kind: str = RAP
     weight_distribution: str = UNIFORM  # only drawn on for rar/rap
-
-    def __post_init__(self):
-        if self.kind not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.kind!r}")
-        if self.weight_distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"unknown weight distribution {self.weight_distribution!r}"
-            )
 
 
 @dataclass(eq=False)
@@ -146,6 +136,8 @@ def rm_apply(R, rm, unified_dim):
         mapped = np.add.reduce(blocks, axis=-1)
         mapped /= m
         return mapped, RMCache(AP, m=m)
+    if rm.kind != MP:
+        raise ValueError(f"unknown rm kind {rm.kind!r}")
     winners = blocks.argmax(axis=-1)
     mapped = np.take_along_axis(blocks, winners[..., None], axis=-1)[..., 0]
     return mapped, RMCache(MP, m=m, argmax=winners)
@@ -196,7 +188,9 @@ def _draw(distribution, size, rng):
         return rng.random(size)
     if distribution == GAUSSIAN:
         return np.abs(rng.standard_normal(size))
-    return np.abs(rng.laplace(0.0, 1.0, size))
+    if distribution == LAPLACE:
+        return np.abs(rng.laplace(0.0, 1.0, size))
+    raise ValueError(f"unknown weight distribution {distribution!r}")
 
 
 def _positive_draw(distribution, size, rng):
@@ -230,9 +224,10 @@ def re_weights(rep_set, mech, rng):
         return w
     if kind == VAP:
         return 1.0 / (categories.size * counts[labels])
-    # rap: category c's weight mass u_c / sum(u), spread evenly over its samples
-    u = _positive_draw(mech.weight_distribution, categories.size, rng)
-    return u[np.searchsorted(categories, labels)] / (counts[labels] * u.sum())
+    if kind == RAP:  # category c's weight mass u_c / sum(u), spread evenly over its samples
+        u = _positive_draw(mech.weight_distribution, categories.size, rng)
+        return u[np.searchsorted(categories, labels)] / (counts[labels] * u.sum())
+    raise ValueError(f"unknown mechanism {kind!r}")
 
 
 def entangle(rep_set, w, rm, unified_dim):

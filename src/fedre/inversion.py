@@ -115,10 +115,6 @@ def invert(extractor, rm, targets, steps, lr, inits):
         raise ShapeError("targets must be a nonempty (T, u) stack")
     if not np.isfinite(targets).all():
         raise ValueError("targets must be finite")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     starts = len(X) // len(targets)
     if starts < 1 or X.shape != (len(targets) * starts, 1, extractor.input_dim):
         raise ShapeError(f"inits have shape {X.shape}, need (T * R, 1, d) with R >= 1")
@@ -159,8 +155,6 @@ def score(reconstructed, originals, data_range):
         raise ValueError("need at least one original sample to score against")
     if rec.shape != O.shape[1:]:
         raise ShapeError("reconstruction and originals dimensions differ")
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
     mse = float(((O - rec) ** 2).mean(axis=1).min())
     if mse == 0.0:
         return 0.0, float(20.0 * np.log10(data_range) - 10.0 * np.log10(np.nextafter(0, 1)))

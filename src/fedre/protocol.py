@@ -208,8 +208,6 @@ def client_local_update(client, global_classifier, proto_reg=None):
         raise ShapeError("broadcast classifier dimensions do not match")
     if len(client.train) == 0:
         raise ValueError(f"client {client.client_id} has no training samples")
-    if client.lr < 0:
-        raise ValueError("learning rate must be nonnegative")
     extractor, classifier = nets.clone(client.extractor), nets.clone(synced)
     rm = RMSpec(FC, nets.clone(client.rm.net)) if client.rm.kind == FC else client.rm
     rng = fork_rng(client.rng)
@@ -277,8 +275,6 @@ def server_update(server, reps, labels):
     n = len(reps)
     if n == 0:
         raise ValueError("server_update needs at least one packet")
-    if server.lr < 0:
-        raise ValueError("learning rate must be nonnegative")
     d, num_classes = server.classifier.input_dim, server.classifier.output_dim
     if reps.shape != (n, d) or labels.shape != (n, num_classes):
         raise ShapeError("packet dimensions do not match the classifier")
@@ -319,8 +315,6 @@ def mean_accuracy(per_client):
 
 def participation_sample(clients, rate, rng):
     """Uniform without-replacement draw of ceil(rate * K) clients."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"participation rate {rate} outside (0, 1]")
     if not clients:
         raise ValueError("no clients to sample from")
     if rate == 1.0:

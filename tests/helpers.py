@@ -6,6 +6,7 @@ import math
 import pickle
 import signal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -221,6 +222,24 @@ def reference_rap_weights_from_draws(labels, categories, draws):
     counts = np.bincount(labels)
     total = draws.sum()
     return draws[np.searchsorted(categories, labels)] / (counts[labels] * total)
+
+
+class InjectedFault(RuntimeError):
+    pass
+
+
+def calls_at(site, log, fail_at=None):
+    """baselines.<site>, counting its calls into log; with fail_at, the
+    fail_at-th call raises InjectedFault instead."""
+    real = getattr(baselines, site)
+
+    def wrapped(*args, **kwargs):
+        log[site] = log.get(site, 0) + 1
+        if log[site] == fail_at:
+            raise InjectedFault(f"{site} call {fail_at}")
+        return real(*args, **kwargs)
+
+    return mock.patch.object(baselines, site, wrapped)
 
 
 def make_client(

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fedre import baselines, nets, protocol
-from fedre.entangle import EntangledPacket, ReMechanism, entangle, re_weights, rm_apply
+from fedre.entangle import EntangledPacket, ReMechanism, RMSpec, entangle, re_weights, rm_apply
 
-from helpers import make_client, make_server, net_params_equal
+from helpers import InjectedFault, calls_at, make_client, make_server, net_params_equal
 
 
 def fresh_world(num_clients=3, seed_base=40, **client_kw):
@@ -24,13 +24,36 @@ def fresh_world(num_clients=3, seed_base=40, **client_kw):
 # ---------------------------------------------------------------- strategy
 
 
-def test_strategy_validation():
-    with pytest.raises(ValueError):
-        baselines.Strategy(kind="unknown")
-    with pytest.raises(ValueError):
-        baselines.Strategy(resample="sometimes")
-    with pytest.raises(ValueError):
-        baselines.Strategy(lambda_proto=-0.5)
+def test_every_kind_dispatch_rejects_an_unknown_kind():
+    """The config states the kinds; a policy built directly and given a kind
+    no config allows raises at each dispatch on it instead of running
+    another policy."""
+    clients, server = fresh_world()
+    client = clients[0]
+    rep_set = protocol.client_representation_set(client)
+    policy = baselines.Strategy()
+    policy.kind = "unknown"
+    with pytest.raises(ValueError, match="unknown strategy 'unknown'"):
+        baselines.packets_for(policy, client, 4)
+    with pytest.raises(ValueError, match="unknown strategy 'unknown'"):
+        baselines.ledger_for(policy, 1, 4, 3, per_client_stats=[(6, 3)])
+    policy = baselines.Strategy()
+    policy.resample = "sometimes"
+    with pytest.raises(ValueError, match="unknown resample mode 'sometimes'"):
+        run_one(policy, clients, server)
+    mech = ReMechanism()
+    mech.kind = "unknown"
+    with pytest.raises(ValueError, match="unknown mechanism 'unknown'"):
+        re_weights(rep_set, mech, np.random.default_rng(0))
+    for kind in ("rar", "rap"):
+        mech = ReMechanism(kind)
+        mech.weight_distribution = "cauchy"
+        with pytest.raises(ValueError, match="unknown weight distribution 'cauchy'"):
+            re_weights(rep_set, mech, np.random.default_rng(0))
+    rm = RMSpec()
+    rm.kind = "conv"
+    with pytest.raises(ValueError, match="unknown rm kind 'conv'"):
+        rm_apply(rep_set.reps, rm, 4)
 
 
 # ---------------------------------------------------------------- packets
@@ -277,13 +300,13 @@ def test_strategy_round_rolls_back_fs_cache_on_failure():
     """The server aborts after every client drew its fs weights: the input
     clients keep no weights, and nothing needs rolling back."""
     clients, server = fresh_world()
-    bad_server = protocol.ServerState(
-        classifier=server.classifier, rng=server.rng, lr=-1.0
-    )
     strategy = baselines.Strategy(kind="fedre", resample="fs")
     states = [c.rng.bit_generator.state for c in clients]
-    with pytest.raises(ValueError):
-        run_one(strategy, clients, bad_server)
+    counts = {}
+    with calls_at("server_update", {}, fail_at=1), calls_at("packets_for", counts):
+        with pytest.raises(InjectedFault):
+            run_one(strategy, clients, server)
+    assert counts["packets_for"] == len(clients)
     assert all(c.weights is None for c in clients)
     for c, st in zip(clients, states):
         assert c.rng.bit_generator.state == st

@@ -219,3 +219,40 @@ def test_load_config_reports_invalid_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(config.ConfigError, match="not valid JSON"):
         config.load_config(p)
+
+
+def test_every_bound_and_every_choice_is_checked_at_its_ends():
+    """The config is the one place these rules are checked: a value just
+    outside each finite end of a field's bound, or outside a Literal's
+    choices, is a ConfigError naming the field; one just inside passes."""
+    bounded, literals = [], []
+
+    def walk(cls, prefix):
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.type):
+                walk(f.type, prefix + (f.name,))
+            elif "bound" in f.metadata:
+                bounded.append((prefix + (f.name,), f))
+            elif typing.get_origin(f.type) is typing.Literal:
+                literals.append(prefix + (f.name,))
+
+    walk(config.ExperimentConfig, ())
+    assert len(bounded) == 24 and len(literals) == 8
+    for path, f in bounded:
+        lo, hi, open_below = f.metadata["bound"]
+
+        def past(value, direction):  # the next int, or the next float
+            if f.type is int:
+                return value + direction
+            return math.nextafter(value, direction * math.inf)
+
+        ends = [(lo, past(lo, 1)) if open_below else (past(lo, -1), lo)]
+        if hi < math.inf:
+            ends.append((past(hi, 1), hi))
+        for outside, inside in ends:
+            with pytest.raises(config.ConfigError, match=f"^{'.'.join(path)} must lie in"):
+                config.parse_config(nested(path, outside))
+            config.parse_config(nested(path, inside))
+    for path in literals:
+        with pytest.raises(config.ConfigError, match=f"^{'.'.join(path)} must be one of"):
+            config.parse_config(nested(path, "bogus"))

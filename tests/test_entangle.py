@@ -249,25 +249,55 @@ def label_vectors(draw):
     return np.array(draw(st.lists(st.sampled_from(present), min_size=1, max_size=30)))
 
 
+def reference_magnitudes(dist, size, twin):
+    """size nonnegative magnitudes from twin: uniform, or folded Gaussian or
+    Laplace draws, drawn again until their sum is positive."""
+    while True:
+        if dist == "uniform":
+            u = twin.random(size)
+        elif dist == "gaussian":
+            u = np.abs(twin.standard_normal(size))
+        else:
+            assert dist == "laplace"
+            u = np.abs(twin.laplace(0.0, 1.0, size))
+        if u.sum() > 0:
+            return u
+
+
+def reference_weights(labels, kind, dist, twin):
+    """Each mechanism's weights, one sample at a time, on twin's draws."""
+    n, cats = labels.size, np.unique(labels)
+    size = {c: int((labels == c).sum()) for c in cats}
+    if kind == "rsr":
+        pick = twin.integers(n)
+        return [1.0 if i == pick else 0.0 for i in range(n)]
+    if kind == "var":
+        return [1.0 / n] * n
+    if kind == "rar":
+        return reference_rar_weights_from_draws(reference_magnitudes(dist, n, twin))
+    if kind == "rsp":
+        chosen = cats[twin.integers(cats.size)]
+        return [1.0 / size[c] if c == chosen else 0.0 for c in labels]
+    if kind == "vap":
+        return [1.0 / (cats.size * size[c]) for c in labels]
+    assert kind == "rap"
+    u = reference_magnitudes(dist, cats.size, twin)
+    return reference_rap_weights_from_draws(labels, cats, u)
+
+
 @given(
     label_vectors(),
-    st.sampled_from([en.RAR, en.RAP]),
+    st.sampled_from(en.MECHANISMS),
     st.sampled_from(en.DISTRIBUTIONS),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=200, deadline=None)
-def test_random_weights_equal_the_reference_on_the_same_draws(labels, kind, dist, seed):
+@settings(max_examples=300, deadline=None)
+def test_weights_equal_the_reference_on_the_same_draws(labels, kind, dist, seed):
     rep = make_rep_set(np.random.default_rng(seed), n=labels.size, labels=labels, num_classes=8)
     rng = np.random.default_rng(seed)
     twin = copy.deepcopy(rng)
     w = en.re_weights(rep, en.ReMechanism(kind, dist), rng)
-    if kind == en.RAR:
-        expected = reference_rar_weights_from_draws(en._positive_draw(dist, labels.size, twin))
-    else:
-        cats = np.unique(labels)
-        u = en._positive_draw(dist, cats.size, twin)
-        expected = reference_rap_weights_from_draws(labels, cats, u)
-    np.testing.assert_array_equal(w, expected)
+    np.testing.assert_array_equal(w, reference_weights(labels, kind, dist, twin))
     assert rng.bit_generator.state == twin.bit_generator.state
 
 

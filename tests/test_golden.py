@@ -72,7 +72,7 @@ MATRIX = {
     "mechanism=var": "40ab4f48520eb568d11e509835f00884d84c5c205cb5d2688dd0a9acee306f87",
     "partition.mode=longtail": "993348cea1d1f554a93cecb1e15c3e214603ec446031b923736273f6131043ef",
     "partition.mode=pat": "3f8f117002c5eda9a0b909e36974fbb02824f30eda7b61935f22e984f6ea7b64",
-    "participation_rate=0.5": "7f209d5899e537feae57e8154e30fd5564285b19db8937edae74ca46bedeacd6",
+    "participation_rate=0.3": "7f209d5899e537feae57e8154e30fd5564285b19db8937edae74ca46bedeacd6",
     "resample=fs": "1f4ff59fa56778f60a154899c443092b492b22ef7f0128de8f054f9f1de35bce",
     "rm_op=fc": "f33b35a489a8a8c90e825721bdd61152c5b0e6c227d736be10f2cd638106cdf0",
     "rm_op=mp": "b6d5e84545b0142db5c3bb76dfa7e4b26420e3ac612885856ea690afdfc4937e",
@@ -119,11 +119,12 @@ def outcome_digest(cfg, attack):
         clients, server, records = runner.train(cfg, world)
         results = runner._attack_client(cfg.inversion, world, clients[0]) if attack else []
     rows = [m.to_record(r) for r, m in enumerate(records)]
-    rows += [{k: getattr(r, k) for k in ("target_kind", "mse", "psnr", "iterations")} for r in results]
+    keys = ("target_kind", "mse", "psnr", "iterations")
+    rows += [{k: getattr(r, k) for k in keys} for r in results]
     arrays = [r.reconstructed for r in results]
-    for net in [n for c in clients for n in (c.extractor, c.rm.net, c.classifier)] + [server.classifier]:
-        if net is not None:
-            arrays += [a for layer in net.layers for a in (layer.weight, layer.bias)]
+    nets = [n for c in clients for n in (c.extractor, c.rm.net, c.classifier)] + [server.classifier]
+    for net in filter(None, nets):
+        arrays += [a for layer in net.layers for a in (layer.weight, layer.bias)]
     arrays += [c.weights for c in clients if c.weights is not None]
     h = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8"))
     for a in arrays:
@@ -132,7 +133,7 @@ def outcome_digest(cfg, attack):
 
 
 def test_every_literal_choice_has_a_matrix_digest():
-    assert set(MATRIX) == set(literal_cases()) | {"participation_rate=0.5", "invert"}
+    assert set(MATRIX) == set(literal_cases()) | {"participation_rate=0.3", "invert"}
 
 
 @pytest.mark.parametrize("case", sorted(MATRIX))

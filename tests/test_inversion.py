@@ -87,10 +87,6 @@ def test_invert_validates_arguments():
         inversion.invert(extractor, RMSpec(AP), np.zeros(2), 10, 0.1, inits)
     with pytest.raises(ValueError):
         inversion.invert(extractor, RMSpec(AP), np.array([[np.inf, 0.0]]), 10, 0.1, inits)
-    with pytest.raises(ValueError):
-        inversion.invert(extractor, RMSpec(AP), np.zeros((1, 2)), -1, 0.1, inits)
-    with pytest.raises(ValueError):
-        inversion.invert(extractor, RMSpec(AP), np.zeros((1, 2)), 10, 0.0, inits)
 
 
 def test_attack_objective_matches_manual_computation():
@@ -216,8 +212,6 @@ def test_score_validates_inputs():
         inversion.score(np.zeros(2), np.zeros((1, 3)), 1.0)
     with pytest.raises(ValueError):
         inversion.score(np.zeros(2), np.zeros((0, 2)), 1.0)
-    with pytest.raises(ValueError):
-        inversion.score(np.zeros(2), np.zeros((1, 2)), 0.0)
 
 
 def test_dataset_range():

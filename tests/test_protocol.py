@@ -9,7 +9,15 @@ import pytest
 from fedre import baselines, nets, protocol
 from fedre.entangle import AP, FC, ReMechanism, RMSpec, rm_apply
 
-from helpers import batch_mean_ce, make_client, make_server, local_ce_loss, net_params_equal
+from helpers import (
+    InjectedFault,
+    batch_mean_ce,
+    calls_at,
+    local_ce_loss,
+    make_client,
+    make_server,
+    net_params_equal,
+)
 
 
 # ---------------------------------------------------------------- accounting
@@ -342,6 +350,28 @@ def test_evaluate_client_argmax_accuracy():
     assert protocol.evaluate_client(client) == pytest.approx(2.0 / 3.0)
 
 
+def test_evaluate_client_breaks_ties_toward_the_lowest_class():
+    # identity pipeline: rows 0 and 2 tie both logits, row 1 scores class 1
+    X = np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]])
+    assert protocol.evaluate_client(hand_built_client(X, np.array([0, 1, 0]))) == 1.0
+    assert protocol.evaluate_client(hand_built_client(X, np.array([1, 1, 1]))) == pytest.approx(
+        1.0 / 3.0
+    )
+
+
+def test_representations_that_overflow_finite_parameters_raise_diverged():
+    """Finite parameters whose activations overflow: the loss and parameter
+    checks cannot see it, the representation check names it."""
+    client = hand_built_client(np.array([[1e10, 1e10]]), np.array([0]))
+    huge = nets.DenseNet(layers=[nets.Layer(np.full((2, 2), 1e300), np.zeros(2), nets.RELU)])
+    client = replace(client, extractor=huge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nets.DivergedError, match="^representations turned non-finite"):
+            protocol.client_representation_set(client)
+        with pytest.raises(nets.DivergedError, match="^test representations turned non-finite"):
+            protocol.evaluate_client(client)
+
+
 def test_evaluate_client_none_on_empty_test():
     client = make_client(rng_seed=11)
     empty = client.test.subset([])
@@ -370,11 +400,10 @@ def test_participation_partial_rate_subsets_in_order():
     assert set(chosen) <= set(clients)
 
 
-def test_participation_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        protocol.participation_sample([1], 0.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        protocol.participation_sample([1], 1.5, np.random.default_rng(0))
+def test_participation_rejects_an_empty_pool():
+    # the rate's range is config.participation_rate's bound, checked there
+    with pytest.raises(ValueError, match="no clients to sample from"):
+        protocol.participation_sample([], 0.5, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- rng forks
@@ -489,12 +518,9 @@ def test_run_round_skips_trainless_clients_but_still_scores_them():
 
 def test_run_round_rolls_back_rng_on_failure():
     clients, server = fresh_world()
-    bad_server = protocol.ServerState(
-        classifier=server.classifier, rng=server.rng, lr=-1.0
-    )
     states = [c.rng.bit_generator.state for c in clients]
-    with pytest.raises(ValueError):
-        fedre_round(clients, bad_server, ReMechanism("rap"))
+    with calls_at("server_update", {}, fail_at=1), pytest.raises(InjectedFault):
+        fedre_round(clients, server, ReMechanism("rap"))
     for c, st in zip(clients, states):
         assert c.rng.bit_generator.state == st
     # a rerun with a good server proceeds exactly as if the failure never happened

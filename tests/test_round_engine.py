@@ -11,7 +11,6 @@ aborts anywhere must leave its inputs as they were.
 
 import contextlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from fedre import baselines, config, protocol, runner
 
-from helpers import net_params_equal, reference_train
+from helpers import InjectedFault, calls_at, net_params_equal, reference_train
 
 
 def small_config(strategy, resample, rm_op, rate, rounds=3, num_clients=4):
@@ -152,24 +151,6 @@ FAULT_SITES = (
     "ledger_for",
     "evaluate_client",
 )
-
-
-class InjectedFault(RuntimeError):
-    pass
-
-
-def calls_at(site, log, fail_at=None):
-    """baselines.<site>, counting its calls into log; with fail_at, the
-    fail_at-th call raises InjectedFault instead."""
-    real = getattr(baselines, site)
-
-    def wrapped(*args, **kwargs):
-        log[site] = log.get(site, 0) + 1
-        if log[site] == fail_at:
-            raise InjectedFault(f"{site} call {fail_at}")
-        return real(*args, **kwargs)
-
-    return mock.patch.object(baselines, site, wrapped)
 
 
 def state_of(clients, server, protos, part_rng):
