@@ -143,19 +143,20 @@ def rm_apply(R, rm, unified_dim):
     return mapped, RMCache(MP, m=m, argmax=winners)
 
 
-def rm_backward(grad_mapped, rm, cache, param_grads=True):
+def rm_backward(grad_mapped, rm, cache, param_grads=True, lr=None):
     """Route d(loss)/d(mapped) back to the raw representations.
 
     Returns (d(loss)/d(raw), fc GradientSet or None). With param_grads
     False, an fc mapping's parameter gradients are not built and None
-    stands in for them.
+    stands in for them; given lr, an fc mapping is stepped in place inside
+    its backward (nets._backward) and None stands in for them too.
     """
     g = np.asarray(grad_mapped, dtype=float)
     if g.ndim < 2:
         raise ShapeError("rm_backward takes a batch of gradient rows")
     if cache.kind == FC:
-        if not param_grads:
-            return _backward(rm.net, cache.fc_cache, g, param_grads=False)[1], None
+        if not param_grads or lr is not None:
+            return _backward(rm.net, cache.fc_cache, g, param_grads, lr=lr)[1], None
         fc_grads, grad_in = backprop(rm.net, cache.fc_cache, g)
         return grad_in, fc_grads
     m = cache.m

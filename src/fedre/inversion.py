@@ -40,11 +40,12 @@ def _objective_and_grad(extractor, rm, X, target):
     """Objectives (R,) and input gradients (R, 1, d) at starts X, (R, 1, d),
     against one target (u,) or per-row targets (R, 1, u). A row whose
     representation overflowed gets objective nan: an fc mapping's
-    forward_pass rejects non-finite input, so the row is zeroed first."""
+    forward_pass rejects non-finite input, so the row is zeroed first, in a
+    copy: out belongs to ext_cache, whose relu masks it holds."""
     out, ext_cache = forward_pass(extractor, X)
     overflowed = ~np.isfinite(out).all(axis=(1, 2)) if rm.kind == FC else None
     if overflowed is not None:
-        out[overflowed] = 0.0
+        out = np.where(overflowed[:, None, None], 0.0, out)
     mapped, rm_cache = rm_apply(out, rm, target.shape[-1])
     resid = mapped - target
     obj = (resid @ resid.swapaxes(-1, -2))[:, 0, 0]

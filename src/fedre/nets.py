@@ -13,24 +13,31 @@ There is one loss, the mean soft-label cross-entropy of a batch.
 
 The dense-layer math exists once, in private kernels that read
 ``net.layers``: ``_forward``, ``_backward`` (parameter gradients, the input
-gradient, or both), ``_ce_value_and_grads`` and the in-place ``_sgd``
-(which also scales the gradients it is given in place). ``forward_pass``,
-``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are thin wrappers that
-validate their inputs and call them.
+gradient, or both), ``_ce`` and ``_step``, one layer's in-place SGD step.
+``forward_pass``, ``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are
+thin wrappers that validate their inputs and call them. A ``BatchCache``
+holds one array per layer boundary, each layer's input, then the output.
+``_forward`` applies relu in place, so a relu layer's mask is read from its
+output: ``a > 0`` equals ``z > 0``, NaN, signed zeros and infinities
+included. Given ``lr``, ``_backward`` steps each layer as soon as its input
+gradient is computed from the unstepped weight: a training step holds one
+layer's gradient at a time and builds no ``GradientSet``.
 
 In-place rule: a kernel writes in place only to arrays it allocated itself,
 never to one it is given (inputs, targets, a gradient to propagate), so its
-caller may reuse a returned array in place. ``_sgd`` alone updates the net
-and consumes its gradients. Small batches make the kernels bound by per-call
-numpy overhead, so they do their arithmetic in few calls (``ufunc.reduce``,
-in-place updates), bitwise equal to the plain formulas the tests keep.
+caller may reuse a returned array in place, except a forward's output: it
+belongs to its cache, as the source of the relu masks. ``_step`` consumes
+the gradients it is given, and a stepping ``_backward`` its delta. Small
+batches make the kernels bound by per-call numpy overhead, so they do their
+arithmetic in few calls (``ufunc.reduce``, in-place updates), bitwise equal
+to the plain formulas the tests keep.
 
 Validation boundary: ``Layer``/``DenseNet`` validate on construction and the
 public functions here validate their inputs; the kernels check nothing. The
 update loops in ``protocol`` clone each net once, step the clone's layer
-arrays in place through the kernels, check finiteness per step on the loss
-and the activations, and call ``_check_trained`` once per update on the
-parameters (``DivergedError`` if any is non-finite).
+arrays in place through the backward, check finiteness per step on the loss
+(before the backward) and the activations, and call ``_check_trained`` once
+per update on the parameters (``DivergedError`` if any is non-finite).
 
 Batches and stacks: ``forward_pass`` and ``backprop`` take a batch of rows,
 shape (n, d), or a stack of batches, shape (*lead, n, d); every leading
@@ -110,9 +117,8 @@ class Layer:
 class BatchCache:
     """Everything forward saw, kept for the matching backward pass."""
 
-    inputs: np.ndarray  # (..., n, input_dim)
-    pre_activations: list  # z per layer, each (..., n, fan_out)
-    layer_inputs: list  # input to each layer; layer_inputs[0] is inputs
+    activations: list  # each layer's input, then the net's output
+    inputs = property(lambda self: self.activations[0])  # (..., n, input_dim)
 
 
 @dataclass(eq=False)
@@ -169,46 +175,51 @@ def _check_trained(*trained):
 
 def _forward(net, X):
     """Forward kernel: (outputs, BatchCache) of X, with no checks."""
-    a = X
-    pre, layer_inputs = [], []
+    acts = [X]
     for l in net.layers:
-        layer_inputs.append(a)
-        z = a @ l.weight.T
-        z += l.bias
-        pre.append(z)
-        a = np.maximum(z, _ZERO) if l.activation == RELU else z
-    return a, BatchCache(X, pre, layer_inputs)
+        a = acts[-1] @ l.weight.T
+        a += l.bias
+        if l.activation == RELU:
+            np.maximum(a, _ZERO, out=a)
+        acts.append(a)
+    return a, BatchCache(acts)
 
 
-def _backward(net, cache, delta, param_grads=True, input_grad=True):
+def _backward(net, cache, delta, param_grads=True, input_grad=True, lr=None):
     """Backward kernel, with no checks: (GradientSet or None, input gradient
-    or None). Work for an output not asked for is skipped."""
+    or None). Work for an output not asked for is skipped. Given lr, each
+    layer is stepped (_step) right after its input gradient is computed,
+    delta is consumed, and no GradientSet is built."""
     n = len(net.layers)
-    weight_grads, bias_grads = [None] * n, [None] * n
+    grads = GradientSet([None] * n, [None] * n) if param_grads and lr is None else None
     for i in reversed(range(n)):
         l = net.layers[i]
-        if l.activation == RELU:
-            delta = delta * (cache.pre_activations[i] > _ZERO)
-        if param_grads:
-            weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
-            bias_grads[i] = np.add.reduce(delta, axis=-2)
+        if l.activation == RELU:  # delta is ours below the top layer, or to consume
+            out = delta if i < n - 1 or lr is not None else None
+            delta = np.multiply(delta, cache.activations[i + 1] > _ZERO, out=out)
+        if grads is not None or lr is not None:
+            gw = delta.swapaxes(-1, -2) @ cache.activations[i]
+            gb = np.add.reduce(delta, axis=-2)
         if i or input_grad:
             delta = delta @ l.weight
-    grads = GradientSet(weight_grads, bias_grads) if param_grads else None
+        if lr is not None:
+            _step(l, gw, gb, lr)
+            del gw, gb  # one layer's gradient at a time
+        elif grads is not None:
+            grads.weight_grads[i], grads.bias_grads[i] = gw, gb
     return grads, delta if input_grad else None
 
 
-def _sgd(net, grads, lr):
-    """In-place SGD kernel: w -= lr * gw and b -= lr * gb for every layer.
+def _step(l, gw, gb, lr):
+    """In-place SGD kernel for one layer: w -= lr * gw and b -= lr * gb.
 
-    It consumes grads: each gradient is scaled by lr in place, so the step
-    makes no temporaries (the same products, bitwise).
+    It consumes gw and gb: each is scaled by lr in place, so the step makes
+    no temporaries (the same products, bitwise).
     """
-    for l, gw, gb in zip(net.layers, grads.weight_grads, grads.bias_grads):
-        gw *= lr
-        l.weight -= gw
-        gb *= lr
-        l.bias -= gb
+    gw *= lr
+    l.weight -= gw
+    gb *= lr
+    l.bias -= gb
 
 
 def _batch(net, X):
@@ -282,21 +293,15 @@ def _ce(z, t):
     return float(np.add.reduce(losses, axis=None)) / n, e
 
 
-def _ce_value_and_grads(net, X, targets):
-    """Kernel of ce_value_and_grads, with no checks."""
-    out, cache = _forward(net, X)
-    loss, grad_out = _ce(out, targets)
-    grads, _ = _backward(net, cache, grad_out, input_grad=False)
-    return loss, grads
-
-
 def ce_value_and_grads(net, X, targets):
     """Mean cross-entropy over a batch plus its parameter gradients."""
     X = _batch(net, X)
     t = np.asarray(targets, dtype=float)
     if X.ndim != 2 or t.shape != (X.shape[0], net.output_dim):
         raise ShapeError("need a 2-d batch and one target row per sample")
-    return _ce_value_and_grads(net, X, t)
+    out, cache = _forward(net, X)
+    loss, grad_out = _ce(out, t)
+    return loss, _backward(net, cache, grad_out, input_grad=False)[0]
 
 
 def sgd_step(net, grads, lr):
@@ -306,11 +311,8 @@ def sgd_step(net, grads, lr):
     if not grads.matches(net):
         raise ShapeError("gradient shapes do not match the net")
     stepped = clone(net)
-    # _sgd scales the gradients it is given in place: hand it copies
-    own = GradientSet(
-        [np.array(g, dtype=float) for g in grads.weight_grads],
-        [np.array(g, dtype=float) for g in grads.bias_grads],
-    )
-    _sgd(stepped, own, lr)
+    for l, gw, gb in zip(stepped.layers, grads.weight_grads, grads.bias_grads):
+        # _step scales the gradients it is given in place: hand it copies
+        _step(l, np.array(gw, dtype=float), np.array(gb, dtype=float), lr)
     _check_trained(stepped)
     return stepped

@@ -158,16 +158,18 @@ def client_representation_set(client):
     return RepresentationSet(reps, onehot)
 
 
-def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None):
+def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None, lr=None):
     """Loss and gradients of the composed net on one minibatch.
 
     The client loop's per-step function: it runs on the nets kernels and
-    checks only that the representations it computes are finite (Xb comes
-    from a validated Dataset). proto_reg, when given, is (lam,
-    prototype_rows, mask): a pull of the mapped representations toward
-    per-category prototypes, added to the cross-entropy. Rows without a
-    prototype carry a zero mask.
-    Returns (loss, extractor grads, classifier grads, fc grads or None).
+    checks only that the representations it computes and the loss are finite
+    (Xb comes from a validated Dataset), the loss before any backward.
+    proto_reg, when given, is (lam, prototype_rows, mask): a pull of the
+    mapped representations toward per-category prototypes, added to the
+    cross-entropy. Rows without a prototype carry a zero mask. Given lr (a
+    0-d array), every net is stepped inside its backward and no gradient is
+    built. Returns (loss, extractor grads, classifier grads, fc grads or
+    None), the grads None given lr.
     """
     n = Xb.shape[0]
     reps, ext_cache = nets._forward(extractor, Xb)
@@ -176,14 +178,17 @@ def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None):
     _require_finite(mapped, "mapped representations")
     logits, cls_cache = nets._forward(classifier, mapped)
     loss, grad_logits = nets._ce(logits, targets)
-    cls_grads, grad_mapped = nets._backward(classifier, cls_cache, grad_logits)
     if proto_reg is not None:
         lam, proto_rows, mask = proto_reg
         diffs = (mapped - proto_rows) * mask[:, None]
         loss += lam * float((diffs**2).sum()) / n
-        grad_mapped = grad_mapped + (2.0 * lam / n) * diffs
-    grad_reps, fc_grads = rm_backward(grad_mapped, rm, rm_cache)
-    ext_grads, _ = nets._backward(extractor, ext_cache, grad_reps, input_grad=False)
+    if not math.isfinite(loss):
+        raise DivergedError("local loss is non-finite")
+    cls_grads, grad_mapped = nets._backward(classifier, cls_cache, grad_logits, lr=lr)
+    if proto_reg is not None:
+        grad_mapped += (2.0 * lam / n) * diffs
+    grad_reps, fc_grads = rm_backward(grad_mapped, rm, rm_cache, lr=lr)
+    ext_grads, _ = nets._backward(extractor, ext_cache, grad_reps, input_grad=False, lr=lr)
     return loss, ext_grads, cls_grads, fc_grads
 
 
@@ -197,9 +202,10 @@ def client_local_update(client, global_classifier, proto_reg=None):
     clone of the broadcast classifier (else of the client's own). The
     one-hot targets and prototype rows are built once per update; every
     epoch's order comes from one draw (_epoch_orders), and each epoch
-    gathers its rows once and takes its batches as slices. Every step
-    updates private clones of the nets in place; their parameters are
-    checked once, at the end.
+    gathers its rows once and takes its batches as slices. Every step is
+    one local_gradients call that checks its loss, then steps private
+    clones of the nets in place inside the backward, one layer's gradient
+    at a time; their parameters are checked once, at the end.
     """
     synced = client.classifier if global_classifier is None else global_classifier
     if (synced.input_dim, synced.output_dim) != (
@@ -229,17 +235,7 @@ def client_local_update(client, global_classifier, proto_reg=None):
         for start in range(0, n, bs):
             batch = slice(start, start + bs)
             reg = None if proto_reg is None else (lam, P[batch], M[batch])
-            loss, ext_grads, cls_grads, fc_grads = local_gradients(
-                extractor, rm, classifier, X[batch], T[batch], proto_reg=reg
-            )
-            if not math.isfinite(loss):
-                raise DivergedError(
-                    f"client {client.client_id} local loss is non-finite"
-                )
-            nets._sgd(extractor, ext_grads, lr)
-            nets._sgd(classifier, cls_grads, lr)
-            if fc_grads is not None:
-                nets._sgd(rm.net, fc_grads, lr)
+            local_gradients(extractor, rm, classifier, X[batch], T[batch], reg, lr)
     trained = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
     nets._check_trained(*trained)
     return replace(client, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
@@ -264,10 +260,11 @@ def server_update(server, reps, labels):
     """Train the shared classifier on the uploaded packets.
 
     reps (n, d) and labels (n, num_classes) hold one packet per row, the
-    participants' upload blocks concatenated. Steps a private clone of the
-    classifier in place; its parameters are checked once, at the end. The
-    batches are shuffled by a fork of the server's stream, which becomes the
-    new state's stream, so the input is left unchanged. As in the client
+    participants' upload blocks concatenated. Each step checks its loss,
+    then steps a private clone of the classifier in place inside the
+    backward (nets._backward); its parameters are checked once, at the end.
+    The batches are shuffled by a fork of the server's stream, which becomes
+    the new state's stream, so the input is left unchanged. As in the client
     update, each epoch gathers its rows once and slices its batches.
     """
     reps = np.asarray(reps, dtype=float)
@@ -285,12 +282,11 @@ def server_update(server, reps, labels):
     for order in _epoch_orders(rng, n, server.epochs):
         R, Y = reps.take(order, axis=0), labels.take(order, axis=0)
         for start in range(0, n, bs):
-            loss, grads = nets._ce_value_and_grads(
-                classifier, R[start : start + bs], Y[start : start + bs]
-            )
+            out, cache = nets._forward(classifier, R[start : start + bs])
+            loss, grad_out = nets._ce(out, Y[start : start + bs])
             if not math.isfinite(loss):
                 raise DivergedError("server loss is non-finite")
-            nets._sgd(classifier, grads, lr)
+            nets._backward(classifier, cache, grad_out, input_grad=False, lr=lr)
     nets._check_trained(classifier)
     return replace(server, classifier=classifier, rng=rng)
 

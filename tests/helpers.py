@@ -36,27 +36,28 @@ def batch_mean_ce(logits, targets):
 
 
 def reference_forward(net, X):
-    """nets._forward as one expression per layer: (outputs, BatchCache)."""
-    a = X
-    pre, layer_inputs = [], []
+    """nets._forward as one expression per layer: (outputs, BatchCache,
+    pre-activations z per layer). The cache holds every layer's input and
+    the output; z is kept beside it for the textbook relu mask."""
+    acts, pre = [X], []
     for l in net.layers:
-        layer_inputs.append(a)
-        z = a @ l.weight.T + l.bias
+        z = acts[-1] @ l.weight.T + l.bias
         pre.append(z)
-        a = np.maximum(z, 0.0) if l.activation == nets.RELU else z
-    return a, nets.BatchCache(X, pre, layer_inputs)
+        acts.append(np.maximum(z, 0.0) if l.activation == nets.RELU else z)
+    return acts[-1], nets.BatchCache(acts), pre
 
 
-def reference_backward(net, cache, delta, param_grads=True, input_grad=True):
-    """nets._backward with bias gradients from ndarray.sum."""
+def reference_backward(net, cache, pre, delta, param_grads=True, input_grad=True):
+    """nets._backward with the relu mask z > 0 read from the
+    pre-activations pre and bias gradients from ndarray.sum."""
     n = len(net.layers)
     weight_grads, bias_grads = [None] * n, [None] * n
     for i in reversed(range(n)):
         l = net.layers[i]
         if l.activation == nets.RELU:
-            delta = delta * (cache.pre_activations[i] > 0)
+            delta = delta * (pre[i] > 0)
         if param_grads:
-            weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
+            weight_grads[i] = delta.swapaxes(-1, -2) @ cache.activations[i]
             bias_grads[i] = delta.sum(axis=-2)
         if i or input_grad:
             delta = delta @ l.weight
@@ -76,9 +77,11 @@ def reference_ce(z, t):
 
 def reference_rm_apply(R, rm, unified_dim):
     """entangle.rm_apply on an (..., n, raw) batch of valid shape:
-    (mapped, the fc forward cache or the mp winners or None)."""
+    (mapped, the fc forward's (cache, pre-activations) or the mp winners or
+    None)."""
     if rm.kind == "fc":
-        return reference_forward(rm.net, R)
+        out, cache, pre = reference_forward(rm.net, R)
+        return out, (cache, pre)
     blocks = R.reshape(R.shape[:-1] + (unified_dim, R.shape[-1] // unified_dim))
     if rm.kind == "ap":
         return blocks.sum(axis=-1) / blocks.shape[-1], None
@@ -90,7 +93,7 @@ def reference_rm_backward(g, rm, m, aux):
     """entangle.rm_backward given reference_rm_apply's aux and the block
     size m: (gradient wrt the raw rows, fc GradientSet or None)."""
     if rm.kind == "fc":
-        fc_grads, grad_in = reference_backward(rm.net, aux, g)
+        fc_grads, grad_in = reference_backward(rm.net, *aux, g)
         return grad_in, fc_grads
     if rm.kind == "ap":
         grad_blocks = np.repeat(g[..., None] / m, m, axis=-1)
@@ -512,11 +515,54 @@ def reference_train(cfg, world):
 
 # ------------------------------------------------------- reference data
 
+# The data references share none of data's helpers: they draw from the same
+# RNG stream, in the same calls, but compute with code of their own.
+
+
+def reference_circle_means(num_classes, dim, radius):
+    """Class means on a circle in the first two coordinates, a class at a time."""
+    means = np.zeros((num_classes, dim))
+    for c in range(num_classes):
+        angle = 2.0 * np.pi * c / num_classes
+        means[c, 0] = radius * np.cos(angle)
+        if dim > 1:
+            means[c, 1] = radius * np.sin(angle)
+    return means
+
+
+def reference_dirichlet(alpha, size, rng):
+    """Dirichlet(alpha) shares: size Gamma(alpha, 1) draws from one rng.gamma
+    call, each over their total; when every draw underflows to 0, all of the
+    mass on one client, drawn by rng.integers. The callers' alphas (at most
+    10) never reach the scaling data applies to huge draws."""
+    g = rng.gamma(alpha, 1.0, size)
+    total = g.sum()
+    if total == 0:
+        shares = np.zeros(size)
+        shares[rng.integers(size)] = 1.0
+        return shares
+    return np.array([x / total for x in g])
+
+
+def reference_largest_remainder(shares, total):
+    """Largest-remainder apportionment of total items in plain loops: floor
+    every quota, then hand one more item to the largest remaining fraction,
+    the earliest on a tie, until total items are dealt."""
+    s = np.asarray(shares, dtype=float).sum()
+    quotas = [float(x) / s * total for x in shares]
+    counts = [math.floor(q) for q in quotas]
+    fractions = [q - k for q, k in zip(quotas, counts)]
+    for _ in range(total - sum(counts)):
+        best = max(range(len(counts)), key=lambda i: (fractions[i], -i))
+        counts[best] += 1
+        fractions[best] = -math.inf
+    return np.array(counts, dtype=int)
+
 
 def reference_make_blobs(num_classes, per_class, dim, spread, seed):
     """make_blobs with one noise draw per class, written into each class's rows."""
     rng = np.random.default_rng(seed)
-    means = data._circle_means(num_classes, dim, 3.0 * spread)
+    means = reference_circle_means(num_classes, dim, 3.0 * spread)
     X = np.empty((num_classes * per_class, dim))
     y = np.empty(num_classes * per_class, dtype=int)
     for c in range(num_classes):
@@ -534,8 +580,8 @@ def reference_partition_pra(ds, num_clients, alpha, rng):
         idx = ds.class_indices(c)
         if idx.size == 0:
             continue
-        shares = data._dirichlet(alpha, num_clients, rng)
-        counts = data._largest_remainder(shares, idx.size)
+        shares = reference_dirichlet(alpha, num_clients, rng)
+        counts = reference_largest_remainder(shares, idx.size)
         shuffled = rng.permutation(idx)
         start = 0
         for k in range(num_clients):
@@ -567,7 +613,7 @@ def reference_partition_pat(ds, num_clients, categories_per_client, rng):
     per_client = [[] for _ in range(num_clients)]
     for c in range(C):
         idx = rng.permutation(ds.class_indices(c))
-        sizes = data._largest_remainder(data._dirichlet(1.0, shards_per_cat, rng), idx.size)
+        sizes = reference_largest_remainder(reference_dirichlet(1.0, shards_per_cat, rng), idx.size)
         while (sizes == 0).any():
             sizes[int(np.argmax(sizes == 0))] += 1
             sizes[int(np.argmax(sizes))] -= 1
@@ -604,7 +650,7 @@ def reference_train_test_split(ds, train_fraction, seed):
     counts = ds.class_counts()
     if n == 0 or total_train == 0:
         return ds.subset([]), ds.subset(np.arange(n))
-    train_counts = data._largest_remainder(counts / n, total_train)
+    train_counts = reference_largest_remainder(counts / n, total_train)
     train_idx, test_idx = [], []
     for c in range(ds.num_classes):
         idx = rng.permutation(ds.class_indices(c))

@@ -8,7 +8,9 @@ results with tobytes(), so a flipped sign of zero counts as a difference,
 and checks that the call changed none of the arrays it was given. The draws
 cover 2-d batches and stacks of one-row batches, relu and identity layers,
 every mapping kind, signed zeros, subnormals, values whose products overflow
-and, for the logits, infinities.
+and, for the logits, infinities. reference_backward reads the relu mask from
+the pre-activations (z > 0), so the kernels' mask, read from each relu
+layer's output, is held to it on the same draws, NaN and infinities included.
 """
 
 import numpy as np
@@ -83,10 +85,10 @@ def test_forward_equals_the_plain_formula(data):
     before = snapshot(X, *net_arrays(net))
     with np.errstate(all="ignore"):
         out, cache = nets._forward(net, X)
-        want, want_cache = reference_forward(net, X)
+        want, want_cache, _ = reference_forward(net, X)
     assert same(out, want)
-    assert all_same(cache.pre_activations, want_cache.pre_activations)
-    assert all_same(cache.layer_inputs, want_cache.layer_inputs)
+    assert all_same(cache.activations, want_cache.activations)
+    assert cache.activations[0] is X and cache.activations[-1] is out
     assert snapshot(X, *net_arrays(net)) == before
 
 
@@ -96,13 +98,13 @@ def test_backward_equals_the_plain_formula(data, param_grads, input_grad):
     net = data.draw(dense_nets())
     X = data.draw(batches(net.input_dim))
     with np.errstate(all="ignore"):
-        _, cache = reference_forward(net, X)
+        _, cache, pre = reference_forward(net, X)
     delta = data.draw(arrays(np.float64, X.shape[:-1] + (net.output_dim,), elements=FINITE))
-    given_arrays = [delta, X, *cache.pre_activations, *cache.layer_inputs, *net_arrays(net)]
+    given_arrays = [delta, *cache.activations, *net_arrays(net)]
     before = snapshot(*given_arrays)
     with np.errstate(all="ignore"):
         grads, grad_in = nets._backward(net, cache, delta, param_grads, input_grad)
-        want, want_in = reference_backward(net, cache, delta, param_grads, input_grad)
+        want, want_in = reference_backward(net, cache, pre, delta, param_grads, input_grad)
     if param_grads:
         assert all_same(grads.weight_grads, want.weight_grads)
         assert all_same(grads.bias_grads, want.bias_grads)
@@ -111,6 +113,35 @@ def test_backward_equals_the_plain_formula(data, param_grads, input_grad):
     assert (grad_in is None) == (want_in is None) == (not input_grad)
     assert grad_in is None or same(grad_in, want_in)
     assert snapshot(*given_arrays) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from([0.0, 0.05, 0.5, 1e300]))
+def test_backward_with_lr_steps_like_the_plain_sgd_formula(data, input_grad, lr):
+    """Given lr, the backward returns no gradients, the input gradient of
+    the unstepped net, and leaves each layer at w - lr * gw, b - lr * gb. It
+    consumes delta, and only delta, of the arrays it is given."""
+    net = data.draw(dense_nets())
+    n = data.draw(st.integers(1, 10))  # a step takes one 2-d batch
+    X = data.draw(arrays(np.float64, (n, net.input_dim), elements=FINITE))
+    with np.errstate(all="ignore"):
+        _, cache, pre = reference_forward(net, X)
+    delta = data.draw(arrays(np.float64, (n, net.output_dim), elements=FINITE))
+    before = snapshot(*cache.activations)
+    stepped = nets.clone(net)
+    with np.errstate(all="ignore"):
+        want, want_in = reference_backward(net, cache, pre, delta, True, input_grad)
+        grads, grad_in = nets._backward(stepped, cache, delta, input_grad=input_grad, lr=np.array(lr))
+        want_arrays = [
+            p - lr * g
+            for l, gw, gb in zip(net.layers, want.weight_grads, want.bias_grads)
+            for p, g in ((l.weight, gw), (l.bias, gb))
+        ]
+    assert grads is None
+    assert (grad_in is None) == (not input_grad)
+    assert grad_in is None or same(grad_in, want_in)
+    assert all_same(net_arrays(stepped), want_arrays)
+    assert snapshot(*cache.activations) == before
 
 
 @settings(max_examples=300, deadline=None)

@@ -66,7 +66,9 @@ def test_relu_layer_clamps_negative_preactivations():
     net = nets.DenseNet(layers=[layer])
     out, cache = nets.forward_pass(net, np.array([[-3.0, 2.0]]))
     assert out.tolist() == [[0.0, 2.0]]
-    assert cache.pre_activations[0].tolist() == [[-3.0, 2.0]]
+    # the cache holds the layer's input and its clamped output, nothing else
+    assert [a.tolist() for a in cache.activations] == [[[-3.0, 2.0]], [[0.0, 2.0]]]
+    assert cache.activations[-1] is out
 
 
 def test_glorot_init_bounds_and_zero_bias():

@@ -188,3 +188,27 @@ def test_an_overflowing_iterate_is_dropped_before_forward_pass_sees_it(monkeypat
     assert all(seen) and len(seen) == 4
     np.testing.assert_array_equal(best_objs, [[np.inf, 0.0, np.inf]])
     assert_same_outcome(got, outcome(one_row_attack, *args))
+
+
+def test_an_overflowing_fc_start_matches_one_row_calls_and_leaves_forward_output_alone(monkeypatch):
+    # the first unit of start 1e10 overflows to inf; an fc mapping's
+    # forward_pass rejects that, so the objective zeroes the row in a copy:
+    # the extractor's output is also the source of its cache's relu masks
+    extractor = nets.DenseNet([nets.Layer([[1e300], [1.0]], [0.0, 0.0], nets.RELU)])
+    rm = RMSpec(FC, nets.init_dense([2, 2], [nets.IDENTITY], np.random.default_rng(3)))
+    target = np.array([[0.5, -0.25]])
+    inits = np.array([[[1e-300]], [[1e10]], [[-0.5]], [[2e-300]]])
+    outputs = []
+    real = nets.forward_pass
+
+    def forward(net, X):
+        out, cache = real(net, X)
+        outputs.append((out, out.tobytes()))
+        return out, cache
+
+    monkeypatch.setattr(inversion, "forward_pass", forward)
+    args = (extractor, rm, target, 4, 0.05, inits)
+    got = outcome(inversion.invert_multi, *args)
+    assert not np.isfinite(outputs[0][0]).all()
+    assert all(out.tobytes() == seen for out, seen in outputs)
+    assert_same_outcome(got, outcome(one_row_attack, *args))
