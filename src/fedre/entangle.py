@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import DenseNet, ShapeError, _backward, backprop, forward_pass
+from .nets import DenseNet, ShapeError, _backward, forward_pass
 
 AP = "ap"
 MP = "mp"
@@ -82,10 +82,6 @@ class RepresentationSet:
         return self.reps.shape[0]
 
     @property
-    def num_classes(self):
-        return self.labels_onehot.shape[1]
-
-    @property
     def labels(self):
         return self.labels_onehot.argmax(axis=1)
 
@@ -143,29 +139,26 @@ def rm_apply(R, rm, unified_dim):
     return mapped, RMCache(MP, m=m, argmax=winners)
 
 
-def rm_backward(grad_mapped, rm, cache, param_grads=True, lr=None):
+def rm_backward(grad_mapped, rm, cache, lr=None):
     """Route d(loss)/d(mapped) back to the raw representations.
 
-    Returns (d(loss)/d(raw), fc GradientSet or None). With param_grads
-    False, an fc mapping's parameter gradients are not built and None
-    stands in for them; given lr, an fc mapping is stepped in place inside
-    its backward (nets._backward) and None stands in for them too.
+    Returns d(loss)/d(raw). An fc mapping's parameter gradients are never
+    built: given lr (a 0-d array), the mapping is stepped in place inside
+    its backward (nets._backward); without it, its parameters are left as
+    they are.
     """
     g = np.asarray(grad_mapped, dtype=float)
     if g.ndim < 2:
         raise ShapeError("rm_backward takes a batch of gradient rows")
     if cache.kind == FC:
-        if not param_grads or lr is not None:
-            return _backward(rm.net, cache.fc_cache, g, param_grads, lr=lr)[1], None
-        fc_grads, grad_in = backprop(rm.net, cache.fc_cache, g)
-        return grad_in, fc_grads
+        return _backward(rm.net, cache.fc_cache, g, param_grads=False, lr=lr)[1]
     m = cache.m
     if cache.kind == AP:
         # each of a block's m entries gets g / m
-        return (g / m).repeat(m, axis=-1), None
+        return (g / m).repeat(m, axis=-1)
     grad_blocks = np.zeros(g.shape + (m,))
     np.put_along_axis(grad_blocks, cache.argmax[..., None], g[..., None], axis=-1)
-    return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,)), None
+    return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,))
 
 
 def check_weight_vector(w, n=None):

@@ -52,7 +52,7 @@ def _objective_and_grad(extractor, rm, X, target):
     if overflowed is not None:
         obj[overflowed] = np.nan
     resid *= 2.0
-    grad_reps, _ = rm_backward(resid, rm, rm_cache, param_grads=False)
+    grad_reps = rm_backward(resid, rm, rm_cache)
     _, grad_x = _backward(extractor, ext_cache, grad_reps, param_grads=False)
     return obj, grad_x
 

@@ -43,9 +43,9 @@ class ClientState:
     train: object  # data.Dataset
     test: object
     rng: np.random.Generator
-    lr: float = 0.05
-    batch_size: int = 16
-    epochs: int = 1
+    lr: float
+    batch_size: int
+    epochs: int
     weights: np.ndarray | None = None  # frozen entangling weights (fedre fs)
 
 
@@ -53,9 +53,9 @@ class ClientState:
 class ServerState:
     classifier: nets.DenseNet
     rng: np.random.Generator
-    lr: float = 0.01
-    batch_size: int = 10
-    epochs: int = 5
+    lr: float
+    batch_size: int
+    epochs: int
 
 
 @dataclass
@@ -75,14 +75,6 @@ class CommLedger:
             raise ValueError("scalar counts must be nonnegative")
         self.upload_history.append(int(upload))
         self.broadcast_history.append(int(broadcast))
-
-    @property
-    def upload_total(self):
-        return sum(self.upload_history)
-
-    @property
-    def broadcast_total(self):
-        return sum(self.broadcast_history)
 
 
 @dataclass
@@ -158,18 +150,17 @@ def client_representation_set(client):
     return RepresentationSet(reps, onehot)
 
 
-def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None, lr=None):
-    """Loss and gradients of the composed net on one minibatch.
+def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg, lr):
+    """One SGD step of the composed net on one minibatch; returns its loss.
 
     The client loop's per-step function: it runs on the nets kernels and
     checks only that the representations it computes and the loss are finite
     (Xb comes from a validated Dataset), the loss before any backward.
-    proto_reg, when given, is (lam, prototype_rows, mask): a pull of the
+    proto_reg, when not None, is (lam, prototype_rows, mask): a pull of the
     mapped representations toward per-category prototypes, added to the
-    cross-entropy. Rows without a prototype carry a zero mask. Given lr (a
-    0-d array), every net is stepped inside its backward and no gradient is
-    built. Returns (loss, extractor grads, classifier grads, fc grads or
-    None), the grads None given lr.
+    cross-entropy. Rows without a prototype carry a zero mask. Every net
+    (an fc mapping's too) is stepped in place by lr, a 0-d array, inside its
+    backward, one layer's gradient at a time; no gradient is kept.
     """
     n = Xb.shape[0]
     reps, ext_cache = nets._forward(extractor, Xb)
@@ -184,12 +175,12 @@ def local_gradients(extractor, rm, classifier, Xb, targets, proto_reg=None, lr=N
         loss += lam * float((diffs**2).sum()) / n
     if not math.isfinite(loss):
         raise DivergedError("local loss is non-finite")
-    cls_grads, grad_mapped = nets._backward(classifier, cls_cache, grad_logits, lr=lr)
+    grad_mapped = nets._backward(classifier, cls_cache, grad_logits, lr=lr)[1]
     if proto_reg is not None:
         grad_mapped += (2.0 * lam / n) * diffs
-    grad_reps, fc_grads = rm_backward(grad_mapped, rm, rm_cache, lr=lr)
-    ext_grads, _ = nets._backward(extractor, ext_cache, grad_reps, input_grad=False, lr=lr)
-    return loss, ext_grads, cls_grads, fc_grads
+    grad_reps = rm_backward(grad_mapped, rm, rm_cache, lr=lr)
+    nets._backward(extractor, ext_cache, grad_reps, input_grad=False, lr=lr)
+    return loss
 
 
 def client_local_update(client, global_classifier, proto_reg=None):

@@ -331,7 +331,7 @@ def one_row_objective_and_grad(extractor, rm, x, target):
     mapped, rm_cache = rm_apply(out, rm, target.shape[0])
     resid = mapped[0] - target
     obj = float(resid @ resid)
-    grad_reps, _ = rm_backward((2.0 * resid)[None, :], rm, rm_cache)
+    grad_reps = rm_backward((2.0 * resid)[None, :], rm, rm_cache)
     _, grad_x = nets.backprop(extractor, ext_cache, grad_reps)
     return obj, grad_x[0]
 

@@ -18,6 +18,7 @@ from helpers import (
     FixedDraws,
     check_label_encoding,
     mixup_pair,
+    net_params_equal,
     random_simplex,
     reference_rap_weights_from_draws,
     reference_rar_weights_from_draws,
@@ -119,8 +120,7 @@ def test_rm_backward_matches_finite_differences(kind):
     V = rng.normal(size=(4, 3))
     rm = en.RMSpec(kind)
     mapped, cache = en.rm_apply(R, rm, 3)
-    grad_raw, fc_grads = en.rm_backward(V, rm, cache)
-    assert fc_grads is None
+    grad_raw = en.rm_backward(V, rm, cache)
     np.testing.assert_allclose(grad_raw, _fd_rm_grad(R, rm, 3, V), atol=1e-8)
 
 
@@ -131,19 +131,26 @@ def test_rm_backward_fc_matches_direct_backprop():
     V = rng.normal(size=(5, 3))
     rm = en.RMSpec(en.FC, net)
     _, cache = en.rm_apply(R, rm, 3)
-    grad_raw, fc_grads = en.rm_backward(V, rm, cache)
     _, direct_cache = nets.forward_pass(net, R)
     expect_grads, expect_in = nets.backprop(net, direct_cache, V)
-    np.testing.assert_array_equal(grad_raw, expect_in)
-    for a, b in zip(fc_grads.weight_grads, expect_grads.weight_grads):
-        np.testing.assert_array_equal(a, b)
+    before = nets.clone(net)
+    # without lr the mapping is left alone
+    np.testing.assert_array_equal(en.rm_backward(V, rm, cache), expect_in)
+    assert net_params_equal(net, before)
+    # given lr it is stepped by the gradients backprop builds
+    lr = np.array(0.5)
+    np.testing.assert_array_equal(en.rm_backward(V, rm, cache, lr=lr), expect_in)
+    for l, b, gw, gb in zip(net.layers, before.layers, expect_grads.weight_grads,
+                            expect_grads.bias_grads):
+        np.testing.assert_array_equal(l.weight, b.weight - lr * gw)
+        np.testing.assert_array_equal(l.bias, b.bias - lr * gb)
 
 
 def test_mp_backward_routes_only_to_winners():
     R = np.array([[1.0, 5.0, 2.0, 0.0]])  # blocks (1,5) and (2,0)
     rm = en.RMSpec(en.MP)
     _, cache = en.rm_apply(R, rm, 2)
-    grad_raw, _ = en.rm_backward(np.array([[1.0, 1.0]]), rm, cache)
+    grad_raw = en.rm_backward(np.array([[1.0, 1.0]]), rm, cache)
     np.testing.assert_array_equal(grad_raw, [[0.0, 1.0, 1.0, 0.0]])
 
 

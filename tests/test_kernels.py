@@ -160,10 +160,12 @@ def test_ce_equals_the_plain_formula(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from(RM_KINDS), st.booleans())
-def test_rm_kernels_equal_the_plain_formulas(data, kind, param_grads):
+@given(st.data(), st.sampled_from(RM_KINDS), st.sampled_from([None, 0.0, 0.05, 1e300]))
+def test_rm_kernels_equal_the_plain_formulas(data, kind, lr):
     """Block sizes up to 9 cross the 8 terms at which numpy's sum switches
-    to pairwise summation."""
+    to pairwise summation. Without lr the backward leaves an fc mapping as
+    it is; given lr (a step takes one 2-d batch), it leaves each layer at
+    w - lr * gw, b - lr * gb and may consume the gradient it is given."""
     unified = data.draw(st.integers(1, 3))
     if kind == FC:
         raw = data.draw(st.integers(1, 5))
@@ -171,7 +173,10 @@ def test_rm_kernels_equal_the_plain_formulas(data, kind, param_grads):
     else:
         raw = unified * data.draw(st.integers(1, 9))
         rm = RMSpec(kind)
-    R = data.draw(batches(raw))
+    if lr is None:
+        R = data.draw(batches(raw))
+    else:
+        R = data.draw(arrays(np.float64, (data.draw(st.integers(1, 10)), raw), elements=FINITE))
     fc_arrays = net_arrays(rm.net) if kind == FC else []
     before = snapshot(R, *fc_arrays)
     with np.errstate(all="ignore"):
@@ -180,16 +185,21 @@ def test_rm_kernels_equal_the_plain_formulas(data, kind, param_grads):
     assert same(mapped, want)
     if kind == MP:
         assert same(cache.argmax, aux)
+    assert snapshot(R, *fc_arrays) == before
     g = data.draw(arrays(np.float64, mapped.shape, elements=FINITE))
-    given_arrays = [R, *fc_arrays, g, mapped]
-    before += snapshot(g, mapped)
+    steps = kind == FC and lr is not None
+    kept = [R, mapped] if steps else [R, mapped, g, *fc_arrays]
+    before = snapshot(*kept)
     with np.errstate(all="ignore"):
-        grad_raw, fc_grads = rm_backward(g, rm, cache, param_grads=param_grads)
         want_raw, want_fc = reference_rm_backward(g, rm, raw // unified, aux)
+        if steps:
+            want_arrays = [
+                p - lr * gp
+                for l, gw, gb in zip(rm.net.layers, want_fc.weight_grads, want_fc.bias_grads)
+                for p, gp in ((l.weight, gw), (l.bias, gb))
+            ]
+        grad_raw = rm_backward(g, rm, cache, lr=None if lr is None else np.array(lr))
     assert same(grad_raw, want_raw)
-    if kind == FC and param_grads:
-        assert all_same(fc_grads.weight_grads, want_fc.weight_grads)
-        assert all_same(fc_grads.bias_grads, want_fc.bias_grads)
-    else:
-        assert fc_grads is None
-    assert snapshot(*given_arrays) == before
+    if steps:
+        assert all_same(fc_arrays, want_arrays)
+    assert snapshot(*kept) == before

@@ -31,8 +31,8 @@ def test_count_round_representation_only_reference_values():
     protocol.count_round(ledger, 10, 512, 10)
     assert ledger.upload_history[-1] == 5120
     assert ledger.broadcast_history[-1] == 51300
-    assert ledger.upload_total == 10240
-    assert ledger.broadcast_total == 564300
+    assert sum(ledger.upload_history) == 10240
+    assert sum(ledger.broadcast_history) == 564300
 
 
 def test_count_round_with_labels_counts_soft_label_payload():
@@ -103,6 +103,26 @@ def composed_loss(extractor, rm, classifier, Xb, targets, reg=None):
     return loss
 
 
+def stepped_gradients(extractor, rm, classifier, Xb, targets, reg=None):
+    """(loss, extractor, classifier and fc gradients or None) of one
+    local_gradients step on clones at lr 1: each gradient read as the
+    parameters before the step minus those after it."""
+    nets_before = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
+    stepped = [nets.clone(net) for net in nets_before]
+    rm_stepped = RMSpec(FC, stepped[2]) if rm.kind == FC else rm
+    loss = protocol.local_gradients(
+        stepped[0], rm_stepped, stepped[1], Xb, targets, reg, np.array(1.0)
+    )
+    grads = [
+        nets.GradientSet(
+            [a.weight - b.weight for a, b in zip(net.layers, after.layers)],
+            [a.bias - b.bias for a, b in zip(net.layers, after.layers)],
+        )
+        for net, after in zip(nets_before, stepped)
+    ]
+    return loss, grads[0], grads[1], grads[2] if rm.kind == FC else None
+
+
 def fd_check_net(loss_of_net, net, analytic, eps=1e-5, floor=1e-6):
     worst = 0.0
     for li in range(len(net.layers)):
@@ -134,7 +154,7 @@ def test_local_gradients_match_finite_differences(rm_kind):
     classifier = protocol.make_classifier(3, 3, rng)
     Xb = rng.normal(size=(4, 2))
     targets = nets.one_hot_matrix(rng.integers(3, size=4), 3)
-    loss, ext_grads, cls_grads, fc_grads = protocol.local_gradients(
+    loss, ext_grads, cls_grads, fc_grads = stepped_gradients(
         extractor, rm, classifier, Xb, targets
     )
     assert loss == pytest.approx(
@@ -175,8 +195,8 @@ def test_local_gradients_prototype_pull_matches_finite_differences():
     rows = rng.normal(size=(4, 3))
     mask = np.array([1.0, 0.0, 1.0, 1.0])  # one row has no prototype
     reg = (0.3, rows, mask)
-    loss, ext_grads, cls_grads, _ = protocol.local_gradients(
-        extractor, rm, classifier, Xb, targets, proto_reg=reg
+    loss, ext_grads, cls_grads, _ = stepped_gradients(
+        extractor, rm, classifier, Xb, targets, reg
     )
     assert loss == pytest.approx(
         composed_loss(extractor, rm, classifier, Xb, targets, reg), abs=1e-12
@@ -339,6 +359,9 @@ def hand_built_client(test_X, test_y):
         train=ds,
         test=ds,
         rng=np.random.default_rng(0),
+        lr=0.05,
+        batch_size=16,
+        epochs=1,
     )
 
 
@@ -481,7 +504,7 @@ def test_run_round_accounts_participants():
     assert metrics.upload_scalars == 3 * d
     assert metrics.broadcast_scalars == 3 * (d * C + C)
     ledger = protocol.count_round(protocol.CommLedger(), 3, d, C)
-    assert ledger.upload_total == metrics.upload_scalars
+    assert sum(ledger.upload_history) == metrics.upload_scalars
     assert 0.0 <= metrics.mean_acc <= 1.0
     record = metrics.to_record(0)
     assert set(record) == {

@@ -16,7 +16,7 @@ from fedre import entangle, inversion, nets, runner
 from fedre.config import parse_config
 from fedre.entangle import FC, RM_KINDS, RMSpec, rm_apply, rm_backward
 
-from helpers import one_row_client_attack, one_row_descent
+from helpers import net_params_equal, one_row_client_attack, one_row_descent
 
 
 def small_world(seed=0, rm_op="ap", mechanism="rap", restarts=2, num_targets=2,
@@ -252,13 +252,15 @@ def test_stacked_invert_rejects_misshapen_inits_and_targets():
         inversion.invert(extractor, RMSpec("ap"), np.zeros((0, 2)), 1, 0.1, np.zeros((0, 1, 2)))
 
 
-def test_rm_backward_without_param_grads_gives_the_same_input_gradient():
+def test_rm_backward_without_lr_leaves_the_fc_mapping_alone():
+    """The attack's call: the input gradient of backprop on a stack, and
+    the mapping's parameters untouched."""
     rng = np.random.default_rng(3)
     rm = RMSpec(FC, nets.init_dense([4, 2], [nets.IDENTITY], rng))
+    before = nets.clone(rm.net)
     reps = rng.standard_normal((5, 1, 4))
     G = rng.standard_normal((5, 1, 2))
     _, cache = rm_apply(reps, rm, 2)
-    grad_in, fc_grads = rm_backward(G, rm, cache)
-    grad_in_only, none = rm_backward(G, rm, cache, param_grads=False)
-    assert fc_grads is not None and none is None
-    np.testing.assert_array_equal(grad_in_only, grad_in)
+    _, grad_in = nets.backprop(rm.net, cache.fc_cache, G)
+    np.testing.assert_array_equal(rm_backward(G, rm, cache), grad_in)
+    assert net_params_equal(rm.net, before)

@@ -64,19 +64,15 @@ def test_layer_stacks_equal_2d_calls_row_by_row(world):
     out, cache = nets.forward_pass(extractor, X)
     mapped, rm_cache = rm_apply(out, rm, unified)
     G = np.random.default_rng(0).standard_normal(mapped.shape)
-    grad_reps, fc_grads = rm_backward(G, rm, rm_cache)
+    grad_reps = rm_backward(G, rm, rm_cache)
     grads, grad_x = nets.backprop(extractor, cache, grad_reps)
     for r in range(X.shape[0]):
         out_r, cache_r = nets.forward_pass(extractor, X[r])
         np.testing.assert_array_equal(out[r], out_r)
         mapped_r, rm_cache_r = rm_apply(out_r, rm, unified)
         np.testing.assert_array_equal(mapped[r], mapped_r)
-        grad_reps_r, fc_grads_r = rm_backward(G[r], rm, rm_cache_r)
+        grad_reps_r = rm_backward(G[r], rm, rm_cache_r)
         np.testing.assert_array_equal(grad_reps[r], grad_reps_r)
-        if rm.kind == FC:
-            for g, g_r in zip(fc_grads.weight_grads + fc_grads.bias_grads,
-                              fc_grads_r.weight_grads + fc_grads_r.bias_grads):
-                np.testing.assert_array_equal(g[r], g_r)
         grads_r, grad_x_r = nets.backprop(extractor, cache_r, grad_reps_r)
         np.testing.assert_array_equal(grad_x[r], grad_x_r)
         for g, g_r in zip(grads.weight_grads + grads.bias_grads,
