@@ -65,7 +65,7 @@ def main(argv=None):
             f"  broadcast/round {summary.broadcast_total / rounds:6.0f}"
         )
         if name == "fedre (rs)" and args.output:
-            runner.export_summary(summary, "jsonl", args.output)
+            runner.export_records(runner.summary_records(summary), "jsonl", args.output)
             print(f"  wrote {args.output}")
     print(f"gap (rs - fs): {acc['fedre (rs)'] - acc['fedre (fs)']:.2f} points")
 

@@ -11,14 +11,15 @@ FEDRE_OUTPUT_DIR, when set, re-roots every output file into that directory.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_to_dict, load_config
-from .runner import TARGET_KINDS, build_worlds, export_records, export_summary
-from .runner import run_experiment, run_inversion_study, run_sweep
+from .config import ConfigError, load_config
+from .runner import TARGET_KINDS, build_worlds, export_records, run_experiment
+from .runner import run_inversion_study, run_sweep, summary_records
 
 OUTPUT_DIR_ENV = "FEDRE_OUTPUT_DIR"
 
@@ -42,16 +43,17 @@ def resolve_output_path(path):
     return out
 
 
-def _format_from(path, explicit):
-    if explicit:
-        return explicit
-    return "csv" if str(path).endswith(".csv") else "jsonl"
+def _export(summary, path):
+    """Write per-round metrics to path: csv for a .csv path, else jsonl."""
+    fmt = "csv" if str(path).endswith(".csv") else "jsonl"
+    export_records(summary_records(summary), fmt, path)
+    return fmt
 
 
 def _print_summary(summary):
     print(
         f"final mean accuracy {100 * summary.mean_acc:.2f}%"
-        f" +- {100 * summary.std_acc:.2f} over {len(summary.seeds)} seed(s);"
+        f" +- {100 * summary.std_acc:.2f} over {len(summary.traces)} seed(s);"
         f" upload {summary.upload_total} / broadcast {summary.broadcast_total}"
         " scalars per seed"
     )
@@ -63,8 +65,7 @@ def cmd_run(args):
     cfg = load_config(args.config)
     out = resolve_output_path(args.output or cfg.output_path)
     summary = run_experiment(cfg)
-    fmt = _format_from(out, args.format)
-    export_summary(summary, fmt, out)
+    fmt = _export(summary, out)
     _print_summary(summary)
     print(f"wrote {fmt} metrics to {out}")
     return 0
@@ -90,7 +91,7 @@ def cmd_sweep(args):
             )
         outs[out] = value
     for out, (value, _, summary) in zip(outs, run_sweep(base, args.key, values)):
-        export_summary(summary, _format_from(out, args.format), out)
+        _export(summary, out)
         print(f"{args.key}={value}: ", end="")
         _print_summary(summary)
         print(f"  wrote {out}")
@@ -118,7 +119,7 @@ def cmd_validate(args):
     resolve_output_path(cfg.output_path)
     build_worlds(cfg)  # the checks that need the data (pat dealing, csv contents)
     print(f"{args.config} is valid; effective settings:")
-    print(json.dumps(config_to_dict(cfg), indent=2))
+    print(json.dumps(dataclasses.asdict(cfg), indent=2))
     return 0
 
 
@@ -132,7 +133,6 @@ def build_parser():
     p = sub.add_parser("run", help="run a config and export metrics")
     p.add_argument("config")
     p.add_argument("--output", help="override the config's output path")
-    p.add_argument("--format", choices=("jsonl", "csv"))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="re-run a config over values of one key")
@@ -140,7 +140,6 @@ def build_parser():
     p.add_argument("--key", required=True, help="dotted config key, e.g. partition.alpha")
     p.add_argument("--values", required=True, nargs="+", help="JSON literals")
     p.add_argument("--output", help="override the config's output path")
-    p.add_argument("--format", choices=("jsonl", "csv"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("invert", help="run the input-reconstruction study")

@@ -3,9 +3,10 @@
 Configs are plain JSON objects. Every field has a default except the ones a
 run cannot invent (nothing, currently: a minimal ``{}`` runs the default
 blob experiment). Unknown keys are rejected by name so typos never silently
-fall back to defaults, and every value is checked against its field's type
-before validation compares it with anything. A numeric field's range is
-stated once, on the field, and every number must be finite.
+fall back to defaults, and every value, parsed or set in code, is checked
+against its field's type before validation compares it with anything. A
+numeric field's range is stated once, on the field, and every number must
+be finite.
 
 Validation boundary: a rule a config can state is stated and checked here
 only, each ``Literal`` choice and each field's bound. The library below runs
@@ -126,11 +127,14 @@ class ExperimentConfig:
 
 def _check_fields(group, prefix=""):
     """Check every field of group and its sub-configs against its
-    annotation: a Literal's choices, a float's finiteness (NaN, infinities
-    and integers past the float range fail), an int's fit in an index
-    (sys.maxsize) and a bounded field's range, NaN failing it too."""
+    annotation: its type (_checked, whose value it keeps), a Literal's
+    choices, a float's finiteness (NaN, infinities and integers past the
+    float range fail), an int's fit in an index (sys.maxsize) and a bounded
+    field's range, NaN failing it too."""
     for f in dataclasses.fields(group):
-        name, value = prefix + f.name, getattr(group, f.name)
+        name = prefix + f.name
+        value = _checked(name, getattr(group, f.name), f.type)
+        setattr(group, f.name, value)
         kinds = typing.get_args(f.type) or (f.type,)
         if dataclasses.is_dataclass(value):
             _check_fields(value, name + ".")
@@ -170,7 +174,8 @@ def _as_int(value):
 def _int_list(name, value):
     ints = [_as_int(v) for v in value] if isinstance(value, list) else [None]
     if None in ints:
-        raise ConfigError(f"{name} must be a list of integers, not {json.dumps(value)}")
+        shown = json.dumps(value, default=repr)
+        raise ConfigError(f"{name} must be a list of integers, not {shown}")
     return ints
 
 
@@ -178,8 +183,6 @@ def _checked(name, value, kind):
     """value, checked against its field's type annotation kind: a bool is
     not an integer and an integer is a number. seeds and architectures
     entries may also be integral floats or integer strings, made ints."""
-    if dataclasses.is_dataclass(kind):
-        return _from_mapping(kind, value, prefix=name + ".")
     if name == "seeds":
         return _int_list(name, value)
     if name == "architectures":
@@ -193,19 +196,22 @@ def _checked(name, value, kind):
     kinds = typing.get_args(kind) or (kind,)
     accepted = kinds + (int,) if float in kinds else kinds
     if isinstance(value, bool) or not isinstance(value, accepted):
-        expected = " or ".join(_KINDS[k] for k in kinds)
-        raise ConfigError(f"{name} must be {expected}, not {json.dumps(value)}")
+        expected = " or ".join(_KINDS.get(k) or f"a {k.__name__}" for k in kinds)
+        raise ConfigError(f"{name} must be {expected}, not {json.dumps(value, default=repr)}")
     return value
 
 
 def _from_mapping(cls, mapping, prefix=""):
+    """cls from a JSON object, each sub-config from its own; validate checks
+    the values."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{prefix[:-1] or 'config'} must be a JSON object")
     unknown = set(mapping) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown config key {prefix + sorted(unknown)[0]!r}")
     return cls(**{
-        f.name: _checked(prefix + f.name, mapping[f.name], f.type)
+        f.name: _from_mapping(f.type, mapping[f.name], prefix + f.name + ".")
+        if dataclasses.is_dataclass(f.type) else mapping[f.name]
         for f in dataclasses.fields(cls)
         if f.name in mapping
     })
@@ -225,7 +231,3 @@ def load_config(path):
         except ValueError as e:  # bad syntax, too many digits, or not UTF-8
             raise ConfigError(f"{path} is not valid JSON: {e}") from e
     return parse_config(raw)
-
-
-def config_to_dict(cfg):
-    return dataclasses.asdict(cfg)

@@ -92,20 +92,13 @@ class EntangledPacket:
     y_tilde: np.ndarray  # (num_classes,)
 
 
-@dataclass(eq=False)
-class RMCache:
-    kind: str
-    m: int = 1
-    argmax: np.ndarray | None = None  # (..., n, unified_dim) winner offsets for mp
-    fc_cache: object = None
-
-
 def rm_apply(R, rm, unified_dim):
     """Map a batch (or a stack of batches) of raw representations.
 
-    Returns (mapped (..., n, unified_dim), RMCache) so gradients can be
-    routed back through the mapping. Stacks follow nets.forward_pass: each
-    row of a stacked call equals the 2-d call on that row bitwise.
+    Returns (mapped (..., n, unified_dim), cache), cache being what
+    rm_backward reads: the fc net's BatchCache, the block size m under ap,
+    or (m, each block's argmax offset) under mp. Stacks follow forward_pass:
+    each row of a stacked call equals the 2-d call on that row bitwise.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim < 2:
@@ -118,8 +111,7 @@ def rm_apply(R, rm, unified_dim):
                 f"fc mapping is {net.input_dim}->{net.output_dim}, need "
                 f"{raw_dim}->{unified_dim}"
             )
-        out, cache = forward_pass(net, R)
-        return out, RMCache(FC, fc_cache=cache)
+        return forward_pass(net, R)
     if raw_dim % unified_dim != 0:
         raise ShapeError(
             f"raw dimension {raw_dim} is not divisible by unified dimension "
@@ -131,12 +123,12 @@ def rm_apply(R, rm, unified_dim):
         # the arithmetic of blocks.mean(axis=-1), in two cheap calls
         mapped = np.add.reduce(blocks, axis=-1)
         mapped /= m
-        return mapped, RMCache(AP, m=m)
+        return mapped, m
     if rm.kind != MP:
         raise ValueError(f"unknown rm kind {rm.kind!r}")
     winners = blocks.argmax(axis=-1)
     mapped = np.take_along_axis(blocks, winners[..., None], axis=-1)[..., 0]
-    return mapped, RMCache(MP, m=m, argmax=winners)
+    return mapped, (m, winners)
 
 
 def rm_backward(grad_mapped, rm, cache, lr=None):
@@ -150,14 +142,14 @@ def rm_backward(grad_mapped, rm, cache, lr=None):
     g = np.asarray(grad_mapped, dtype=float)
     if g.ndim < 2:
         raise ShapeError("rm_backward takes a batch of gradient rows")
-    if cache.kind == FC:
-        return _backward(rm.net, cache.fc_cache, g, param_grads=False, lr=lr)[1]
-    m = cache.m
-    if cache.kind == AP:
-        # each of a block's m entries gets g / m
-        return (g / m).repeat(m, axis=-1)
+    if rm.kind == FC:
+        return _backward(rm.net, cache, g, param_grads=False, lr=lr)[1]
+    if rm.kind == AP:
+        # each of a block's m = cache entries gets g / m
+        return (g / cache).repeat(cache, axis=-1)
+    m, winners = cache
     grad_blocks = np.zeros(g.shape + (m,))
-    np.put_along_axis(grad_blocks, cache.argmax[..., None], g[..., None], axis=-1)
+    np.put_along_axis(grad_blocks, winners[..., None], g[..., None], axis=-1)
     return grad_blocks.reshape(g.shape[:-1] + (g.shape[-1] * m,))
 
 

@@ -49,15 +49,14 @@ class SeedTrace:
     seed: int
     records: list  # RoundMetrics per round
     final_mean_acc: float
-    failed: bool = False
-    error: str | None = None
+    error: str | None = None  # "Type: message" when the seed failed
+
+    failed = property(lambda self: self.error is not None)
 
 
 @dataclass
 class RunSummary:
-    seeds: list
     traces: list  # SeedTrace per seed
-    per_seed_final_acc: list  # None for failed seeds
     mean_acc: float
     std_acc: float
     failed_seeds: list
@@ -235,14 +234,12 @@ def _experiment(cfg, worlds):
 
     traces = [
         SeedTrace(seed, *result) if error is None
-        else SeedTrace(seed, [], float("nan"), failed=True, error=error)
+        else SeedTrace(seed, [], float("nan"), error)
         for seed, result, error in _run_seeds(worlds, one_seed)
     ]
     ok = [t.final_mean_acc for t in traces if not t.failed]
     return RunSummary(
-        seeds=list(cfg.seeds),
         traces=traces,
-        per_seed_final_acc=[None if t.failed else t.final_mean_acc for t in traces],
         mean_acc=float(np.mean(ok)) if ok else float("nan"),
         std_acc=float(np.std(ok)) if ok else float("nan"),
         failed_seeds=[t.seed for t in traces if t.failed],
@@ -279,11 +276,6 @@ def export_records(records, fmt, path):
                 r["broadcast_scalars"],
             ] for r in records)
     return path
-
-
-def export_summary(summary, fmt, path):
-    """Write per-round metrics as jsonl or csv (export_records); returns the path."""
-    return export_records(summary_records(summary), fmt, path)
 
 
 def apply_override(mapping, dotted_key, value):

@@ -5,10 +5,11 @@ import json
 import math
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 
-from fedre import config
+from fedre import config, presets
 
 
 def test_empty_mapping_yields_runnable_defaults():
@@ -79,6 +80,31 @@ def test_ill_typed_values_are_config_errors(mapping, message):
         config.parse_config(mapping)
 
 
+def built_in_code(mapping):
+    """The ExperimentConfig a mapping describes, built directly, each
+    sub-config from its own mapping, so that no parse check runs."""
+    groups = {f.name: f.type for f in dataclasses.fields(config.ExperimentConfig)}
+    return config.ExperimentConfig(**{
+        k: groups[k](**v) if isinstance(v, dict) else v for k, v in mapping.items()
+    })
+
+
+@pytest.mark.parametrize(
+    "mapping, message", [case for case in ILL_TYPED if case[0] != {"dataset": "blobs"}]
+)
+def test_validate_runs_the_type_checks_of_parse(mapping, message):
+    """A config edited in code (a preset, a script, the benchmark) gets
+    only validate(); it rejects an ill-typed value with parse's message."""
+    cfg = built_in_code(mapping)
+    with pytest.raises(config.ConfigError, match=message):
+        cfg.validate()
+
+
+def test_validate_rejects_a_sub_config_of_another_type():
+    with pytest.raises(config.ConfigError, match="^dataset must be a DatasetConfig"):
+        config.ExperimentConfig(dataset="blobs").validate()
+
+
 def test_well_typed_values_pass():
     cfg = config.parse_config({
         "client_lr": 1,  # an integer is a number
@@ -88,10 +114,14 @@ def test_well_typed_values_pass():
     assert cfg.client_lr == 1 and cfg.inversion.data_range is None
 
 
-def test_seed_and_architecture_coercion():
-    cfg = config.parse_config(
-        {"num_clients": 2, "seeds": ["3", 4.0], "architectures": [["8"], [16.0]]}
-    )
+@pytest.mark.parametrize("in_code", [False, True], ids=["parsed", "built_in_code"])
+def test_seed_and_architecture_coercion(in_code):
+    mapping = {"num_clients": 2, "seeds": ["3", 4.0], "architectures": [["8"], [16.0]]}
+    if in_code:
+        cfg = built_in_code(mapping)
+        cfg.validate()
+    else:
+        cfg = config.parse_config(mapping)
     assert cfg.seeds == [3, 4]
     assert cfg.architectures == [[8], [16]]
 
@@ -203,15 +233,26 @@ def test_direct_construction_validates_too():
     assert cfg.architectures == [[16]] * 3
 
 
+def test_the_shipped_example_config_is_the_toy_preset():
+    """configs/toy_fedre.json, which the README's CLI examples run, is the
+    toy comparison preset with the toy attack's inversion settings."""
+    cfg = config.load_config(Path(__file__).resolve().parent.parent / "configs" / "toy_fedre.json")
+    shipped, preset = dataclasses.asdict(cfg), dataclasses.asdict(presets.toy_comparison_config())
+    for d in (shipped, preset):
+        del d["output_path"], d["inversion"]
+    assert shipped == preset
+    assert cfg.inversion == presets.toy_inversion_config().inversion
+
+
 def test_load_and_save_round_trip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"rounds": 7, "dataset": {"classes": 3}}))
     cfg = config.load_config(p)
     assert cfg.rounds == 7
     out = tmp_path / "echo.json"
-    out.write_text(json.dumps(config.config_to_dict(cfg)))
+    out.write_text(json.dumps(dataclasses.asdict(cfg)))
     again = config.load_config(out)
-    assert config.config_to_dict(again) == config.config_to_dict(cfg)
+    assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
 
 def test_load_config_reports_invalid_json(tmp_path):

@@ -77,7 +77,7 @@ def test_rm_fc_is_the_net_forward():
     mapped, cache = en.rm_apply(R, en.RMSpec(en.FC, net), 4)
     direct, _ = nets.forward_pass(net, R)
     np.testing.assert_array_equal(mapped, direct)
-    assert cache.kind == en.FC
+    assert isinstance(cache, nets.BatchCache) and cache.inputs is R
 
 
 def test_rm_fc_dimension_mismatch_raises():

@@ -5,7 +5,8 @@ re-exported through its ``__all__``. Every public function and class of
 ``src/fedre`` must have a caller outside the tests: in ``src/``,
 ``scripts/`` or perfbench's non-test files, in perfbench's ``TRACED`` list,
 or in ``fedre.__all__``. Every defaulted parameter of a public function
-must be passed by some call in that same live code.
+must be passed by some call in that same live code, and every field of a
+dataclass must be read there.
 """
 
 import ast
@@ -148,6 +149,64 @@ def test_the_check_finds_an_unused_public_name():
     assert unused_public_names(package, callers, roots={"traced"}) == [
         "Unused", "dead", "only_dead_calls_me"
     ]
+
+
+# ------------------------------------------------ fields nothing reads
+
+
+def unread_fields(package, callers):
+    """The "Class.field" fields of the package's top-level dataclasses that
+    no code in the package or the callers reads, sorted. A field is read
+    where an attribute load names it or a string constant equals its name
+    (getattr(r, "iterations")); a keyword argument or a store is no read."""
+    read = set()
+    for tree in list(package) + list(callers):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted(
+        f"{node.name}.{stmt.target.id}"
+        for tree in package
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in referenced(d) for d in node.decorator_list
+        )
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    )
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    unread = unread_fields([parse(p) for p in MODULES], [parse(p) for p in CALLERS])
+    assert not unread, f"dataclass fields only the tests read: {unread}"
+
+
+def test_the_check_finds_a_field_nothing_reads():
+    package = [
+        ast.parse(
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class A:\n"
+            "    read: int\n"
+            "    by_name: int\n"
+            "    stored: int\n"
+            "    passed: int = 0\n"
+            "@dataclasses.dataclass(eq=False)\n"
+            "class B:\n"
+            "    unread: list\n"
+            "class NotADataclass:\n"
+            "    ignored: int\n"
+            "def f(a, b):\n"
+            "    a.stored = a.read\n"
+            "    return A(1, 2, 3, passed=4), getattr(b, 'by_name')\n"
+        )
+    ]
+    callers = [ast.parse("import pkg\npkg.A.read\n")]
+    assert unread_fields(package, callers) == ["A.passed", "A.stored", "B.unread"]
 
 
 # ------------------------------------------- parameters only the tests set

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedre import nets
-from fedre.entangle import FC, MP, RM_KINDS, RMSpec, rm_apply, rm_backward
+from fedre.entangle import AP, FC, MP, RM_KINDS, RMSpec, rm_apply, rm_backward
 
 from helpers import (
     reference_backward,
@@ -183,8 +183,10 @@ def test_rm_kernels_equal_the_plain_formulas(data, kind, lr):
         mapped, cache = rm_apply(R, rm, unified)
         want, aux = reference_rm_apply(R, rm, unified)
     assert same(mapped, want)
-    if kind == MP:
-        assert same(cache.argmax, aux)
+    if kind == AP:
+        assert cache == raw // unified
+    elif kind == MP:
+        assert cache[0] == raw // unified and same(cache[1], aux)
     assert snapshot(R, *fc_arrays) == before
     g = data.draw(arrays(np.float64, mapped.shape, elements=FINITE))
     steps = kind == FC and lr is not None

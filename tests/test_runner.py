@@ -165,7 +165,7 @@ def test_run_experiment_is_reproducible():
     cfg = tiny_config()
     a = runner.run_experiment(cfg)
     b = runner.run_experiment(cfg)
-    assert a.per_seed_final_acc == b.per_seed_final_acc
+    assert [t.final_mean_acc for t in a.traces] == [t.final_mean_acc for t in b.traces]
     assert a.mean_acc == b.mean_acc
     for ta, tb in zip(a.traces, b.traces):
         assert [m.mean_acc for m in ta.records] == [m.mean_acc for m in tb.records]
@@ -184,9 +184,9 @@ def test_a_repeated_seed_runs_again_on_a_world_of_its_own():
 def test_run_experiment_aggregates_over_seeds():
     cfg = tiny_config()
     summary = runner.run_experiment(cfg)
-    assert summary.seeds == [0, 1]
+    assert [t.seed for t in summary.traces] == [0, 1]
     assert summary.failed_seeds == []
-    vals = summary.per_seed_final_acc
+    vals = [t.final_mean_acc for t in summary.traces]
     assert summary.mean_acc == pytest.approx(np.mean(vals))
     assert summary.std_acc == pytest.approx(np.std(vals))
     assert summary.upload_total == 2 * 2 * 4  # rounds * clients * unified_dim
@@ -219,7 +219,7 @@ def test_run_experiment_records_failed_seeds(monkeypatch):
     assert summary.failed_seeds == [0]
     assert summary.traces[0].failed
     assert "DivergedError" in summary.traces[0].error
-    assert summary.per_seed_final_acc[0] is None
+    assert np.isnan(summary.traces[0].final_mean_acc) and summary.traces[0].records == []
     # the surviving seed still aggregates
     assert not summary.traces[1].failed
     assert summary.mean_acc == pytest.approx(summary.traces[1].final_mean_acc)
@@ -258,7 +258,7 @@ def test_fedproto_strategy_runs_through_runner():
 def test_export_jsonl_round_trips_records(tmp_path):
     cfg = tiny_config()
     summary = runner.run_experiment(cfg)
-    path = runner.export_summary(summary, "jsonl", tmp_path / "m.jsonl")
+    path = runner.export_records(runner.summary_records(summary), "jsonl", tmp_path / "m.jsonl")
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == 4  # 2 seeds * 2 rounds
     assert list(lines[0]) == [
@@ -276,12 +276,13 @@ def test_export_jsonl_round_trips_records(tmp_path):
 def test_export_csv_header_and_rows(tmp_path):
     cfg = tiny_config()
     summary = runner.run_experiment(cfg)
-    path = runner.export_summary(summary, "csv", tmp_path / "m.csv")
+    records = runner.summary_records(summary)
+    path = runner.export_records(records, "csv", tmp_path / "m.csv")
     rows = path.read_text().splitlines()
     assert rows[0] == "seed,round,mean_acc,upload,broadcast"
     assert len(rows) == 5
     with pytest.raises(ValueError):
-        runner.export_summary(summary, "yaml", tmp_path / "m.yaml")
+        runner.export_records(records, "yaml", tmp_path / "m.yaml")
 
 
 def test_export_writes_a_non_finite_float_as_null(tmp_path):

@@ -261,6 +261,6 @@ def test_rm_backward_without_lr_leaves_the_fc_mapping_alone():
     reps = rng.standard_normal((5, 1, 4))
     G = rng.standard_normal((5, 1, 2))
     _, cache = rm_apply(reps, rm, 2)
-    _, grad_in = nets.backprop(rm.net, cache.fc_cache, G)
+    _, grad_in = nets.backprop(rm.net, cache, G)
     np.testing.assert_array_equal(rm_backward(G, rm, cache), grad_in)
     assert net_params_equal(rm.net, before)

@@ -42,7 +42,7 @@ def reference_local_gradients(extractor, rm, classifier, Xb, targets, proto_reg)
         loss += lam * float((diffs**2).sum()) / n
         grad_mapped = grad_mapped + (2.0 * lam / n) * diffs
     if rm.kind == FC:
-        fc_grads, grad_reps = nets.backprop(rm.net, rm_cache.fc_cache, grad_mapped)
+        fc_grads, grad_reps = nets.backprop(rm.net, rm_cache, grad_mapped)
     else:
         fc_grads, grad_reps = None, rm_backward(grad_mapped, rm, rm_cache)
     ext_grads, _ = nets.backprop(extractor, ext_cache, grad_reps)
