@@ -4,9 +4,10 @@ One round: clients train and upload packets, the server trains on them (or
 averages them), the trained clients are scored, and the round's metrics
 count the traffic. A round changes none of its inputs: it returns every
 state it changes. A client uploads one PacketBlock of k packets, one per
-row, and the server gets the participants' blocks concatenated. A client
-that sat the round out is unchanged and keeps its previous score. Five
-upload policies share that round:
+row (a fedre client's entangled packet is a one-row block), and the server
+gets the participants' blocks concatenated. A client that sat the round
+out is unchanged and keeps its previous score. Five upload policies share
+that round:
 
   local          no uploads (k = 0), no broadcast; clients train alone
   fed_all_rep    one packet per training sample (upper communication bound)
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .entangle import ReMechanism, compute_prototypes, rm_apply
+from .entangle import PacketBlock, ReMechanism, compute_prototypes, rm_apply
 from .nets import one_hot_matrix
 from .protocol import (
     REPRESENTATION_PLUS_LABEL,
@@ -62,36 +63,23 @@ class Strategy:
     lambda_proto: float = 0.1
 
 
-@dataclass(eq=False)
-class PacketBlock:
-    """One client's upload: k packets, one per row."""
-
-    reps: np.ndarray  # (k, unified_dim)
-    labels: np.ndarray  # (k, num_classes)
-    weights: np.ndarray | None = None  # fedre: the entangling weights
-
-    def __len__(self):
-        return self.reps.shape[0]
-
-
-def packets_for(strategy, client, unified_dim):
+def packets_for(strategy, client):
     """The PacketBlock this client uploads under the given strategy.
 
     A fedre client entangles with its frozen weights when it has them (fs
     after the first packet), else with a fresh draw from its stream.
     """
-    num_classes = client.classifier.output_dim
+    d, num_classes = client.classifier.input_dim, client.classifier.output_dim
     if strategy.kind == LOCAL:
-        return PacketBlock(np.zeros((0, unified_dim)), np.zeros((0, num_classes)))
+        return PacketBlock(np.zeros((0, d)), np.zeros((0, num_classes)))
     if strategy.kind == FEDRE:
-        p, w = client_make_packet(client, strategy.mech, unified_dim, weights=client.weights)
-        return PacketBlock(p.r_tilde[None, :], p.y_tilde[None, :], w)
+        return client_make_packet(client, strategy.mech, weights=client.weights)
     rep_set = client_representation_set(client)
+    mapped, _ = rm_apply(rep_set.reps, client.rm, d)
     if strategy.kind == FED_ALL_REP:
-        mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
         return PacketBlock(mapped, rep_set.labels_onehot)
     if strategy.kind in (FEDGH_STYLE, FEDPROTO_STYLE):  # one prototype per present category
-        protos = compute_prototypes(rep_set, client.rm, unified_dim)
+        protos = compute_prototypes(mapped, rep_set.labels)
         return PacketBlock(
             np.stack([p for _, p in protos]),
             one_hot_matrix([c for c, _ in protos], num_classes),
@@ -138,12 +126,6 @@ def ledger_for(
     raise ValueError(f"unknown strategy {strategy.kind!r}")
 
 
-def average_prototypes(reps, labels):
-    """Per-category mean of prototype rows; a row's category is its label's argmax."""
-    cats = labels.argmax(axis=1)
-    return {int(c): reps[cats == c].mean(axis=0) for c in np.unique(cats)}
-
-
 def strategy_round(
     strategy,
     clients,
@@ -188,7 +170,7 @@ def strategy_round(
         trained = client_local_update(
             c, server.classifier if broadcast else None, proto_reg=proto_reg
         )
-        blocks.append(packets_for(strategy, trained, d))
+        blocks.append(packets_for(strategy, trained))
         if strategy.resample == FIXED:
             trained = replace(trained, weights=blocks[-1].weights)
         elif strategy.resample != RESAMPLED:
@@ -202,7 +184,7 @@ def strategy_round(
         if broadcast:
             new_server = server_update(server, reps, labels)
         else:
-            protos = average_prototypes(reps, labels)
+            protos = dict(compute_prototypes(reps, labels.argmax(axis=1)))
     upload, down = ledger_for(
         strategy,
         len(participants),

@@ -4,7 +4,8 @@ A client maps its raw representations to a unified dimension (block average,
 block max, or a small learned layer), draws a normalized weight vector over
 its local samples with one of six mechanisms, and collapses the whole set
 into a single (r_tilde, y_tilde) packet: the weighted sum of mapped
-representations paired with the same weighting of the one-hot labels.
+representations paired with the same weighting of the one-hot labels. The
+packet is a one-row PacketBlock, the one upload format of every strategy.
 
 Weight mechanisms, grouped by what the weights attach to:
 
@@ -87,9 +88,15 @@ class RepresentationSet:
 
 
 @dataclass(eq=False)
-class EntangledPacket:
-    r_tilde: np.ndarray  # (unified_dim,)
-    y_tilde: np.ndarray  # (num_classes,)
+class PacketBlock:
+    """One client's upload: k packets, one per row."""
+
+    reps: np.ndarray  # (k, unified_dim)
+    labels: np.ndarray  # (k, num_classes)
+    weights: np.ndarray | None = None  # fedre: the entangling weights
+
+    def __len__(self):
+        return self.reps.shape[0]
 
 
 def rm_apply(R, rm, unified_dim):
@@ -216,25 +223,21 @@ def re_weights(rep_set, mech, rng):
     raise ValueError(f"unknown mechanism {kind!r}")
 
 
-def entangle(rep_set, w, rm, unified_dim):
-    """Collapse a representation set into one entangled packet.
+def entangle(mapped, labels_onehot, w):
+    """Collapse mapped representations into one entangled packet.
 
-    r_tilde = sum_i w_i * rm(rep_i), y_tilde = sum_i w_i * onehot_i.
+    Returns the one-row PacketBlock r_tilde = sum_i w_i * mapped_i,
+    y_tilde = sum_i w_i * onehot_i, carrying w.
     """
-    w = check_weight_vector(w, len(rep_set))
-    mapped, _ = rm_apply(rep_set.reps, rm, unified_dim)
-    return EntangledPacket(w @ mapped, w @ rep_set.labels_onehot)
+    w = check_weight_vector(w, len(mapped))
+    return PacketBlock((w @ mapped)[None, :], (w @ labels_onehot)[None, :], w)
 
 
-def compute_prototypes(rep_set, rm, unified_dim):
-    """Per-category means of the mapped representations.
+def compute_prototypes(mapped, labels):
+    """Per-category means of mapped rows; labels are their integer categories.
 
     Returns [(category, prototype)] sorted by category index.
     """
-    if len(rep_set) == 0:
+    if len(mapped) == 0:
         raise ValueError("cannot build prototypes from an empty set")
-    mapped, _ = rm_apply(rep_set.reps, rm, unified_dim)
-    labels = rep_set.labels
-    return [
-        (int(c), mapped[labels == c].mean(axis=0)) for c in np.unique(labels)
-    ]
+    return [(int(c), mapped[labels == c].mean(axis=0)) for c in np.unique(labels)]

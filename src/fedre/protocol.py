@@ -2,13 +2,14 @@
 
 Client steps: adopt the broadcast classifier, fine-tune locally (extractor,
 classifier, and learned mapping together), and collapse the mapped training
-representations into one entangled packet. Server step: train the shared
-classifier with soft-label cross-entropy on the uploaded packets, given as
-one (n, d) matrix and its (n, num_classes) labels. Every step returns new
-states and changes none of its inputs: the training steps draw from a fork
-of the input's RNG stream (fork_rng) and return the fork as the new state's
-stream. baselines.strategy_round runs the steps as one round; it calls
-evaluate_client only on the clients that round trained.
+representations into one entangled packet, a one-row PacketBlock. Server
+step: train the shared classifier with soft-label cross-entropy on the
+uploaded packets, given as one (n, d) matrix and its (n, num_classes)
+labels. Every step returns new states and changes none of its inputs: the
+training steps draw from a fork of the input's RNG stream (fork_rng) and
+return the fork as the new state's stream. baselines.strategy_round runs
+the steps as one round; it calls evaluate_client only on the clients that
+round trained.
 """
 
 import math
@@ -232,19 +233,20 @@ def client_local_update(client, global_classifier, proto_reg=None):
     return replace(client, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
 
 
-def client_make_packet(client, mech, unified_dim, weights=None):
+def client_make_packet(client, mech, weights=None):
     """Collapse the client's training set into one entangled packet.
 
     Weights are drawn fresh from the client's RNG stream unless an explicit
     vector is supplied (fixed-sampling replay); the draw advances that
     stream, so strategy_round hands in only a state it has just trained.
-    Returns (packet, weights).
+    Returns the one-row PacketBlock, carrying the weights it used.
     """
     if len(client.train) == 0:
         raise ValueError(f"client {client.client_id} has no training samples")
     rep_set = client_representation_set(client)
     w = re_weights(rep_set, mech, client.rng) if weights is None else weights
-    return entangle(rep_set, w, client.rm, unified_dim), w
+    mapped, _ = rm_apply(rep_set.reps, client.rm, client.classifier.input_dim)
+    return entangle(mapped, rep_set.labels_onehot, w)
 
 
 def server_update(server, reps, labels):

@@ -343,7 +343,7 @@ def _attack_client(inv, world, client):
 
     for i in rng.choice(len(X), size=min(inv.num_targets, len(X)), replace=False):
         add("raw", mapped[i], X[i])
-    protos = compute_prototypes(rep_set, client.rm, client.classifier.input_dim)
+    protos = compute_prototypes(mapped, y)
     for ci in rng.permutation(len(protos))[: inv.num_targets]:
         c, proto = protos[ci]
         add("prototype", proto, X[y == c])

@@ -5,13 +5,14 @@ import csv
 import math
 import pickle
 import signal
+from collections import namedtuple
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from fedre import baselines, data, nets, protocol, runner
-from fedre.entangle import EntangledPacket, RMSpec
+from fedre.entangle import RMSpec, compute_prototypes, entangle, rm_apply
 
 # ------------------------------------------------------- reference math
 
@@ -114,9 +115,24 @@ def check_label_encoding(p, atol=1e-9):
         raise ValueError("label encoding must sum to 1")
 
 
+Packet = namedtuple("Packet", "r_tilde y_tilde")
+
+
+def packet(block):
+    """The one packet of a one-row upload block, as (r_tilde, y_tilde)."""
+    assert block.reps.shape[0] == block.labels.shape[0] == len(block) == 1
+    return Packet(block.reps[0], block.labels[0])
+
+
+def entangled(rep_set, w, rm, unified_dim):
+    """The packet entangle makes of the set's representations mapped by rm."""
+    mapped, _ = rm_apply(rep_set.reps, rm, unified_dim)
+    return packet(entangle(mapped, rep_set.labels_onehot, w))
+
+
 def mixup_pair(r_i, y_i, r_j, y_j, lam):
     """Two-sample convex interpolation of mapped representations and labels."""
-    return EntangledPacket(lam * r_i + (1.0 - lam) * r_j, lam * y_i + (1.0 - lam) * y_j)
+    return Packet(lam * r_i + (1.0 - lam) * r_j, lam * y_i + (1.0 - lam) * y_j)
 
 
 def save_csv(ds, path):
@@ -382,7 +398,7 @@ def one_row_client_attack(inv, world, client):
     after the draws that chose the target: the picks, the category
     permutation, or the target's re_weights.
     """
-    from fedre.entangle import compute_prototypes, re_weights, rm_apply
+    from fedre.entangle import re_weights
     from fedre.inversion import InversionResult, dataset_range, score
 
     results = []
@@ -406,7 +422,7 @@ def one_row_client_attack(inv, world, client):
     picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
     for i in picks:
         attack(mapped[i], "raw", client.train.X[i])
-    protos_list = compute_prototypes(rep_set, client.rm, client.classifier.input_dim)
+    protos_list = compute_prototypes(mapped, rep_set.labels)
     cats = rng.permutation(len(protos_list))[: inv.num_targets]
     for ci in cats:
         c, proto = protos_list[ci]
@@ -428,7 +444,7 @@ def reference_packets(strategy, client, unified_dim, fs_weights):
     fs; a client's first packet draws its weights and stores them there.
     """
     from fedre import baselines
-    from fedre.entangle import compute_prototypes, entangle, re_weights, rm_apply
+    from fedre.entangle import re_weights
 
     if strategy.kind == baselines.LOCAL:
         return []
@@ -439,17 +455,17 @@ def reference_packets(strategy, client, unified_dim, fs_weights):
             w = re_weights(rep_set, strategy.mech, client.rng)
             if strategy.resample == baselines.FIXED:
                 fs_weights[client.client_id] = w
-        return [entangle(rep_set, w, client.rm, unified_dim)]
+        return [entangled(rep_set, w, client.rm, unified_dim)]
+    mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
     if strategy.kind == baselines.FED_ALL_REP:
-        mapped, _ = rm_apply(rep_set.reps, client.rm, unified_dim)
         return [
-            EntangledPacket(mapped[i].copy(), rep_set.labels_onehot[i].copy())
+            Packet(mapped[i].copy(), rep_set.labels_onehot[i].copy())
             for i in range(len(rep_set))
         ]
     num_classes = client.classifier.output_dim
     return [
-        EntangledPacket(p, nets.one_hot_matrix([c], num_classes)[0])
-        for c, p in compute_prototypes(rep_set, client.rm, unified_dim)
+        Packet(p, nets.one_hot_matrix([c], num_classes)[0])
+        for c, p in compute_prototypes(mapped, rep_set.labels)
     ]
 
 

@@ -120,7 +120,7 @@ def test_4_entanglement_property_suite():
                 mech = entangle.ReMechanism(kind, dist)
                 w = entangle.re_weights(rep_set, mech, rng)
                 worst["wsum"] = max(worst["wsum"], abs(float(w.sum()) - 1.0))
-                packet = entangle.entangle(rep_set, w, rm, unified_dim)
+                packet = helpers.entangled(rep_set, w, rm, unified_dim)
                 y = packet.y_tilde
                 worst["simplex"] = max(
                     worst["simplex"],
@@ -151,7 +151,7 @@ def test_4_entanglement_property_suite():
         # a two-sample packet is exactly a mixup of the mapped pair
         lam = float(rng.random())
         pair = RepresentationSet(reps[:2], np.eye(num_classes)[labels[:2]])
-        packet = entangle.entangle(pair, np.array([lam, 1 - lam]), rm, unified_dim)
+        packet = helpers.entangled(pair, np.array([lam, 1 - lam]), rm, unified_dim)
         mapped, _ = entangle.rm_apply(reps[:2], rm, unified_dim)
         mixed = helpers.mixup_pair(
             mapped[0], np.eye(num_classes)[labels[0]],
@@ -163,8 +163,9 @@ def test_4_entanglement_property_suite():
             float(np.abs(packet.y_tilde - mixed.y_tilde).max()),
         )
         # the evenly-weighted per-category packet averages the prototypes
-        vap_packet = entangle.entangle(rep_set, vap_w, rm, unified_dim)
-        protos = entangle.compute_prototypes(rep_set, rm, unified_dim)
+        vap_packet = helpers.entangled(rep_set, vap_w, rm, unified_dim)
+        set_mapped, _ = entangle.rm_apply(reps, rm, unified_dim)
+        protos = entangle.compute_prototypes(set_mapped, labels)
         proto_mean = np.mean([p for _, p in protos], axis=0)
         worst["vap"] = max(
             worst["vap"], float(np.abs(vap_packet.r_tilde - proto_mean).max())

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from fedre import baselines, nets, protocol
-from fedre.entangle import EntangledPacket, ReMechanism, RMSpec, entangle, re_weights, rm_apply
+from fedre.entangle import ReMechanism, RMSpec, compute_prototypes, re_weights, rm_apply
 
-from helpers import InjectedFault, calls_at, make_client, make_server, net_params_equal
+from helpers import (
+    InjectedFault,
+    calls_at,
+    entangled,
+    make_client,
+    make_server,
+    net_params_equal,
+    packet,
+)
 
 
 def fresh_world(num_clients=3, seed_base=40, **client_kw):
@@ -34,7 +42,7 @@ def test_every_kind_dispatch_rejects_an_unknown_kind():
     policy = baselines.Strategy()
     policy.kind = "unknown"
     with pytest.raises(ValueError, match="unknown strategy 'unknown'"):
-        baselines.packets_for(policy, client, 4)
+        baselines.packets_for(policy, client)
     with pytest.raises(ValueError, match="unknown strategy 'unknown'"):
         baselines.ledger_for(policy, 1, 4, 3, per_client_stats=[(6, 3)])
     policy = baselines.Strategy()
@@ -61,27 +69,21 @@ def test_every_kind_dispatch_rejects_an_unknown_kind():
 
 def test_local_strategy_uploads_nothing():
     client = make_client(rng_seed=0)
-    block = baselines.packets_for(baselines.Strategy(kind="local"), client, 4)
+    block = baselines.packets_for(baselines.Strategy(kind="local"), client)
     assert len(block) == 0
     assert block.reps.shape == (0, 4)
     assert block.labels.shape == (0, 3)
-
-
-def packet(block):
-    """The one packet of a fedre client's upload block."""
-    assert block.reps.shape[0] == block.labels.shape[0] == len(block) == 1
-    return EntangledPacket(block.reps[0], block.labels[0])
 
 
 def test_fedre_rs_draws_fresh_weights_each_round():
     a = make_client(rng_seed=1)
     b = make_client(rng_seed=1)
     strategy = baselines.Strategy(kind="fedre", resample="rs")
-    p1 = packet(baselines.packets_for(strategy, a, 4))
-    p2 = packet(baselines.packets_for(strategy, a, 4))
+    p1 = packet(baselines.packets_for(strategy, a))
+    p2 = packet(baselines.packets_for(strategy, a))
     # the same state replays identically, but consecutive draws from one
     # stream differ
-    q1 = packet(baselines.packets_for(strategy, b, 4))
+    q1 = packet(baselines.packets_for(strategy, b))
     np.testing.assert_array_equal(p1.r_tilde, q1.r_tilde)
     assert not np.array_equal(p1.y_tilde, p2.y_tilde) or not np.array_equal(
         p1.r_tilde, p2.r_tilde
@@ -91,38 +93,38 @@ def test_fedre_rs_draws_fresh_weights_each_round():
 def test_fedre_fs_caches_weights_and_stops_consuming_rng():
     client = make_client(rng_seed=2)
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    first = baselines.packets_for(strategy, client, 4)
+    first = baselines.packets_for(strategy, client)
     p1 = packet(first)
     w = first.weights
     assert w is not None
     client = replace(client, weights=w)  # what strategy_round keeps
     state = client.rng.bit_generator.state
-    second = baselines.packets_for(strategy, client, 4)
+    second = baselines.packets_for(strategy, client)
     p2 = packet(second)
     assert client.rng.bit_generator.state == state  # no draw with frozen weights
     assert second.weights is w
     np.testing.assert_array_equal(p1.r_tilde, p2.r_tilde)
     # and the packet really is the cached weighting of the current reps
     rep_set = protocol.client_representation_set(client)
-    manual = entangle(rep_set, w, client.rm, 4)
+    manual = entangled(rep_set, w, client.rm, 4)
     np.testing.assert_array_equal(p2.r_tilde, manual.r_tilde)
 
 
 def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
     client = make_client(rng_seed=3, epochs=2, lr=0.1)
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    w = baselines.packets_for(strategy, client, 4).weights.copy()
+    w = baselines.packets_for(strategy, client).weights.copy()
     trained = protocol.client_local_update(replace(client, weights=w), None)
-    p = packet(baselines.packets_for(strategy, trained, 4))
+    p = packet(baselines.packets_for(strategy, trained))
     np.testing.assert_array_equal(trained.weights, w)
     rep_set = protocol.client_representation_set(trained)
-    manual = entangle(rep_set, w, trained.rm, 4)
+    manual = entangled(rep_set, w, trained.rm, 4)
     np.testing.assert_array_equal(p.r_tilde, manual.r_tilde)
 
 
 def test_fed_all_rep_uploads_every_mapped_sample():
     client = make_client(rng_seed=4)
-    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client, 4)
+    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client)
     assert len(block) == len(client.train)
     rep_set = protocol.client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, 4)
@@ -133,7 +135,7 @@ def test_fed_all_rep_uploads_every_mapped_sample():
 @pytest.mark.parametrize("kind", ["fedgh_style", "fedproto_style"])
 def test_prototype_strategies_upload_category_means(kind):
     client = make_client(rng_seed=5)
-    block = baselines.packets_for(baselines.Strategy(kind=kind), client, 4)
+    block = baselines.packets_for(baselines.Strategy(kind=kind), client)
     cats = np.unique(client.train.y)
     assert len(block) == cats.size
     assert block.labels.shape == (cats.size, 3)
@@ -204,10 +206,10 @@ def test_ledger_for_requires_stats_when_size_dependent():
         )
 
 
-def test_average_prototypes_groups_by_category():
+def test_compute_prototypes_groups_by_category():
     reps = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 5.0]])
     labels = nets.one_hot_matrix([0, 0, 1], 2)
-    protos = baselines.average_prototypes(reps, labels)
+    protos = dict(compute_prototypes(reps, labels.argmax(axis=1)))
     assert sorted(protos) == [0, 1]
     np.testing.assert_array_equal(protos[0], [2.0, 0.0])
     np.testing.assert_array_equal(protos[1], [0.0, 5.0])
@@ -234,7 +236,7 @@ def test_strategy_round_fedre_rs_equals_plain_round():
     trained, packets = [], []
     for c in a_clients:
         trained.append(protocol.client_local_update(c, a_server.classifier))
-        packets.append(protocol.client_make_packet(trained[-1], mech, d)[0])
+        packets.append(packet(protocol.client_make_packet(trained[-1], mech)))
     server_a = protocol.server_update(
         a_server,
         np.stack([p.r_tilde for p in packets]),

@@ -17,6 +17,7 @@ from fedre import nets
 from helpers import (
     FixedDraws,
     check_label_encoding,
+    entangled,
     mixup_pair,
     net_params_equal,
     random_simplex,
@@ -344,7 +345,7 @@ def test_entangle_matches_per_sample_loop():
     rep = make_rep_set(rng, n=6, raw_dim=8, num_classes=3)
     w = random_simplex(rng, 6)
     rm = en.RMSpec(en.AP)
-    packet = en.entangle(rep, w, rm, 4)
+    packet = entangled(rep, w, rm, 4)
     r_expect = np.zeros(4)
     y_expect = np.zeros(3)
     for i in range(6):
@@ -359,7 +360,7 @@ def test_entangle_y_tilde_stays_on_simplex():
     for kind in en.MECHANISMS:
         rep = make_rep_set(rng, n=8, num_classes=4)
         w = en.re_weights(rep, en.ReMechanism(kind), rng)
-        packet = en.entangle(rep, w, en.RMSpec(en.AP), 4)
+        packet = entangled(rep, w, en.RMSpec(en.AP), 4)
         assert (packet.y_tilde >= -1e-12).all()
         assert abs(packet.y_tilde.sum() - 1.0) < 1e-9
 
@@ -368,7 +369,7 @@ def test_entangle_rejects_bad_weights():
     rng = np.random.default_rng(15)
     rep = make_rep_set(rng, n=4)
     with pytest.raises(ValueError):
-        en.entangle(rep, np.full(4, 0.3), en.RMSpec(en.AP), 4)
+        entangled(rep, np.full(4, 0.3), en.RMSpec(en.AP), 4)
 
 
 def test_two_sample_entangle_is_mixup():
@@ -376,7 +377,7 @@ def test_two_sample_entangle_is_mixup():
     for lam in (0.0, 0.25, 0.7, 1.0):
         rep = make_rep_set(rng, n=2, raw_dim=8, num_classes=3)
         rm = en.RMSpec(en.AP)
-        packet = en.entangle(rep, np.array([lam, 1.0 - lam]), rm, 4)
+        packet = entangled(rep, np.array([lam, 1.0 - lam]), rm, 4)
         mixed = mixup_pair(
             rm_row(rep.reps[0], rm, 4),
             rep.labels_onehot[0],
@@ -393,7 +394,7 @@ def test_mixup_rejects_lambda_outside_unit_interval():
     rep = make_rep_set(np.random.default_rng(19), n=2, raw_dim=8, num_classes=3)
     for lam in (1.5, -0.5):
         with pytest.raises(ValueError):
-            en.entangle(rep, np.array([lam, 1.0 - lam]), en.RMSpec(en.AP), 4)
+            entangled(rep, np.array([lam, 1.0 - lam]), en.RMSpec(en.AP), 4)
 
 
 # ---------------------------------------------------------------- prototypes
@@ -404,9 +405,9 @@ def test_prototypes_are_per_category_means():
     labels = np.array([2, 0, 2, 0, 1])
     rep = make_rep_set(rng, n=5, raw_dim=8, num_classes=3, labels=labels)
     rm = en.RMSpec(en.AP)
-    protos = en.compute_prototypes(rep, rm, 4)
-    assert [c for c, _ in protos] == [0, 1, 2]
     mapped, _ = en.rm_apply(rep.reps, rm, 4)
+    protos = en.compute_prototypes(mapped, labels)
+    assert [c for c, _ in protos] == [0, 1, 2]
     for c, proto in protos:
         np.testing.assert_allclose(proto, mapped[labels == c].mean(axis=0), atol=1e-12)
 
@@ -416,8 +417,9 @@ def test_vap_entangle_equals_mean_of_prototypes():
     rep = make_rep_set(rng, n=10, raw_dim=8, num_classes=4)
     rm = en.RMSpec(en.AP)
     w = en.re_weights(rep, en.ReMechanism(en.VAP), rng)
-    packet = en.entangle(rep, w, rm, 4)
-    protos = en.compute_prototypes(rep, rm, 4)
+    mapped, _ = en.rm_apply(rep.reps, rm, 4)
+    packet = entangled(rep, w, rm, 4)
+    protos = en.compute_prototypes(mapped, rep.labels)
     mean_proto = np.mean([p for _, p in protos], axis=0)
     np.testing.assert_allclose(packet.r_tilde, mean_proto, atol=1e-10)
 

@@ -17,6 +17,7 @@ from helpers import (
     make_client,
     make_server,
     net_params_equal,
+    packet,
 )
 
 
@@ -275,8 +276,10 @@ def test_client_make_packet_is_deterministic_per_rng_state():
     a = make_client(rng_seed=8)
     b = make_client(rng_seed=8)
     mech = ReMechanism("rap")
-    pa, wa = protocol.client_make_packet(a, mech, 4)
-    pb, wb = protocol.client_make_packet(b, mech, 4)
+    block_a = protocol.client_make_packet(a, mech)
+    block_b = protocol.client_make_packet(b, mech)
+    pa, wa = packet(block_a), block_a.weights
+    pb, wb = packet(block_b), block_b.weights
     np.testing.assert_array_equal(pa.r_tilde, pb.r_tilde)
     np.testing.assert_array_equal(pa.y_tilde, pb.y_tilde)
     np.testing.assert_array_equal(wa, wb)
@@ -287,14 +290,15 @@ def test_client_make_packet_with_explicit_weights_skips_the_rng():
     state_before = client.rng.bit_generator.state
     n = len(client.train)
     w = np.full(n, 1.0 / n)
-    _, used = protocol.client_make_packet(client, ReMechanism("rap"), 4, weights=w)
+    used = protocol.client_make_packet(client, ReMechanism("rap"), weights=w).weights
     assert client.rng.bit_generator.state == state_before
     assert used is w
 
 
 def test_packet_shapes():
     client = make_client(rng_seed=10, unified_dim=4, num_classes=3)
-    p, w = protocol.client_make_packet(client, ReMechanism("var"), 4)
+    block = protocol.client_make_packet(client, ReMechanism("var"))
+    p, w = packet(block), block.weights
     assert w.shape == (len(client.train),)
     assert p.r_tilde.shape == (4,)
     assert p.y_tilde.shape == (3,)

@@ -147,7 +147,7 @@ FAULT_SITES = (
     "client_make_packet",
     "packets_for",
     "server_update",
-    "average_prototypes",
+    "compute_prototypes",
     "ledger_for",
     "evaluate_client",
 )

@@ -105,6 +105,38 @@ def test_one_stack_per_seed(monkeypatch):
     assert [c.shape for c in calls] == [(9 * 3, 1, 2)]
 
 
+def test_the_attack_maps_the_training_set_once(monkeypatch):
+    """Under fc a mapping is a whole forward: the attack maps client 0's
+    training set in one call, and every prototype target is the mean of
+    one category's rows of that mapping."""
+    inv, world, client = small_world(rm_op=FC, num_targets=3)
+    n = len(client.train)
+    full_set_maps = []
+    real_rm_apply, real_invert_multi = entangle.rm_apply, runner.invert_multi
+
+    def rm_apply_spy(R, rm, unified_dim):
+        mapped, cache = real_rm_apply(R, rm, unified_dim)
+        if np.shape(R)[:-1] == (n,):
+            full_set_maps.append(mapped)
+        return mapped, cache
+
+    stacks = []
+    monkeypatch.setattr(runner, "rm_apply", rm_apply_spy)
+    monkeypatch.setattr(entangle, "rm_apply", rm_apply_spy)
+    monkeypatch.setattr(
+        runner, "invert_multi", lambda *args: stacks.append(args[2]) or real_invert_multi(*args)
+    )
+    with np.errstate(all="ignore"):
+        results = runner._attack_client(inv, world, client)
+    assert len(full_set_maps) == 1
+    [mapped], [stack], y = full_set_maps, stacks, client.train.y
+    means = [mapped[y == c].mean(axis=0) for c in np.unique(y)]
+    protos = stack[[r.target_kind == "prototype" for r in results]]
+    assert len(protos) == min(inv.num_targets, len(means))
+    matched = [[np.array_equal(row, m) for m in means].index(True) for row in protos]
+    assert len(set(matched)) == len(protos)
+
+
 def nan_rows(monkeypatch, stack_rows, rows, at_call=1):
     """Give the chosen rows NaN outputs in the at_call-th forward_pass on
     the seed stack."""

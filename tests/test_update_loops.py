@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedre import data, nets, protocol
-from fedre.entangle import FC, RM_KINDS, EntangledPacket, RMSpec, rm_apply, rm_backward
+from fedre.entangle import FC, RM_KINDS, RMSpec, rm_apply, rm_backward
 
-from helpers import batch_mean_ce, net_params_equal, softmax
+from helpers import Packet, batch_mean_ce, net_params_equal, softmax
 
 # ------------------------------------------------------------ the reference
 
@@ -168,7 +168,7 @@ def server_worlds(draw):
     packets = []
     for _ in range(k):
         y = rng.random(num_classes)
-        packets.append(EntangledPacket(rng.normal(size=unified), y / y.sum()))
+        packets.append(Packet(rng.normal(size=unified), y / y.sum()))
     server = protocol.ServerState(
         classifier=protocol.make_classifier(unified, num_classes, rng),
         rng=np.random.default_rng(draw(st.integers(0, 2**16))),
@@ -255,7 +255,7 @@ def test_server_update_equals_the_per_step_loop_at_the_toy_shape():
     lr 0.5, batch 100 and 100 epochs, 100 steps from one batched draw of
     the epoch orders (server_worlds draws at most 4 epochs)."""
     rng = np.random.default_rng(15)
-    packets = [EntangledPacket(rng.normal(size=8), y / y.sum()) for y in rng.random((2, 10))]
+    packets = [Packet(rng.normal(size=8), y / y.sum()) for y in rng.random((2, 10))]
     server = protocol.ServerState(
         classifier=protocol.make_classifier(8, 10, rng),
         rng=np.random.default_rng(16),
