@@ -2,12 +2,12 @@
 
 One round: clients train and upload packets, the server trains on them (or
 averages them), the trained clients are scored, and the round's metrics
-count the traffic. A round changes none of its inputs: it returns every
-state it changes. A client uploads one PacketBlock of k packets, one per
-row (a fedre client's entangled packet is a one-row block), and the server
-gets the participants' blocks concatenated. A client that sat the round
-out is unchanged and keeps its previous score. Five upload policies share
-that round:
+count the traffic from what is sent. A round changes none of its inputs:
+it returns every state it changes. A client uploads one PacketBlock of k
+packets, one per row (a fedre client's entangled packet is a one-row
+block), and the server gets the participants' blocks concatenated. A
+client that sat the round out is unchanged and keeps its previous score.
+Five upload policies share that round:
 
   local          no uploads (k = 0), no broadcast; clients train alone
   fed_all_rep    one packet per training sample (upper communication bound)
@@ -88,22 +88,20 @@ def packets_for(strategy, client):
 
 
 def ledger_for(
-    strategy,
-    num_clients,
-    unified_dim,
-    num_classes,
-    per_client_stats=None,
-    convention=None,
-    num_global_prototypes=None,
+    strategy, num_clients, unified_dim, num_classes, per_client_stats=None, convention=None
 ):
-    """(upload, broadcast) scalar counts for one round of a strategy.
+    """(upload, broadcast) scalar counts for one round of a strategy, in
+    closed form: the reference strategy_round's counts are checked against.
 
     per_client_stats is [(n_samples, n_categories)] for the participating
     clients; it is required for the strategies whose upload volume depends
-    on local set sizes.
+    on local set sizes. fedproto_style's broadcast is the round's averaged
+    prototypes, so it has no closed form here.
     """
     if strategy.kind == LOCAL:
         return 0, 0
+    if strategy.kind == FEDPROTO_STYLE:
+        raise ValueError("fedproto_style's broadcast depends on the round's prototypes")
     plus_label = convention == REPRESENTATION_PLUS_LABEL
     per_packet = unified_dim + (num_classes if plus_label else 0)
     classifier_scalars = unified_dim * num_classes + num_classes
@@ -117,12 +115,9 @@ def ledger_for(
     if strategy.kind == FED_ALL_REP:
         upload = sum(n for n, _ in per_client_stats) * per_packet
         return upload, num_clients * classifier_scalars
-    upload = sum(cats for _, cats in per_client_stats) * per_packet
     if strategy.kind == FEDGH_STYLE:
+        upload = sum(cats for _, cats in per_client_stats) * per_packet
         return upload, num_clients * classifier_scalars
-    if strategy.kind == FEDPROTO_STYLE:  # averaged prototypes go back out, not a classifier
-        protos = num_classes if num_global_prototypes is None else num_global_prototypes
-        return upload, num_clients * protos * unified_dim
     raise ValueError(f"unknown strategy {strategy.kind!r}")
 
 
@@ -141,9 +136,11 @@ def strategy_round(
 
     previous is the RoundMetrics of the round that produced clients: a
     client this round does not train keeps its score from there. Without
-    it, every client is scored. convention is the ledger_for convention the
-    round's traffic is counted under. Returns (clients, server,
-    global_protos, RoundMetrics).
+    it, every client is scored. Returns (clients, server, global_protos,
+    RoundMetrics). The traffic is counted from what is sent: every scalar
+    of the participants' blocks (their labels only under convention
+    representation_plus_label), and per participant, the trained
+    classifier's parameters or fedproto's averaged prototypes.
 
     The round changes none of its inputs, so an aborted round commits
     nothing. Trained clients and the server come back with their own forked
@@ -155,8 +152,6 @@ def strategy_round(
         raise ValueError("strategy_round needs at least one client")
     if previous is not None and len(previous.per_client_acc) != len(clients):
         raise ValueError("previous round scored a different number of clients")
-    d = server.classifier.input_dim
-    num_classes = server.classifier.output_dim
     protos = dict(global_protos)
     sampler = fork_rng(part_rng)
     pool = [c for c in clients if len(c.train) > 0]
@@ -165,7 +160,6 @@ def strategy_round(
     proto_reg = (strategy.lambda_proto, protos) if strategy.kind == FEDPROTO_STYLE else None
     updated = {}
     blocks = []
-    stats = []
     for c in participants:
         trained = client_local_update(
             c, server.classifier if broadcast else None, proto_reg=proto_reg
@@ -176,7 +170,6 @@ def strategy_round(
         elif strategy.resample != RESAMPLED:
             raise ValueError(f"unknown resample mode {strategy.resample!r}")
         updated[trained.client_id] = trained
-        stats.append((len(trained.train), int(np.unique(trained.train.y).size)))
     new_server = server
     if strategy.kind != LOCAL:
         reps = np.concatenate([b.reps for b in blocks])
@@ -185,15 +178,13 @@ def strategy_round(
             new_server = server_update(server, reps, labels)
         else:
             protos = dict(compute_prototypes(reps, labels.argmax(axis=1)))
-    upload, down = ledger_for(
-        strategy,
-        len(participants),
-        d,
-        num_classes,
-        per_client_stats=stats,
-        convention=convention,
-        num_global_prototypes=len(protos) if strategy.kind == FEDPROTO_STYLE else None,
-    )
+    plus_label = convention == REPRESENTATION_PLUS_LABEL
+    upload = sum(b.reps.size + (b.labels.size if plus_label else 0) for b in blocks)
+    if broadcast:
+        sent = sum(layer.weight.size + layer.bias.size for layer in new_server.classifier.layers)
+    else:  # fedproto's averaged prototypes; local has none
+        sent = sum(p.size for p in protos.values())
+    down = len(participants) * sent
     new_clients = [updated.get(c.client_id, c) for c in clients]
     accs = [
         evaluate_client(c)

@@ -98,8 +98,9 @@ class RoundMetrics:
 def count_round(ledger, num_clients, unified_dim, num_classes):
     """Account one fedre round: a packet up and a classifier down per client.
 
-    The counts come from baselines.ledger_for, the one accounting formula,
-    under the ledger's convention.
+    The counts come from baselines.ledger_for's closed form, under the
+    ledger's convention: the reference a round's counted traffic is checked
+    against, not the engine's formula.
     """
     from . import baselines  # imported here: baselines imports this module
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import signal
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -500,15 +501,18 @@ def reference_round(strategy, clients, server, convention, rate, part_rng, proto
         for p in packets:
             grouped.setdefault(int(p.y_tilde.argmax()), []).append(p.r_tilde)
         protos = {c: np.mean(rows, axis=0) for c, rows in sorted(grouped.items())}
+    # fedproto uploads what fedgh does; its broadcast is the averaged prototypes
+    is_proto = strategy.kind == baselines.FEDPROTO_STYLE
     upload, down = baselines.ledger_for(
-        strategy,
+        replace(strategy, kind=baselines.FEDGH_STYLE) if is_proto else strategy,
         len(participants),
         d,
         server.classifier.output_dim,
         per_client_stats=stats,
         convention=convention,
-        num_global_prototypes=len(protos) if strategy.kind == baselines.FEDPROTO_STYLE else None,
     )
+    if is_proto:
+        down = len(participants) * len(protos) * d
     clients = [updated.get(c.client_id, c) for c in clients]
     accs = [protocol.evaluate_client(c) for c in clients]
     metrics = protocol.RoundMetrics(protocol.mean_accuracy(accs), accs, upload, down)

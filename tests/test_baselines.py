@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedre import baselines, nets, protocol
+from fedre import baselines, data, nets, protocol
 from fedre.entangle import ReMechanism, RMSpec, compute_prototypes, re_weights, rm_apply
 
 from helpers import (
@@ -185,16 +185,23 @@ def test_ledger_for_prototype_strategies_scale_with_categories():
     )
     assert up == 5 * 8
     assert down == 2 * (8 * 5 + 5)
-    up, down = baselines.ledger_for(
-        baselines.Strategy(kind="fedproto_style"),
-        2,
-        8,
-        5,
-        per_client_stats=stats,
-        num_global_prototypes=4,
-    )
-    assert up == 5 * 8
-    assert down == 2 * 4 * 8  # averaged prototypes instead of a classifier
+    # fedproto's broadcast is the round's averaged prototypes: count a real
+    # round whose two clients hold 2 + 1 of the 3 categories, 2 of them in all
+    fedproto = baselines.Strategy(kind="fedproto_style")
+    with pytest.raises(ValueError, match="depends on the round's prototypes"):
+        baselines.ledger_for(fedproto, 2, 8, 5, per_client_stats=stats)
+
+    def keep(client, cats):
+        m = np.isin(client.train.y, cats)
+        train = data.Dataset(client.train.X[m], client.train.y[m], client.train.num_classes)
+        return replace(client, train=train)
+
+    (a, b), server = fresh_world(num_clients=2)
+    _, _, protos, metrics = run_one(fedproto, [keep(a, [0, 1]), keep(b, [0])], server)
+    d = server.classifier.input_dim
+    assert sorted(protos) == [0, 1]
+    assert metrics.upload_scalars == (2 + 1) * d
+    assert metrics.broadcast_scalars == 2 * 2 * d  # averaged prototypes instead of a classifier
 
 
 def test_ledger_for_requires_stats_when_size_dependent():

@@ -11,6 +11,7 @@ aborts anywhere must leave its inputs as they were.
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from fedre import baselines, config, protocol, runner
 from helpers import InjectedFault, calls_at, net_params_equal, reference_train
 
 
-def small_config(strategy, resample, rm_op, rate, rounds=3, num_clients=4):
+def small_config(
+    strategy, resample, rm_op, rate, rounds=3, num_clients=4, convention=protocol.REPRESENTATION_ONLY
+):
     return config.parse_config(
         {
             "dataset": {"classes": 4, "per_class": 10, "dim": 2},
@@ -37,6 +40,7 @@ def small_config(strategy, resample, rm_op, rate, rounds=3, num_clients=4):
             "participation_rate": rate,
             "server_batch_size": 8,
             "server_epochs": 2,
+            "comm_convention": convention,
         }
     )
 
@@ -52,14 +56,15 @@ def nets_of(client):
     return [client.extractor, client.classifier] + ([client.rm.net] if client.rm.net is not None else [])
 
 
+@pytest.mark.parametrize("convention", protocol.CONVENTIONS)
 @pytest.mark.parametrize("rate", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("rm_op", ["ap", "mp", "fc"])
 @pytest.mark.parametrize("resample", baselines.RESAMPLE_MODES)
 @pytest.mark.parametrize("kind", baselines.STRATEGIES)
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**16))
-def test_train_equals_the_per_row_reference(kind, resample, rm_op, rate, seed):
-    cfg = small_config(kind, resample, rm_op, rate)
+def test_train_equals_the_per_row_reference(kind, resample, rm_op, rate, convention, seed):
+    cfg = small_config(kind, resample, rm_op, rate, convention=convention)
     got_world, want_world = runner.build_world(cfg, seed), runner.build_world(cfg, seed)
     with np.errstate(all="ignore"):
         got = runner.train(cfg, got_world)
@@ -139,6 +144,48 @@ def test_a_direct_round_without_a_previous_score_scores_every_client(monkeypatch
     assert calls == []
 
 
+@pytest.mark.parametrize("convention", protocol.CONVENTIONS)
+@pytest.mark.parametrize("kind", [baselines.FEDRE, baselines.FED_ALL_REP])
+def test_a_duplicated_row_is_counted_and_reaches_the_server(monkeypatch, kind, convention):
+    """The traffic is counted from the blocks sent: one extra row per block
+    costs one packet's scalars per participant, and the server trains on it."""
+    cfg = small_config(kind, "rs", "ap", 1.0, convention=convention)
+    world = runner.build_world(cfg, 5)
+    clients = runner.init_clients(cfg, world)
+    server_rows = []
+    real_update, real_packets = baselines.server_update, baselines.packets_for
+
+    def server_update(server, reps, labels):
+        server_rows.append(len(reps))
+        return real_update(server, reps, labels)
+
+    def duplicated(strategy, client):
+        block = real_packets(strategy, client)
+        return replace(
+            block,
+            reps=np.concatenate([block.reps, block.reps[:1]]),
+            labels=np.concatenate([block.labels, block.labels[:1]]),
+        )
+
+    def round_metrics():
+        return baselines.strategy_round(
+            world.strategy, clients, world.server, {}, 0, 1.0,
+            np.random.default_rng(0), None, convention,
+        )[3]
+
+    monkeypatch.setattr(baselines, "server_update", server_update)
+    plain = round_metrics()
+    monkeypatch.setattr(baselines, "packets_for", duplicated)
+    padded = round_metrics()
+    k = sum(1 for c in clients if len(c.train))
+    per_row = cfg.unified_dim
+    if convention == protocol.REPRESENTATION_PLUS_LABEL:
+        per_row += cfg.dataset.classes
+    assert padded.upload_scalars == plain.upload_scalars + k * per_row
+    assert padded.broadcast_scalars == plain.broadcast_scalars
+    assert server_rows == [server_rows[0], server_rows[0] + k]
+
+
 # ------------------------------------------------------- fault injection
 
 # every step the round calls through baselines' namespace
@@ -148,7 +195,6 @@ FAULT_SITES = (
     "packets_for",
     "server_update",
     "compute_prototypes",
-    "ledger_for",
     "evaluate_client",
 )
 
