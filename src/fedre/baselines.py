@@ -4,9 +4,10 @@ One round: clients train and upload packets, the server trains on them (or
 averages them), the trained clients are scored, and the round's metrics
 count the traffic from what is sent. A round changes none of its inputs:
 it returns every state it changes. A client uploads one PacketBlock of k
-packets, one per row (a fedre client's entangled packet is a one-row
-block), and the server gets the participants' blocks concatenated. A
-client that sat the round out is unchanged and keeps its previous score.
+packets, one per row, reps and labels and nothing else (a fedre client's
+entangled packet is a one-row block; its weights stay on the client), and
+the server gets the participants' blocks concatenated. A client that sat
+the round out is unchanged and keeps its previous score.
 Five upload policies share that round:
 
   local          no uploads (k = 0), no broadcast; clients train alone
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .entangle import PacketBlock, ReMechanism, compute_prototypes, rm_apply
+from .entangle import PacketBlock, ReMechanism, compute_prototypes, re_weights, rm_apply
 from .nets import one_hot_matrix
 from .protocol import (
     REPRESENTATION_PLUS_LABEL,
@@ -63,23 +64,22 @@ class Strategy:
     lambda_proto: float = 0.1
 
 
-def packets_for(strategy, client):
+def packets_for(strategy, client, weights):
     """The PacketBlock this client uploads under the given strategy.
 
-    A fedre client entangles with its frozen weights when it has them (fs
-    after the first packet), else with a fresh draw from its stream.
+    weights is a fedre client's entangling vector; no strategy draws here.
     """
     d, num_classes = client.classifier.input_dim, client.classifier.output_dim
     if strategy.kind == LOCAL:
         return PacketBlock(np.zeros((0, d)), np.zeros((0, num_classes)))
     if strategy.kind == FEDRE:
-        return client_make_packet(client, strategy.mech, weights=client.weights)
+        return client_make_packet(client, weights)
     rep_set = client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, d)
     if strategy.kind == FED_ALL_REP:
         return PacketBlock(mapped, rep_set.labels_onehot)
     if strategy.kind in (FEDGH_STYLE, FEDPROTO_STYLE):  # one prototype per present category
-        protos = compute_prototypes(mapped, rep_set.labels)
+        protos = compute_prototypes(mapped, client.train.y)
         return PacketBlock(
             np.stack([p for _, p in protos]),
             one_hot_matrix([c for c, _ in protos], num_classes),
@@ -140,7 +140,9 @@ def strategy_round(
     RoundMetrics). The traffic is counted from what is sent: every scalar
     of the participants' blocks (their labels only under convention
     representation_plus_label), and per participant, the trained
-    classifier's parameters or fedproto's averaged prototypes.
+    classifier's parameters or fedproto's averaged prototypes. A fedre
+    participant without weights (each rs round, an fs client's first)
+    draws them from its trained stream, here and nowhere else.
 
     The round changes none of its inputs, so an aborted round commits
     nothing. Trained clients and the server come back with their own forked
@@ -164,11 +166,14 @@ def strategy_round(
         trained = client_local_update(
             c, server.classifier if broadcast else None, proto_reg=proto_reg
         )
-        blocks.append(packets_for(strategy, trained))
-        if strategy.resample == FIXED:
-            trained = replace(trained, weights=blocks[-1].weights)
-        elif strategy.resample != RESAMPLED:
-            raise ValueError(f"unknown resample mode {strategy.resample!r}")
+        weights = trained.weights
+        if strategy.kind == FEDRE and weights is None:
+            weights = re_weights(trained.train.y, strategy.mech, trained.rng)
+            if strategy.resample == FIXED:
+                trained = replace(trained, weights=weights)
+            elif strategy.resample != RESAMPLED:
+                raise ValueError(f"unknown resample mode {strategy.resample!r}")
+        blocks.append(packets_for(strategy, trained, weights))
         updated[trained.client_id] = trained
     new_server = server
     if strategy.kind != LOCAL:

@@ -2,10 +2,11 @@
 
 A client maps its raw representations to a unified dimension (block average,
 block max, or a small learned layer), draws a normalized weight vector over
-its local samples with one of six mechanisms, and collapses the whole set
-into a single (r_tilde, y_tilde) packet: the weighted sum of mapped
+its local samples' labels with one of six mechanisms, and collapses the whole
+set into a single (r_tilde, y_tilde) packet: the weighted sum of mapped
 representations paired with the same weighting of the one-hot labels. The
-packet is a one-row PacketBlock, the one upload format of every strategy.
+packet is a one-row PacketBlock, the one upload format of every strategy; the
+weights stay with the client and are not part of it.
 
 Weight mechanisms, grouped by what the weights attach to:
 
@@ -82,18 +83,13 @@ class RepresentationSet:
     def __len__(self):
         return self.reps.shape[0]
 
-    @property
-    def labels(self):
-        return self.labels_onehot.argmax(axis=1)
-
 
 @dataclass(eq=False)
 class PacketBlock:
-    """One client's upload: k packets, one per row."""
+    """One client's upload: k packets, one per row, and nothing else."""
 
     reps: np.ndarray  # (k, unified_dim)
     labels: np.ndarray  # (k, num_classes)
-    weights: np.ndarray | None = None  # fedre: the entangling weights
 
     def __len__(self):
         return self.reps.shape[0]
@@ -193,12 +189,11 @@ def _positive_draw(distribution, size, rng):
             return u
 
 
-def re_weights(rep_set, mech, rng):
-    """Draw a normalized weight vector over the set's samples."""
-    n = len(rep_set)
+def re_weights(labels, mech, rng):
+    """Draw a normalized weight vector over samples with these integer labels."""
+    n = len(labels)
     if n == 0:
-        raise ValueError("cannot weight an empty representation set")
-    labels = rep_set.labels
+        raise ValueError("cannot weight an empty set of samples")
     kind = mech.kind
     if kind == RSR:
         w = np.zeros(n)
@@ -227,10 +222,10 @@ def entangle(mapped, labels_onehot, w):
     """Collapse mapped representations into one entangled packet.
 
     Returns the one-row PacketBlock r_tilde = sum_i w_i * mapped_i,
-    y_tilde = sum_i w_i * onehot_i, carrying w.
+    y_tilde = sum_i w_i * onehot_i; w itself is not uploaded.
     """
     w = check_weight_vector(w, len(mapped))
-    return PacketBlock((w @ mapped)[None, :], (w @ labels_onehot)[None, :], w)
+    return PacketBlock((w @ mapped)[None, :], (w @ labels_onehot)[None, :])
 
 
 def compute_prototypes(mapped, labels):

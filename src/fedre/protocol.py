@@ -2,7 +2,8 @@
 
 Client steps: adopt the broadcast classifier, fine-tune locally (extractor,
 classifier, and learned mapping together), and collapse the mapped training
-representations into one entangled packet, a one-row PacketBlock. Server
+representations into one entangled packet, a one-row PacketBlock, by
+weights strategy_round draws and the client keeps. Server
 step: train the shared classifier with soft-label cross-entropy on the
 uploaded packets, given as one (n, d) matrix and its (n, num_classes)
 labels. Every step returns new states and changes none of its inputs: the
@@ -23,7 +24,6 @@ from .entangle import (
     RMSpec,
     RepresentationSet,
     entangle,
-    re_weights,
     rm_apply,
     rm_backward,
 )
@@ -47,7 +47,7 @@ class ClientState:
     lr: float
     batch_size: int
     epochs: int
-    weights: np.ndarray | None = None  # frozen entangling weights (fedre fs)
+    weights: np.ndarray | None = None  # fedre fs: entangling weights, drawn once, never uploaded
 
 
 @dataclass(eq=False)
@@ -234,20 +234,17 @@ def client_local_update(client, global_classifier, proto_reg=None):
     return replace(client, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
 
 
-def client_make_packet(client, mech, weights=None):
+def client_make_packet(client, weights):
     """Collapse the client's training set into one entangled packet.
 
-    Weights are drawn fresh from the client's RNG stream unless an explicit
-    vector is supplied (fixed-sampling replay); the draw advances that
-    stream, so strategy_round hands in only a state it has just trained.
-    Returns the one-row PacketBlock, carrying the weights it used.
+    weights is the caller's normalized vector over the training samples.
+    Returns the one-row PacketBlock; the weights are not part of it.
     """
     if len(client.train) == 0:
         raise ValueError(f"client {client.client_id} has no training samples")
     rep_set = client_representation_set(client)
-    w = re_weights(rep_set, mech, client.rng) if weights is None else weights
     mapped, _ = rm_apply(rep_set.reps, client.rm, client.classifier.input_dim)
-    return entangle(mapped, rep_set.labels_onehot, w)
+    return entangle(mapped, rep_set.labels_onehot, weights)
 
 
 def server_update(server, reps, labels):

@@ -348,7 +348,7 @@ def _attack_client(inv, world, client):
         c, proto = protos[ci]
         add("prototype", proto, X[y == c])
     for _ in range(inv.num_targets):
-        w = re_weights(rep_set, world.strategy.mech, rng)
+        w = re_weights(y, world.strategy.mech, rng)
         add("entangled", np.asarray(w @ mapped, dtype=float), X)
     stack = np.stack([t for _, t, _ in targets])
     recs = invert_multi(

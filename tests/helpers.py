@@ -423,13 +423,13 @@ def one_row_client_attack(inv, world, client):
     picks = rng.choice(n, size=min(inv.num_targets, n), replace=False)
     for i in picks:
         attack(mapped[i], "raw", client.train.X[i])
-    protos_list = compute_prototypes(mapped, rep_set.labels)
+    protos_list = compute_prototypes(mapped, client.train.y)
     cats = rng.permutation(len(protos_list))[: inv.num_targets]
     for ci in cats:
         c, proto = protos_list[ci]
         attack(proto, "prototype", client.train.X[client.train.y == c])
     for _ in range(inv.num_targets):
-        w = re_weights(rep_set, world.strategy.mech, rng)
+        w = re_weights(client.train.y, world.strategy.mech, rng)
         packet = np.asarray(w @ mapped, dtype=float)
         attack(packet, "entangled", client.train.X)
     return results
@@ -453,7 +453,7 @@ def reference_packets(strategy, client, unified_dim, fs_weights):
     if strategy.kind == baselines.FEDRE:
         w = fs_weights.get(client.client_id)
         if w is None:
-            w = re_weights(rep_set, strategy.mech, client.rng)
+            w = re_weights(client.train.y, strategy.mech, client.rng)
             if strategy.resample == baselines.FIXED:
                 fs_weights[client.client_id] = w
         return [entangled(rep_set, w, client.rm, unified_dim)]
@@ -466,7 +466,7 @@ def reference_packets(strategy, client, unified_dim, fs_weights):
     num_classes = client.classifier.output_dim
     return [
         Packet(p, nets.one_hot_matrix([c], num_classes)[0])
-        for c, p in compute_prototypes(mapped, rep_set.labels)
+        for c, p in compute_prototypes(mapped, client.train.y)
     ]
 
 

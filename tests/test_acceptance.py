@@ -118,7 +118,7 @@ def test_4_entanglement_property_suite():
         for kind in entangle.MECHANISMS:
             for dist in entangle.DISTRIBUTIONS:
                 mech = entangle.ReMechanism(kind, dist)
-                w = entangle.re_weights(rep_set, mech, rng)
+                w = entangle.re_weights(labels, mech, rng)
                 worst["wsum"] = max(worst["wsum"], abs(float(w.sum()) - 1.0))
                 packet = helpers.entangled(rep_set, w, rm, unified_dim)
                 y = packet.y_tilde
@@ -131,17 +131,17 @@ def test_4_entanglement_property_suite():
         # equal raw draws collapse the random mechanisms onto their
         # deterministic counterparts
         var_w = entangle.re_weights(
-            rep_set, entangle.ReMechanism(entangle.VAR, "uniform"), rng
+            labels, entangle.ReMechanism(entangle.VAR, "uniform"), rng
         )
         vap_w = entangle.re_weights(
-            rep_set, entangle.ReMechanism(entangle.VAP, "uniform"), rng
+            labels, entangle.ReMechanism(entangle.VAP, "uniform"), rng
         )
         equal_draws = helpers.FixedDraws(0.37)
         rar_eq = entangle.re_weights(
-            rep_set, entangle.ReMechanism(entangle.RAR, "uniform"), equal_draws
+            labels, entangle.ReMechanism(entangle.RAR, "uniform"), equal_draws
         )
         rap_eq = entangle.re_weights(
-            rep_set, entangle.ReMechanism(entangle.RAP, "uniform"), equal_draws
+            labels, entangle.ReMechanism(entangle.RAP, "uniform"), equal_draws
         )
         worst["collapse"] = max(
             worst["collapse"],

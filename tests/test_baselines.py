@@ -42,7 +42,7 @@ def test_every_kind_dispatch_rejects_an_unknown_kind():
     policy = baselines.Strategy()
     policy.kind = "unknown"
     with pytest.raises(ValueError, match="unknown strategy 'unknown'"):
-        baselines.packets_for(policy, client)
+        baselines.packets_for(policy, client, None)
     with pytest.raises(ValueError, match="unknown strategy 'unknown'"):
         baselines.ledger_for(policy, 1, 4, 3, per_client_stats=[(6, 3)])
     policy = baselines.Strategy()
@@ -52,12 +52,12 @@ def test_every_kind_dispatch_rejects_an_unknown_kind():
     mech = ReMechanism()
     mech.kind = "unknown"
     with pytest.raises(ValueError, match="unknown mechanism 'unknown'"):
-        re_weights(rep_set, mech, np.random.default_rng(0))
+        re_weights(client.train.y, mech, np.random.default_rng(0))
     for kind in ("rar", "rap"):
         mech = ReMechanism(kind)
         mech.weight_distribution = "cauchy"
         with pytest.raises(ValueError, match="unknown weight distribution 'cauchy'"):
-            re_weights(rep_set, mech, np.random.default_rng(0))
+            re_weights(client.train.y, mech, np.random.default_rng(0))
     rm = RMSpec()
     rm.kind = "conv"
     with pytest.raises(ValueError, match="unknown rm kind 'conv'"):
@@ -69,53 +69,86 @@ def test_every_kind_dispatch_rejects_an_unknown_kind():
 
 def test_local_strategy_uploads_nothing():
     client = make_client(rng_seed=0)
-    block = baselines.packets_for(baselines.Strategy(kind="local"), client)
+    block = baselines.packets_for(baselines.Strategy(kind="local"), client, None)
     assert len(block) == 0
     assert block.reps.shape == (0, 4)
     assert block.labels.shape == (0, 3)
 
 
-def test_fedre_rs_draws_fresh_weights_each_round():
-    a = make_client(rng_seed=1)
-    b = make_client(rng_seed=1)
-    strategy = baselines.Strategy(kind="fedre", resample="rs")
-    p1 = packet(baselines.packets_for(strategy, a))
-    p2 = packet(baselines.packets_for(strategy, a))
+def spy_packets(monkeypatch):
+    """Record (client, weights, block) for every packets_for call a round makes."""
+    calls = []
+    real = baselines.packets_for
+
+    def spy(strategy, client, weights):
+        calls.append((client, weights, real(strategy, client, weights)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(baselines, "packets_for", spy)
+    return calls
+
+
+def test_fedre_rs_draws_fresh_weights_each_round(monkeypatch):
+    """Each rs round draws a participant's weights from its trained stream,
+    right after the local update, and keeps none on the client."""
+    mech = ReMechanism("rap")
+    strategy = baselines.Strategy(kind="fedre", mech=mech, resample="rs")
+    clients, server = fresh_world()
+    calls = spy_packets(monkeypatch)
+    drawn = []
+    for rnd in range(2):
+        trained = [protocol.client_local_update(c, server.classifier) for c in clients]
+        calls.clear()
+        clients, server, _, _ = run_one(strategy, clients, server, round_index=rnd)
+        for t, (_, w, block), c in zip(trained, calls, clients):
+            fork = protocol.fork_rng(t.rng)
+            np.testing.assert_array_equal(w, re_weights(t.train.y, mech, fork))
+            assert c.rng.bit_generator.state == fork.bit_generator.state
+            assert c.weights is None
+            want = entangled(protocol.client_representation_set(t), w, t.rm, 4)
+            np.testing.assert_array_equal(packet(block).r_tilde, want.r_tilde)
+        drawn.append([w for _, w, _ in calls])
     # the same state replays identically, but consecutive draws from one
     # stream differ
-    q1 = packet(baselines.packets_for(strategy, b))
-    np.testing.assert_array_equal(p1.r_tilde, q1.r_tilde)
-    assert not np.array_equal(p1.y_tilde, p2.y_tilde) or not np.array_equal(
-        p1.r_tilde, p2.r_tilde
-    )
+    calls.clear()
+    run_one(strategy, *fresh_world())
+    for w, again in zip(drawn[0], [w for _, w, _ in calls]):
+        np.testing.assert_array_equal(w, again)
+    for first, second in zip(*drawn):
+        assert not np.array_equal(first, second)
 
 
-def test_fedre_fs_caches_weights_and_stops_consuming_rng():
-    client = make_client(rng_seed=2)
+def test_fedre_fs_caches_weights_and_stops_consuming_rng(monkeypatch):
+    clients, server = fresh_world()
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    first = baselines.packets_for(strategy, client)
-    p1 = packet(first)
-    w = first.weights
+    calls = spy_packets(monkeypatch)
+    first = protocol.client_local_update(clients[0], server.classifier)
+    clients, server, _, _ = run_one(strategy, clients, server)
+    w = clients[0].weights
     assert w is not None
-    client = replace(client, weights=w)  # what strategy_round keeps
-    state = client.rng.bit_generator.state
-    second = baselines.packets_for(strategy, client)
-    p2 = packet(second)
-    assert client.rng.bit_generator.state == state  # no draw with frozen weights
-    assert second.weights is w
-    np.testing.assert_array_equal(p1.r_tilde, p2.r_tilde)
-    # and the packet really is the cached weighting of the current reps
-    rep_set = protocol.client_representation_set(client)
-    manual = entangled(rep_set, w, client.rm, 4)
-    np.testing.assert_array_equal(p2.r_tilde, manual.r_tilde)
+    assert calls[0][1] is w
+    p1 = packet(calls[0][2])
+    trained = protocol.client_local_update(clients[0], server.classifier)
+    calls.clear()
+    clients, _, _, _ = run_one(strategy, clients, server, round_index=1)
+    # no draw with frozen weights
+    assert clients[0].rng.bit_generator.state == trained.rng.bit_generator.state
+    assert calls[0][1] is w
+    assert clients[0].weights is w
+    # each upload really is the cached weighting of that round's reps
+    for state, block in ((first, p1), (trained, packet(calls[0][2]))):
+        rep_set = protocol.client_representation_set(state)
+        manual = entangled(rep_set, w, state.rm, 4)
+        np.testing.assert_array_equal(block.r_tilde, manual.r_tilde)
 
 
 def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
-    client = make_client(rng_seed=3, epochs=2, lr=0.1)
+    clients, server = fresh_world(epochs=2, lr=0.1)
     strategy = baselines.Strategy(kind="fedre", resample="fs")
-    w = baselines.packets_for(strategy, client).weights.copy()
-    trained = protocol.client_local_update(replace(client, weights=w), None)
-    p = packet(baselines.packets_for(strategy, trained))
+    client = run_one(strategy, clients, server)[0][0]
+    w = client.weights.copy()
+    trained = protocol.client_local_update(client, None)
+    p = packet(baselines.packets_for(strategy, trained, trained.weights))
     np.testing.assert_array_equal(trained.weights, w)
     rep_set = protocol.client_representation_set(trained)
     manual = entangled(rep_set, w, trained.rm, 4)
@@ -124,7 +157,7 @@ def test_fedre_fs_weights_follow_even_as_the_extractor_moves():
 
 def test_fed_all_rep_uploads_every_mapped_sample():
     client = make_client(rng_seed=4)
-    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client)
+    block = baselines.packets_for(baselines.Strategy(kind="fed_all_rep"), client, None)
     assert len(block) == len(client.train)
     rep_set = protocol.client_representation_set(client)
     mapped, _ = rm_apply(rep_set.reps, client.rm, 4)
@@ -135,7 +168,7 @@ def test_fed_all_rep_uploads_every_mapped_sample():
 @pytest.mark.parametrize("kind", ["fedgh_style", "fedproto_style"])
 def test_prototype_strategies_upload_category_means(kind):
     client = make_client(rng_seed=5)
-    block = baselines.packets_for(baselines.Strategy(kind=kind), client)
+    block = baselines.packets_for(baselines.Strategy(kind=kind), client, None)
     cats = np.unique(client.train.y)
     assert len(block) == cats.size
     assert block.labels.shape == (cats.size, 3)
@@ -243,7 +276,8 @@ def test_strategy_round_fedre_rs_equals_plain_round():
     trained, packets = [], []
     for c in a_clients:
         trained.append(protocol.client_local_update(c, a_server.classifier))
-        packets.append(packet(protocol.client_make_packet(trained[-1], mech)))
+        w = re_weights(trained[-1].train.y, mech, trained[-1].rng)
+        packets.append(packet(protocol.client_make_packet(trained[-1], w)))
     server_a = protocol.server_update(
         a_server,
         np.stack([p.r_tilde for p in packets]),

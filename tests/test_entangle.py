@@ -39,6 +39,11 @@ def make_rep_set(rng, n=6, raw_dim=8, num_classes=3, labels=None):
     return en.RepresentationSet(reps, nets.one_hot_matrix(labels, num_classes))
 
 
+def labels_of(rep):
+    """The integer labels of a set's one-hot rows."""
+    return rep.labels_onehot.argmax(axis=1)
+
+
 # ---------------------------------------------------------------- rm forward
 
 
@@ -174,22 +179,22 @@ def test_check_weight_vector_rejections():
 def test_rsr_picks_exactly_one_sample():
     rng = np.random.default_rng(5)
     rep = make_rep_set(rng, n=9)
-    w = en.re_weights(rep, en.ReMechanism(en.RSR), rng)
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.RSR), rng)
     assert sorted(w.tolist()) == [0.0] * 8 + [1.0]
 
 
 def test_var_is_uniform():
     rng = np.random.default_rng(6)
     rep = make_rep_set(rng, n=5)
-    w = en.re_weights(rep, en.ReMechanism(en.VAR), rng)
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.VAR), rng)
     np.testing.assert_array_equal(w, np.full(5, 0.2))
 
 
 def test_rsp_uniform_over_one_category():
     rng = np.random.default_rng(7)
     rep = make_rep_set(rng, n=8, labels=[0, 0, 0, 1, 1, 2, 2, 2])
-    w = en.re_weights(rep, en.ReMechanism(en.RSP), rng)
-    labels = rep.labels
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.RSP), rng)
+    labels = labels_of(rep)
     chosen = np.unique(labels[w > 0])
     assert chosen.size == 1
     members = labels == chosen[0]
@@ -201,27 +206,27 @@ def test_vap_known_example():
     # two samples of one category, one of another: (1/4, 1/4, 1/2)
     rng = np.random.default_rng(8)
     rep = make_rep_set(rng, n=3, labels=[0, 0, 1])
-    w = en.re_weights(rep, en.ReMechanism(en.VAP), rng)
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.VAP), rng)
     np.testing.assert_allclose(w, [0.25, 0.25, 0.5], atol=1e-15)
 
 
 def test_rar_collapses_to_var_under_equal_draws():
     rep = make_rep_set(np.random.default_rng(9), n=6)
-    w = en.re_weights(rep, en.ReMechanism(en.RAR), FixedDraws(3.7))
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.RAR), FixedDraws(3.7))
     np.testing.assert_allclose(w, np.full(6, 1.0 / 6.0), atol=1e-12)
 
 
 def test_rap_collapses_to_vap_under_equal_draws():
     rng = np.random.default_rng(9)
     rep = make_rep_set(rng, n=6, labels=[0, 0, 1, 2, 2, 2])
-    w = en.re_weights(rep, en.ReMechanism(en.RAP), FixedDraws(0.42))
-    vap = en.re_weights(rep, en.ReMechanism(en.VAP), rng)
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.RAP), FixedDraws(0.42))
+    vap = en.re_weights(labels_of(rep), en.ReMechanism(en.VAP), rng)
     np.testing.assert_allclose(w, vap, atol=1e-12)
 
 
 def test_rap_category_mass_is_normalized_draw():
     rep = make_rep_set(np.random.default_rng(9), n=5, labels=[0, 0, 0, 1, 1])
-    w = en.re_weights(rep, en.ReMechanism(en.RAP), FixedDraws([3.0, 1.0]))
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.RAP), FixedDraws([3.0, 1.0]))
     assert w[:3].sum() == pytest.approx(0.75, abs=1e-12)
     assert w[3:].sum() == pytest.approx(0.25, abs=1e-12)
     # equal within category
@@ -243,8 +248,8 @@ def test_rap_and_vap_weights_equal_the_per_sample_loop(labels, scale, seed):
     rap_loop = [draws[pos[c]] / (counts[c] * draws.sum()) for c in labels]
     vap_loop = [1.0 / (cats.size * counts[c]) for c in labels]
     rep = make_rep_set(np.random.default_rng(seed), n=labels.size, labels=labels, num_classes=6)
-    rap = en.re_weights(rep, en.ReMechanism(en.RAP), FixedDraws(draws))
-    vap = en.re_weights(rep, en.ReMechanism(en.VAP), np.random.default_rng(seed))
+    rap = en.re_weights(labels_of(rep), en.ReMechanism(en.RAP), FixedDraws(draws))
+    vap = en.re_weights(labels_of(rep), en.ReMechanism(en.VAP), np.random.default_rng(seed))
     np.testing.assert_array_equal(rap, rap_loop)
     np.testing.assert_array_equal(vap, vap_loop)
 
@@ -304,15 +309,15 @@ def test_weights_equal_the_reference_on_the_same_draws(labels, kind, dist, seed)
     rep = make_rep_set(np.random.default_rng(seed), n=labels.size, labels=labels, num_classes=8)
     rng = np.random.default_rng(seed)
     twin = copy.deepcopy(rng)
-    w = en.re_weights(rep, en.ReMechanism(kind, dist), rng)
+    w = en.re_weights(labels_of(rep), en.ReMechanism(kind, dist), rng)
     np.testing.assert_array_equal(w, reference_weights(labels, kind, dist, twin))
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_weight_draws_are_deterministic_per_rng_state():
     rep = make_rep_set(np.random.default_rng(10), n=7)
-    a = en.re_weights(rep, en.ReMechanism(en.RAP, en.GAUSSIAN), np.random.default_rng(3))
-    b = en.re_weights(rep, en.ReMechanism(en.RAP, en.GAUSSIAN), np.random.default_rng(3))
+    a = en.re_weights(labels_of(rep), en.ReMechanism(en.RAP, en.GAUSSIAN), np.random.default_rng(3))
+    b = en.re_weights(labels_of(rep), en.ReMechanism(en.RAP, en.GAUSSIAN), np.random.default_rng(3))
     np.testing.assert_array_equal(a, b)
 
 
@@ -322,7 +327,7 @@ def test_all_mechanisms_yield_simplex_weights(kind, dist):
     rng = np.random.default_rng(11)
     for trial in range(25):
         rep = make_rep_set(rng, n=int(rng.integers(1, 12)), num_classes=4)
-        w = en.re_weights(rep, en.ReMechanism(kind, dist), rng)
+        w = en.re_weights(labels_of(rep), en.ReMechanism(kind, dist), rng)
         assert w.shape == (len(rep),)
         assert (w >= 0).all()
         assert abs(w.sum() - 1.0) < 1e-9
@@ -332,7 +337,7 @@ def test_all_mechanisms_yield_simplex_weights(kind, dist):
 @settings(max_examples=60, deadline=None)
 def test_rar_weights_property(n, seed):
     rep = make_rep_set(np.random.default_rng(seed), n=n)
-    w = en.re_weights(rep, en.ReMechanism(en.RAR, en.LAPLACE), np.random.default_rng(seed))
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.RAR, en.LAPLACE), np.random.default_rng(seed))
     assert abs(w.sum() - 1.0) < 1e-9
     assert (w >= 0).all()
 
@@ -359,7 +364,7 @@ def test_entangle_y_tilde_stays_on_simplex():
     rng = np.random.default_rng(13)
     for kind in en.MECHANISMS:
         rep = make_rep_set(rng, n=8, num_classes=4)
-        w = en.re_weights(rep, en.ReMechanism(kind), rng)
+        w = en.re_weights(labels_of(rep), en.ReMechanism(kind), rng)
         packet = entangled(rep, w, en.RMSpec(en.AP), 4)
         assert (packet.y_tilde >= -1e-12).all()
         assert abs(packet.y_tilde.sum() - 1.0) < 1e-9
@@ -416,10 +421,10 @@ def test_vap_entangle_equals_mean_of_prototypes():
     rng = np.random.default_rng(18)
     rep = make_rep_set(rng, n=10, raw_dim=8, num_classes=4)
     rm = en.RMSpec(en.AP)
-    w = en.re_weights(rep, en.ReMechanism(en.VAP), rng)
+    w = en.re_weights(labels_of(rep), en.ReMechanism(en.VAP), rng)
     mapped, _ = en.rm_apply(rep.reps, rm, 4)
     packet = entangled(rep, w, rm, 4)
-    protos = en.compute_prototypes(mapped, rep.labels)
+    protos = en.compute_prototypes(mapped, labels_of(rep))
     mean_proto = np.mean([p for _, p in protos], axis=0)
     np.testing.assert_allclose(packet.r_tilde, mean_proto, atol=1e-10)
 

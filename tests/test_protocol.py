@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedre import baselines, nets, protocol
-from fedre.entangle import AP, FC, ReMechanism, RMSpec, rm_apply
+from fedre.entangle import AP, FC, ReMechanism, RMSpec, re_weights, rm_apply
 
 from helpers import (
     InjectedFault,
@@ -15,6 +15,7 @@ from helpers import (
     calls_at,
     local_ce_loss,
     make_client,
+    entangled,
     make_server,
     net_params_equal,
     packet,
@@ -85,7 +86,7 @@ def test_client_representation_set_matches_extractor_output():
     rep = protocol.client_representation_set(client)
     direct, _ = nets.forward_pass(client.extractor, client.train.X)
     np.testing.assert_array_equal(rep.reps, direct)
-    np.testing.assert_array_equal(rep.labels, client.train.y)
+    np.testing.assert_array_equal(rep.labels_onehot.argmax(axis=1), client.train.y)
 
 
 # ---------------------------------------------------------------- gradients
@@ -276,10 +277,10 @@ def test_client_make_packet_is_deterministic_per_rng_state():
     a = make_client(rng_seed=8)
     b = make_client(rng_seed=8)
     mech = ReMechanism("rap")
-    block_a = protocol.client_make_packet(a, mech)
-    block_b = protocol.client_make_packet(b, mech)
-    pa, wa = packet(block_a), block_a.weights
-    pb, wb = packet(block_b), block_b.weights
+    wa = re_weights(a.train.y, mech, a.rng)
+    wb = re_weights(b.train.y, mech, b.rng)
+    pa = packet(protocol.client_make_packet(a, wa))
+    pb = packet(protocol.client_make_packet(b, wb))
     np.testing.assert_array_equal(pa.r_tilde, pb.r_tilde)
     np.testing.assert_array_equal(pa.y_tilde, pb.y_tilde)
     np.testing.assert_array_equal(wa, wb)
@@ -290,15 +291,19 @@ def test_client_make_packet_with_explicit_weights_skips_the_rng():
     state_before = client.rng.bit_generator.state
     n = len(client.train)
     w = np.full(n, 1.0 / n)
-    used = protocol.client_make_packet(client, ReMechanism("rap"), weights=w).weights
+    block = protocol.client_make_packet(client, w)
     assert client.rng.bit_generator.state == state_before
-    assert used is w
+    # the packet is the weighting by w, and w is not uploaded with it
+    want = entangled(protocol.client_representation_set(client), w, client.rm, 4)
+    np.testing.assert_array_equal(packet(block).r_tilde, want.r_tilde)
+    np.testing.assert_array_equal(packet(block).y_tilde, want.y_tilde)
+    assert not hasattr(block, "weights")
 
 
 def test_packet_shapes():
     client = make_client(rng_seed=10, unified_dim=4, num_classes=3)
-    block = protocol.client_make_packet(client, ReMechanism("var"))
-    p, w = packet(block), block.weights
+    w = re_weights(client.train.y, ReMechanism("var"), client.rng)
+    p = packet(protocol.client_make_packet(client, w))
     assert w.shape == (len(client.train),)
     assert p.r_tilde.shape == (4,)
     assert p.y_tilde.shape == (3,)

@@ -11,7 +11,7 @@ aborts anywhere must leave its inputs as they were.
 
 import contextlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -159,8 +159,8 @@ def test_a_duplicated_row_is_counted_and_reaches_the_server(monkeypatch, kind, c
         server_rows.append(len(reps))
         return real_update(server, reps, labels)
 
-    def duplicated(strategy, client):
-        block = real_packets(strategy, client)
+    def duplicated(strategy, client, weights):
+        block = real_packets(strategy, client, weights)
         return replace(
             block,
             reps=np.concatenate([block.reps, block.reps[:1]]),
@@ -186,11 +186,44 @@ def test_a_duplicated_row_is_counted_and_reaches_the_server(monkeypatch, kind, c
     assert server_rows == [server_rows[0], server_rows[0] + k]
 
 
+@pytest.mark.parametrize("convention", protocol.CONVENTIONS)
+@pytest.mark.parametrize("resample", baselines.RESAMPLE_MODES)
+@pytest.mark.parametrize("kind", baselines.STRATEGIES)
+def test_an_upload_holds_only_what_is_counted(monkeypatch, kind, resample, convention):
+    """Every block a round builds is its reps and labels, nothing else, and
+    the round counts every scalar of them, the labels only under
+    representation_plus_label: a fedre client's weights never leave it."""
+    cfg = small_config(kind, resample, "ap", 1.0, convention=convention)
+    world = runner.build_world(cfg, 6)
+    blocks = []
+    real_packets = baselines.packets_for
+
+    def recorded(*args):
+        blocks.append(real_packets(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(baselines, "packets_for", recorded)
+    clients, server, protos, metrics = runner.init_clients(cfg, world), world.server, {}, None
+    for rnd in range(2):  # fs uploads with drawn, then with kept, weights
+        blocks.clear()
+        clients, server, protos, metrics = baselines.strategy_round(
+            world.strategy, clients, server, protos, rnd, 1.0, world.part_rng, metrics, convention
+        )
+        assert len(blocks) == sum(1 for c in clients if len(c.train))
+        for block in blocks:
+            assert [f.name for f in fields(block)] == ["reps", "labels"]
+            assert sorted(vars(block)) == ["labels", "reps"]
+        labels = sum(b.labels.size for b in blocks)
+        counted = labels if convention == protocol.REPRESENTATION_PLUS_LABEL else 0
+        assert metrics.upload_scalars == sum(b.reps.size for b in blocks) + counted
+
+
 # ------------------------------------------------------- fault injection
 
 # every step the round calls through baselines' namespace
 FAULT_SITES = (
     "client_local_update",
+    "re_weights",
     "client_make_packet",
     "packets_for",
     "server_update",
