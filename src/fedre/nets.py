@@ -13,7 +13,8 @@ There is one loss, the mean soft-label cross-entropy of a batch.
 
 The dense-layer math exists once, in private kernels that read
 ``net.layers``: ``_forward``, ``_backward`` (parameter gradients, the input
-gradient, or both), ``_ce`` and ``_step``, one layer's in-place SGD step.
+gradient, or both), ``_ce`` (the loss optional, the gradient always) and
+``_step``, one layer's in-place SGD step.
 ``forward_pass``, ``backprop``, ``ce_value_and_grads`` and ``sgd_step`` are
 thin wrappers that validate their inputs and call them. A ``BatchCache``
 holds one array per layer boundary, each layer's input, then the output.
@@ -37,7 +38,10 @@ public functions here validate their inputs; the kernels check nothing. The
 update loops in ``protocol`` clone each net once, step the clone's layer
 arrays in place through the backward, check finiteness per step on the loss
 (before the backward) and the activations, and call ``_check_trained`` once
-per update on the parameters (``DivergedError`` if any is non-finite).
+per update on the parameters (``DivergedError`` if any is non-finite). The
+server's steps compute no loss when a bound on its inputs proves every loss
+of the update finite (``protocol._losses_bounded``): there the check could
+never fire.
 
 Batches and stacks: ``forward_pass`` and ``backprop`` take a batch of rows,
 shape (n, d), or a stack of batches, shape (*lead, n, d); every leading
@@ -272,25 +276,32 @@ def backprop(net, cache, grad_output):
     return _backward(net, cache, delta)
 
 
-def _ce(z, t):
+def _ce(z, t, with_loss=True):
     """Kernel: (mean soft cross-entropy of the logit rows z against the
-    targets t, its gradient with respect to z), with no checks."""
+    targets t, its gradient with respect to z), with no checks.
+
+    with_loss=False skips the loss and returns None in its place; the
+    gradient is the same, bitwise: the loss only reads the softmax's terms.
+    """
     m = np.maximum.reduce(z, axis=1, keepdims=True)
     e = z - m
     np.exp(e, out=e)
     s = np.add.reduce(e, axis=1, keepdims=True)
-    # row losses m + log(s) - t.z, clamped at zero; sum / n is the
-    # arithmetic of mean()
-    losses = np.log(s)
-    losses += m
-    losses -= np.add.reduce(t * z, axis=1, keepdims=True)
-    np.maximum(losses, _ZERO, out=losses)
     n = z.shape[0]
+    loss = None
+    if with_loss:
+        # row losses m + log(s) - t.z, clamped at zero; sum / n is the
+        # arithmetic of mean()
+        losses = np.log(s)
+        losses += m
+        losses -= np.add.reduce(t * z, axis=1, keepdims=True)
+        np.maximum(losses, _ZERO, out=losses)
+        loss = float(np.add.reduce(losses, axis=None)) / n
     # the gradient (e / s - t) / n, built in place on e
     e /= s
     e -= t
     e /= n
-    return float(np.add.reduce(losses, axis=None)) / n, e
+    return loss, e
 
 
 def ce_value_and_grads(net, X, targets):

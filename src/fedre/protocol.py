@@ -3,14 +3,16 @@
 Client steps: adopt the broadcast classifier, fine-tune locally (extractor,
 classifier, and learned mapping together), and collapse the mapped training
 representations into one entangled packet, a one-row PacketBlock, by
-weights strategy_round draws and the client keeps. Server
-step: train the shared classifier with soft-label cross-entropy on the
-uploaded packets, given as one (n, d) matrix and its (n, num_classes)
-labels. Every step returns new states and changes none of its inputs: the
-training steps draw from a fork of the input's RNG stream (fork_rng) and
-return the fork as the new state's stream. baselines.strategy_round runs
-the steps as one round; it calls evaluate_client only on the clients that
-round trained.
+weights strategy_round draws and the client keeps. Server step: train the
+shared classifier with soft-label cross-entropy on the uploaded packets,
+given as one (n, d) matrix and its (n, num_classes) labels. A client step
+computes its loss to check that it is finite; a server step does so only
+when a bound on the update's inputs cannot prove every loss finite
+(server_update). Every step returns new states and changes none of its
+inputs: the training steps draw from a fork of the input's RNG stream
+(fork_rng) and return the fork as the new state's stream.
+baselines.strategy_round runs the steps as one round; it calls
+evaluate_client only on the clients that round trained.
 """
 
 import math
@@ -33,6 +35,7 @@ REPRESENTATION_ONLY = "representation_only"
 REPRESENTATION_PLUS_LABEL = "representation_plus_label"
 CONVENTIONS = (REPRESENTATION_ONLY, REPRESENTATION_PLUS_LABEL)
 _FORK_SEED = np.random.SeedSequence(0)  # fork_rng seeds from this, then overwrites it
+_LOSS_CEILING = 1e300  # far below float overflow (1.8e308): room for rounding
 
 
 @dataclass(eq=False)
@@ -247,16 +250,57 @@ def client_make_packet(client, weights):
     return entangle(mapped, rep_set.labels_onehot, weights)
 
 
+def _losses_bounded(server, reps, labels):
+    """True when no step of server_update on these inputs can compute a
+    non-finite loss. False on any NaN or inf, and for a classifier other
+    than make_classifier's one identity layer (W, b).
+
+    The bound is a priori and in Python floats, so nothing warns. Softmax
+    probabilities lie in [0, 1], so with x = max|reps| and t = max|labels| a
+    step moves each entry of W by at most lr (1 + t) x and of b by at most
+    lr (1 + t). Over S steps every logit stays within
+    Z = (max|b| + S lr (1 + t)) + d (max|W| + S lr (1 + t) x) x, and a row
+    loss log(sum(exp(z - max z))) + max z - labels.z within
+    log(C) + (1 + tau) Z, tau the largest row sum of |labels|. A batch sums
+    at most min(n, batch_size) rows; below _LOSS_CEILING that sum is finite
+    whatever the rounding.
+    """
+    layers = server.classifier.layers
+    if len(layers) != 1 or layers[0].activation != nets.IDENTITY:
+        return False
+    n, d = reps.shape
+    num_classes = labels.shape[1]
+    t = float(np.abs(labels).max())
+    if not t * num_classes < _LOSS_CEILING:  # keeps the row sums below finite
+        return False
+    tau = float(np.add.reduce(np.abs(labels), axis=1).max())
+    x = float(np.abs(reps).max())
+    steps = server.epochs * -(-n // server.batch_size)
+    move = steps * abs(float(server.lr)) * (1.0 + t)  # b's; W's is move * x
+    w, b = (float(np.abs(a).max()) for a in (layers[0].weight, layers[0].bias))
+    z = (b + move) + d * (w + move * x) * x
+    rows = min(n, server.batch_size)
+    return rows * (math.log(num_classes) + (1.0 + tau) * z) < _LOSS_CEILING
+
+
 def server_update(server, reps, labels):
     """Train the shared classifier on the uploaded packets.
 
     reps (n, d) and labels (n, num_classes) hold one packet per row, the
-    participants' upload blocks concatenated. Each step checks its loss,
-    then steps a private clone of the classifier in place inside the
-    backward (nets._backward); its parameters are checked once, at the end.
-    The batches are shuffled by a fork of the server's stream, which becomes
-    the new state's stream, so the input is left unchanged. As in the client
-    update, each epoch gathers its rows once and slices its batches.
+    participants' upload blocks concatenated. The steps update a private
+    clone of the classifier in place; its parameters are checked once, at
+    the end. The batches are shuffled by a fork of the server's stream,
+    which becomes the new state's stream, so the input is left unchanged.
+    Each epoch gathers its rows into one buffer and slices its batches, so
+    the update holds one epoch's rows.
+
+    A step computes its loss only to check, before the backward, that it is
+    finite (DivergedError). When _losses_bounded proves every loss of the
+    update finite, that check can never fire, so the steps skip the loss
+    and run directly on the classifier's one layer: the operations of
+    nets._forward, _ce, _backward and _step, in their order. The parameters
+    and the stream end bitwise as in the checked steps, and DivergedError
+    is raised exactly when they raise it.
     """
     reps = np.asarray(reps, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -270,14 +314,28 @@ def server_update(server, reps, labels):
     classifier = nets.clone(server.classifier)
     rng = fork_rng(server.rng)
     bs, lr = server.batch_size, np.array(server.lr, dtype=float)  # see nets._ZERO
-    for order in _epoch_orders(rng, n, server.epochs):
-        R, Y = reps.take(order, axis=0), labels.take(order, axis=0)
+    orders = _epoch_orders(rng, n, server.epochs)
+    bounded = _losses_bounded(server, reps, labels)
+    layer = classifier.layers[0]  # the only one when bounded
+    W, b = layer.weight, layer.bias  # stepped in place, so read once
+    R, Y = np.empty((n, d)), np.empty((n, num_classes))  # one epoch's rows
+    for order in orders:
+        # gathered in place; "clip" (order is in range) spares take a buffer
+        reps.take(order, axis=0, out=R, mode="clip")
+        labels.take(order, axis=0, out=Y, mode="clip")
         for start in range(0, n, bs):
-            out, cache = nets._forward(classifier, R[start : start + bs])
-            loss, grad_out = nets._ce(out, Y[start : start + bs])
-            if not math.isfinite(loss):
-                raise DivergedError("server loss is non-finite")
-            nets._backward(classifier, cache, grad_out, input_grad=False, lr=lr)
+            Rb, Yb = R[start : start + bs], Y[start : start + bs]
+            if bounded:  # nets._forward, _ce without the loss, _backward
+                z = Rb @ W.T
+                z += b
+                _, g = nets._ce(z, Yb, with_loss=False)
+                nets._step(layer, g.T @ Rb, np.add.reduce(g, axis=-2), lr)
+            else:
+                out, cache = nets._forward(classifier, Rb)
+                loss, grad_out = nets._ce(out, Yb)
+                if not math.isfinite(loss):
+                    raise DivergedError("server loss is non-finite")
+                nets._backward(classifier, cache, grad_out, input_grad=False, lr=lr)
     nets._check_trained(classifier)
     return replace(server, classifier=classifier, rng=rng)
 

@@ -153,9 +153,10 @@ def test_ce_equals_the_plain_formula(data):
     before = snapshot(z, t)
     with np.errstate(all="ignore"):
         loss, grad = nets._ce(z, t)
+        no_loss, grad_alone = nets._ce(z, t, with_loss=False)
         want_loss, want_grad = reference_ce(z, t)
     assert type(loss) is float and same(loss, want_loss)
-    assert same(grad, want_grad)
+    assert same(grad, want_grad) and no_loss is None and same(grad_alone, want_grad)
     assert snapshot(z, t) == before
 
 

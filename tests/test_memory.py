@@ -5,7 +5,9 @@ domain, so the counts below are exact and the same on every run. A forward
 pass allocates one array per layer (relu is applied in place), and a client
 update holds one layer's gradient at a time (each layer is stepped inside
 the backward), so its peak stays under its clone, its largest layer
-gradient and a few copies of one batch's activations.
+gradient and a few copies of one batch's activations. A server update
+gathers one epoch's rows at a time, so only its epoch orders grow with the
+epoch count.
 """
 
 import sys
@@ -15,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from fedre import config, nets, protocol, runner
+
+from helpers import make_server
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench import workloads  # noqa: E402
@@ -71,3 +75,25 @@ def test_widest_wide_client_update_holds_one_layer_gradient_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+def test_server_update_peak_grows_with_epochs_by_the_orders_alone():
+    """Gathering every epoch's rows at once would add 49 epochs of rows,
+    (d + C) / 2 = 37 times the orders' growth, at 50 epochs."""
+    n, d, num_classes = 300, 64, 10
+    rng = np.random.default_rng(0)
+    R, Y = rng.standard_normal((n, d)), nets.one_hot_matrix(rng.integers(num_classes, size=n), num_classes)
+
+    def peak(epochs):
+        server = make_server(d, num_classes, lr=0.05, batch_size=64, epochs=epochs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            protocol.server_update(server, R, Y)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # one row of n int64 per epoch, held twice while drawn (tiled, then shuffled)
+    orders = 2 * 49 * n * np.dtype(np.int64).itemsize
+    assert peak(50) <= peak(1) + orders

@@ -9,19 +9,29 @@ builds a new net and checks it. Over small random worlds both must end with
 bitwise equal parameters and the same RNG state, or both must fail with
 DivergedError. The updates draw from a fork of the input's stream and
 return it as the new state's, so the input's own stream must not move.
+
+server_update skips the per-step loss when a bound proves every loss of
+the update finite; the server worlds draw packets up to 1e308, so the
+property covers both sides of that bound.
 """
 
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedre import data, nets, protocol
+from fedre import baselines, config, data, nets, presets, protocol, runner
 from fedre.entangle import FC, RM_KINDS, RMSpec, rm_apply, rm_backward
 
 from helpers import Packet, batch_mean_ce, net_params_equal, softmax
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import workloads  # noqa: E402
 
 # ------------------------------------------------------------ the reference
 
@@ -165,10 +175,11 @@ def server_worlds(draw):
     unified = draw(st.integers(1, 4))
     num_classes = draw(st.integers(2, 4))
     k = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.integers(0, 308))  # |reps| < scale: finite
     packets = []
     for _ in range(k):
         y = rng.random(num_classes)
-        packets.append(Packet(rng.normal(size=unified), y / y.sum()))
+        packets.append(Packet(scale * rng.uniform(-1.0, 1.0, size=unified), y / y.sum()))
     server = protocol.ServerState(
         classifier=protocol.make_classifier(unified, num_classes, rng),
         rng=np.random.default_rng(draw(st.integers(0, 2**16))),
@@ -244,26 +255,101 @@ def check_server_update(world):
     assert got.rng.bit_generator.state == rng_b.bit_generator.state
 
 
+def one_row_world(weight, labels):
+    """One packet [1e308], a zero bias and one epoch: a loss that is not
+    finite while the step itself leaves finite weights, so only a loss
+    computed (or a bound that fails) raises DivergedError."""
+    layer = nets.Layer(np.array(weight, dtype=float), np.zeros(2), nets.IDENTITY)
+    server = protocol.ServerState(
+        classifier=nets.DenseNet([layer]), rng=np.random.default_rng(0), lr=0.1, batch_size=1, epochs=1
+    )
+    return server, [Packet(np.array([1e308]), np.array(labels, dtype=float))]
+
+
 @settings(max_examples=80, deadline=None)
 @given(server_worlds())
+# logits [1e307, -inf]: the loss is 0 * -inf = NaN, the gradient zero
+@example(one_row_world([[0.1], [-10.0]], [1.0, 0.0]))
+# logits [1.5e308, -1.5e308]: m - labels.z overflows, the step does not
+@example(one_row_world([[1.5], [-1.5]], [0.0, 1.0]))
 def test_server_update_equals_the_per_step_loop(world):
     check_server_update(world)
 
 
-def test_server_update_equals_the_per_step_loop_at_the_toy_shape():
-    """The toy preset's server: 2 packets of dimension 8 over 10 classes,
-    lr 0.5, batch 100 and 100 epochs, 100 steps from one batched draw of
-    the epoch orders (server_worlds draws at most 4 epochs)."""
+def toy_server(lr=0.5, scale=1.0):
+    """The toy preset's server, (server, reps, labels): 2 packets of
+    dimension 8 over 10 classes, lr 0.5, batch 100 and 100 epochs."""
     rng = np.random.default_rng(15)
-    packets = [Packet(rng.normal(size=8), y / y.sum()) for y in rng.random((2, 10))]
+    R, Y = scale * rng.normal(size=(2, 8)), rng.random((2, 10))
     server = protocol.ServerState(
         classifier=protocol.make_classifier(8, 10, rng),
         rng=np.random.default_rng(16),
-        lr=0.5,
+        lr=lr,
         batch_size=100,
         epochs=100,
     )
-    check_server_update((server, packets))
+    return server, R, Y / Y.sum(axis=1, keepdims=True)
+
+
+def test_server_update_equals_the_per_step_loop_at_the_toy_shape():
+    """100 steps from one batched draw of the epoch orders (server_worlds
+    draws at most 4 epochs)."""
+    server, R, Y = toy_server()
+    check_server_update((server, [Packet(r, y) for r, y in zip(R, Y)]))
+
+
+def count_server_losses(monkeypatch, run):
+    """(server updates, losses computed inside them) while run() runs."""
+    counts, inside = [0, 0], []
+    real_ce, real_update = nets._ce, protocol.server_update
+
+    def ce(z, t, with_loss=True):
+        counts[1] += bool(inside) and with_loss
+        return real_ce(z, t, with_loss)
+
+    def update(*args):
+        counts[0] += 1
+        inside.append(True)
+        try:
+            return real_update(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(nets, "_ce", ce)
+    monkeypatch.setattr(protocol, "server_update", update)
+    monkeypatch.setattr(baselines, "server_update", update)
+    run()
+    return tuple(counts)
+
+
+def first_round(cfg):
+    cfg.seeds, cfg.rounds = cfg.seeds[:1], 1
+    runner.run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: protocol.server_update(*toy_server()),
+        lambda: first_round(presets.toy_comparison_config(strategy=baselines.FED_ALL_REP)),
+        lambda: first_round(config.parse_config(workloads.wide_all_rep_mapping())),
+    ],
+    ids=["toy_server", "toy_fed_all_rep_round", "wide_all_rep_round"],
+)
+def test_the_presets_server_updates_compute_no_loss(monkeypatch, run):
+    """Each preset's server is inside the bound, so it takes the loss-free
+    steps; losing that path would lose the speed silently."""
+    updates, losses = count_server_losses(monkeypatch, run)
+    assert updates >= 1 and losses == 0
+
+
+def test_a_server_update_outside_the_bound_computes_every_loss(monkeypatch):
+    """At lr 0 and packets of size 1e300 every logit and loss is finite,
+    but the bound (about 1e301) is not below 1e300, so all 100 steps
+    compute their loss."""
+    server, R, Y = toy_server(lr=0.0, scale=1e300)
+    run = lambda: protocol.server_update(server, R, Y)  # noqa: E731
+    assert count_server_losses(monkeypatch, run) == (1, 100)
 
 
 @settings(max_examples=60, deadline=None)
