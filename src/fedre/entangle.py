@@ -102,6 +102,13 @@ def rm_apply(R, rm, unified_dim):
     rm_backward reads: the fc net's BatchCache, the block size m under ap,
     or (m, each block's argmax offset) under mp. Stacks follow forward_pass:
     each row of a stacked call equals the 2-d call on that row bitwise.
+
+    ap averages each block of m raw columns. Below 8 terms numpy's
+    last-axis reduce adds a block from 0.0 in column order, one inner loop
+    per block; the column fold repeats those additions bit for bit in m
+    whole-array adds. Its + 0.0 start turns a block of only -0.0 into +0.0,
+    as the reduce does. From 8 terms on numpy sums pairwise, so the reduce
+    is kept.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim < 2:
@@ -123,8 +130,13 @@ def rm_apply(R, rm, unified_dim):
     m = raw_dim // unified_dim
     blocks = R.reshape(R.shape[:-1] + (unified_dim, m))
     if rm.kind == AP:
-        # the arithmetic of blocks.mean(axis=-1), in two cheap calls
-        mapped = np.add.reduce(blocks, axis=-1)
+        # the arithmetic of blocks.mean(axis=-1): see the docstring
+        if m < 8:
+            mapped = blocks[..., 0] + 0.0
+            for j in range(1, m):
+                mapped += blocks[..., j]
+        else:
+            mapped = np.add.reduce(blocks, axis=-1)
         mapped /= m
         return mapped, m
     if rm.kind != MP:

@@ -10,7 +10,9 @@ computes its loss to check that it is finite; a server step does so only
 when a bound on the update's inputs cannot prove every loss finite
 (server_update). Every step returns new states and changes none of its
 inputs: the training steps draw from a fork of the input's RNG stream
-(fork_rng) and return the fork as the new state's stream.
+(fork_rng) and return the fork as the new state's stream. Both training
+loops hold one epoch's rows: each epoch gathers them into buffers the update
+allocates once, and the steps read them through batch views made once.
 baselines.strategy_round runs the steps as one round; it calls
 evaluate_client only on the clients that round trained.
 """
@@ -197,11 +199,13 @@ def client_local_update(client, global_classifier, proto_reg=None):
     stream, which becomes the new state's stream, and training steps a
     clone of the broadcast classifier (else of the client's own). The
     one-hot targets and prototype rows are built once per update; every
-    epoch's order comes from one draw (_epoch_orders), and each epoch
-    gathers its rows once and takes its batches as slices. Every step is
-    one local_gradients call that checks its loss, then steps private
-    clones of the nets in place inside the backward, one layer's gradient
-    at a time; their parameters are checked once, at the end.
+    epoch's order comes from one draw (_epoch_orders). Each epoch gathers
+    its rows into buffers the update allocates once, so the update holds
+    one epoch's rows, and the steps read them through batch views made
+    once per update. Every step is one local_gradients call that checks
+    its loss, then steps private clones of the nets in place inside the
+    backward, one layer's gradient at a time; their parameters are checked
+    once, at the end.
     """
     synced = client.classifier if global_classifier is None else global_classifier
     if (synced.input_dim, synced.output_dim) != (
@@ -224,14 +228,22 @@ def client_local_update(client, global_classifier, proto_reg=None):
             rows[y == label] = proto
             mask[y == label] = 1.0
     bs, lr = client.batch_size, np.array(client.lr, dtype=float)  # see nets._ZERO
+    X, T = np.empty(client.train.X.shape), np.empty(onehot.shape)  # one epoch's rows
+    gathers = [(client.train.X, X), (onehot, T)]
+    if proto_reg is not None:
+        P, M = np.empty(rows.shape), np.empty(n)
+        gathers += [(rows, P), (mask, M)]
+    batches = []  # every step's views into the buffers, made once
+    for start in range(0, n, bs):
+        batch = slice(start, start + bs)
+        reg = None if proto_reg is None else (lam, P[batch], M[batch])
+        batches.append((X[batch], T[batch], reg))
     for order in _epoch_orders(rng, n, client.epochs):
-        X, T = client.train.X.take(order, axis=0), onehot.take(order, axis=0)
-        if proto_reg is not None:
-            P, M = rows.take(order, axis=0), mask.take(order)
-        for start in range(0, n, bs):
-            batch = slice(start, start + bs)
-            reg = None if proto_reg is None else (lam, P[batch], M[batch])
-            local_gradients(extractor, rm, classifier, X[batch], T[batch], reg, lr)
+        for source, buffer in gathers:
+            # gathered in place; "clip" (order is in range) spares take a buffer
+            source.take(order, axis=0, out=buffer, mode="clip")
+        for Xb, Tb, reg in batches:
+            local_gradients(extractor, rm, classifier, Xb, Tb, reg, lr)
     trained = [extractor, classifier] + ([rm.net] if rm.kind == FC else [])
     nets._check_trained(*trained)
     return replace(client, extractor=extractor, classifier=classifier, rm=rm, rng=rng)
@@ -291,8 +303,9 @@ def server_update(server, reps, labels):
     clone of the classifier in place; its parameters are checked once, at
     the end. The batches are shuffled by a fork of the server's stream,
     which becomes the new state's stream, so the input is left unchanged.
-    Each epoch gathers its rows into one buffer and slices its batches, so
-    the update holds one epoch's rows.
+    Each epoch gathers its rows into one buffer the update allocates once,
+    so the update holds one epoch's rows, read through batch views made
+    once per update.
 
     A step computes its loss only to check, before the backward, that it is
     finite (DivergedError). When _losses_bounded proves every loss of the
@@ -319,12 +332,12 @@ def server_update(server, reps, labels):
     layer = classifier.layers[0]  # the only one when bounded
     W, b = layer.weight, layer.bias  # stepped in place, so read once
     R, Y = np.empty((n, d)), np.empty((n, num_classes))  # one epoch's rows
+    batches = [(R[start : start + bs], Y[start : start + bs]) for start in range(0, n, bs)]
     for order in orders:
         # gathered in place; "clip" (order is in range) spares take a buffer
         reps.take(order, axis=0, out=R, mode="clip")
         labels.take(order, axis=0, out=Y, mode="clip")
-        for start in range(0, n, bs):
-            Rb, Yb = R[start : start + bs], Y[start : start + bs]
+        for Rb, Yb in batches:
             if bounded:  # nets._forward, _ce without the loss, _backward
                 z = Rb @ W.T
                 z += b
@@ -359,11 +372,16 @@ def mean_accuracy(per_client):
 
 
 def participation_sample(clients, rate, rng):
-    """Uniform without-replacement draw of ceil(rate * K) clients."""
+    """Uniform without-replacement draw of ceil(rate * K) clients, at least one.
+
+    The ceiling is of the rate as written: rate * K is rounded to 9 decimals
+    first, so a product that rounds just above an integer (0.07 * 100 is
+    7.000000000000001) does not draw one client too many.
+    """
     if not clients:
         raise ValueError("no clients to sample from")
     if rate == 1.0:
         return list(clients)
-    k = math.ceil(rate * len(clients))
+    k = max(1, math.ceil(round(rate * len(clients), 9)))
     chosen = rng.choice(len(clients), size=k, replace=False)
     return [clients[i] for i in sorted(chosen)]

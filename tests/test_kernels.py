@@ -8,17 +8,19 @@ results with tobytes(), so a flipped sign of zero counts as a difference,
 and checks that the call changed none of the arrays it was given. The draws
 cover 2-d batches and stacks of one-row batches, relu and identity layers,
 every mapping kind, signed zeros, subnormals, values whose products overflow
-and, for the logits, infinities. reference_backward reads the relu mask from
-the pre-activations (z > 0), so the kernels' mask, read from each relu
-layer's output, is held to it on the same draws, NaN and infinities included.
+and, for the logits and the ap/mp inputs, infinities. reference_backward
+reads the relu mask from the pre-activations (z > 0), so the kernels' mask,
+read from each relu layer's output, is held to it on the same draws, NaN
+and infinities included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedre import nets
+from fedre import entangle, nets
 from fedre.entangle import AP, FC, MP, RM_KINDS, RMSpec, rm_apply, rm_backward
 
 from helpers import (
@@ -68,13 +70,13 @@ def dense_nets(draw, sizes=None):
 
 
 @st.composite
-def batches(draw, d):
+def batches(draw, d, elements=FINITE):
     """A 2-d batch (n, d) or a stack of one-row batches (R, 1, d)."""
     if draw(st.booleans()):
         shape = (draw(st.integers(1, 5)), 1, d)
     else:
         shape = (draw(st.integers(1, 10)), d)
-    return draw(arrays(np.float64, shape, elements=FINITE))
+    return draw(arrays(np.float64, shape, elements=elements))
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,10 +176,11 @@ def test_rm_kernels_equal_the_plain_formulas(data, kind, lr):
     else:
         raw = unified * data.draw(st.integers(1, 9))
         rm = RMSpec(kind)
+    elements = FINITE if kind == FC else LOGITS  # ap/mp sum or pick infinities too
     if lr is None:
-        R = data.draw(batches(raw))
+        R = data.draw(batches(raw, elements))
     else:
-        R = data.draw(arrays(np.float64, (data.draw(st.integers(1, 10)), raw), elements=FINITE))
+        R = data.draw(arrays(np.float64, (data.draw(st.integers(1, 10)), raw), elements=elements))
     fc_arrays = net_arrays(rm.net) if kind == FC else []
     before = snapshot(R, *fc_arrays)
     with np.errstate(all="ignore"):
@@ -206,3 +209,58 @@ def test_rm_kernels_equal_the_plain_formulas(data, kind, lr):
     if steps:
         assert all_same(fc_arrays, want_arrays)
     assert snapshot(*kept) == before
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("m", range(2, 10))
+def test_ap_sums_edge_blocks_like_the_plain_formula(m, stacked):
+    """Blocks whose sums turn on the start and the order of the additions:
+    only -0.0 (+0.0 summed from 0.0, -0.0 from the first term), inf with
+    -inf (NaN), and 1e308 twice, then -1e308 (inf in column order, NaN
+    when summed pairwise)."""
+    blocks = [
+        [-0.0] * m,
+        [np.inf, -np.inf] + [-0.0] * (m - 2),
+        [1e308, 1e308] + [-1e308] * (m - 2),
+    ]
+    R = np.array([sum(blocks, []), sum(blocks[::-1], [])])
+    if stacked:
+        R = R[:, None, :]
+    with np.errstate(all="ignore"):
+        mapped, _ = rm_apply(R, RMSpec(AP), len(blocks))
+        want, _ = reference_rm_apply(R, RMSpec(AP), len(blocks))
+    assert same(mapped, want)
+
+
+class _CountingNumpy:
+    """numpy, with every last-axis np.add.reduce counted."""
+
+    def __init__(self):
+        self.last_axis_reduces = 0
+        self.add = self
+
+    def reduce(self, a, axis=0, **kwargs):
+        self.last_axis_reduces += axis in (-1, np.ndim(a) - 1)
+        return np.add.reduce(a, axis=axis, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize(
+    "shape, reduces",
+    [
+        ((72, 1, 16), 0),  # the toy attack's stack, m = 2
+        ((16, 16), 0),  # a toy client batch, m = 2
+        ((16, 24), 0),  # the other toy client's, m = 3
+        ((16, 64), 1),  # m = 8: numpy sums pairwise, so the reduce stays
+    ],
+)
+def test_ap_sums_short_blocks_without_a_last_axis_reduce(monkeypatch, shape, reduces):
+    """A block of fewer than 8 terms is summed by a column fold."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(entangle, "np", counting)
+    R = np.random.default_rng(0).standard_normal(shape)
+    mapped, _ = rm_apply(R, RMSpec(AP), 8)
+    assert counting.last_axis_reduces == reduces
+    assert same(mapped, reference_rm_apply(R, RMSpec(AP), 8)[0])

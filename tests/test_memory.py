@@ -5,20 +5,21 @@ domain, so the counts below are exact and the same on every run. A forward
 pass allocates one array per layer (relu is applied in place), and a client
 update holds one layer's gradient at a time (each layer is stepped inside
 the backward), so its peak stays under its clone, its largest layer
-gradient and a few copies of one batch's activations. A server update
-gathers one epoch's rows at a time, so only its epoch orders grow with the
-epoch count.
+gradient and a few copies of one batch's activations. Client and server
+updates gather one epoch's rows at a time into buffers made once, so only
+their epoch orders grow with the epoch count.
 """
 
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from fedre import config, nets, protocol, runner
+from fedre import config, data, nets, protocol, runner
 
-from helpers import make_server
+from helpers import make_client, make_server
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench import workloads  # noqa: E402
@@ -97,3 +98,27 @@ def test_server_update_peak_grows_with_epochs_by_the_orders_alone():
     # one row of n int64 per epoch, held twice while drawn (tiled, then shuffled)
     orders = 2 * 49 * n * np.dtype(np.int64).itemsize
     assert peak(50) <= peak(1) + orders
+
+
+def test_client_update_peak_grows_with_epochs_by_the_orders_alone():
+    """Gathering each epoch's rows into new arrays would hold two epochs'
+    rows at the second epoch's gather: 2000 x (256 + 3) floats, 4.1 MB,
+    against the orders' 64 kB at 3 epochs."""
+    n, dim, num_classes = 2000, 256, 3
+    rng = np.random.default_rng(0)
+    train = data.Dataset(rng.standard_normal((n, dim)), rng.integers(num_classes, size=n), num_classes)
+    client = make_client(num_classes=num_classes, dim=dim, hidden=(16,), unified_dim=8, batch_size=64)
+
+    def peak(epochs):
+        trainee = replace(client, train=train, epochs=epochs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            protocol.client_local_update(trainee, None)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # one row of n int64 per epoch, held twice while drawn (tiled, then shuffled)
+    orders = 2 * 2 * n * np.dtype(np.int64).itemsize
+    assert peak(3) <= peak(1) + orders

@@ -1,7 +1,9 @@
 """Tests for the round protocol: sync, local training, packets, server
 updates, accounting, and the atomicity of the paper's round."""
 
+import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -430,6 +432,18 @@ def test_participation_partial_rate_subsets_in_order():
     assert len(chosen) == 3  # ceil(0.3 * 10)
     assert chosen == sorted(chosen)
     assert set(chosen) <= set(clients)
+
+
+def test_participation_draws_the_ceiling_of_the_rate_as_written():
+    """rate * K can round just above an integer (0.07 * 100 is
+    7.000000000000001); the draw still takes ceil(0.07 * 100) = 7."""
+    for r in range(1, 100):
+        rate = r / 100
+        for K in range(1, 201):
+            want = math.ceil(Decimal(str(rate)) * K)
+            chosen = protocol.participation_sample(list(range(K)), rate, np.random.default_rng(0))
+            assert len(chosen) == want, (rate, K)
+    assert len(protocol.participation_sample(list(range(5)), 1e-12, np.random.default_rng(0))) == 1
 
 
 def test_participation_rejects_an_empty_pool():
